@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import rootsystems as rsys
 from . import seriesdb as db
 from . import serialize, verify
-from .exactpoly import QLaurent, ZeroExponentError
+from .exactpoly import QLaurent
 
 USAGE_ERROR = 2
 
@@ -238,7 +238,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (db.UnknownSeriesError, rsys.UnsupportedRankError, ValueError,
-            ZeroExponentError) as e:
+            ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
 

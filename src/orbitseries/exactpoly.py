@@ -4,13 +4,26 @@ All coefficients are rational (``fractions.Fraction``); there is no floating
 point anywhere in this package.  The quarter-power lattice is the coarsest one
 on which every exponent we ever evaluate (half- and quarter-integer powers of
 q, for parameter values a in {1, 2, 4, 8}) stays integral in t.
+
+Product expressions reduce through their cyclotomic normal form: at fixed a
+every factor q^e -+ 1 is a signed monomial times a product of cyclotomic
+polynomials Phi_d(t), so an expression is c * t^k * prod Phi_d(t)^(m_d), the
+notation of Carter, *Finite Groups of Lie Type* (1985), section 13.9, and of
+CHEVIE's ``CycPol`` (Geck-Hiss-Luebeck-Malle-Pfeiffer 1996).  Cancelling
+common factors is then subtraction of the multiplicities m_d, and only the
+reduced result is multiplied out, over the integers.  The division route
+(``expand``, ``poly_gcd``, ``exact_div``, ``reduce_pair``) stays as the
+independent oracle the tests compare against, and reduces sums, which have
+no such form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from functools import lru_cache
+from typing import Iterable, Mapping, NamedTuple, Union
 
 Rat = Union[int, Fraction]
 
@@ -33,6 +46,14 @@ class FractionalPowerError(ValueError):
 
 def _frac(x: Rat) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _t_power(e: Rat) -> int:
+    """The t-power 4e of q^e; e must lie on the quarter lattice."""
+    t = 4 * _frac(e)
+    if t.denominator != 1:
+        raise ValueError(f"exponent {e} not on the quarter-integer lattice")
+    return int(t)
 
 
 @dataclass(frozen=True)
@@ -74,9 +95,6 @@ class LinExp:
 
     __rmul__ = __mul__
 
-    def is_constant(self) -> bool:
-        return self.c1 == 0
-
     def __str__(self) -> str:
         if self.c1 == 0:
             return str(self.c0)
@@ -84,10 +102,6 @@ class LinExp:
         if self.c0 == 0:
             return s
         return f"{s}{'+' if self.c0 > 0 else '-'}{abs(self.c0)}"
-
-
-def linexp(c0: Rat, c1: Rat = 0) -> LinExp:
-    return LinExp(c0, c1)
 
 
 class QLaurent:
@@ -127,20 +141,11 @@ class QLaurent:
     @staticmethod
     def q_power(e: Rat) -> "QLaurent":
         """The monomial q^e; e must lie on the quarter lattice."""
-        t = 4 * _frac(e)
-        if t.denominator != 1:
-            raise ValueError(f"exponent {e} not on the quarter-integer lattice")
-        return QLaurent({int(t): 1})
+        return QLaurent({_t_power(e): 1})
 
     @staticmethod
     def from_q_terms(terms: Mapping[Rat, Rat]) -> "QLaurent":
-        out = {}
-        for e, c in terms.items():
-            t = 4 * _frac(e)
-            if t.denominator != 1:
-                raise ValueError(f"exponent {e} not on the quarter-integer lattice")
-            out[int(t)] = c
-        return QLaurent(out)
+        return QLaurent({_t_power(e): c for e, c in terms.items()})
 
     # -- basic queries -----------------------------------------------------
 
@@ -176,15 +181,6 @@ class QLaurent:
 
     def leading_coeff(self) -> Fraction:
         return self._coeffs[self.t_degree()]
-
-    def coeff_of_q(self, e: Rat) -> Fraction:
-        t = 4 * _frac(e)
-        if t.denominator != 1:
-            return Fraction(0)
-        return self._coeffs.get(int(t), Fraction(0))
-
-    def integer_coefficients(self) -> bool:
-        return all(c.denominator == 1 for c in self._coeffs.values())
 
     # -- ring operations ---------------------------------------------------
 
@@ -301,21 +297,18 @@ class QLaurent:
 
 
 def _exact_fourth_root(q: Fraction) -> Fraction | None:
-    num = _integer_nth_root(q.numerator, 4)
-    den = _integer_nth_root(q.denominator, 4)
+    num = _integer_fourth_root(q.numerator)
+    den = _integer_fourth_root(q.denominator)
     if num is None or den is None:
         return None
     return Fraction(num, den)
 
 
-def _integer_nth_root(m: int, n: int) -> int | None:
+def _integer_fourth_root(m: int) -> int | None:
     if m < 0:
         return None
-    r = round(m ** (1.0 / n))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand ** n == m:
-            return cand
-    return None
+    r = math.isqrt(math.isqrt(m))   # floor of the real fourth root
+    return r if r ** 4 == m else None
 
 
 def cyclo_factor(e: Rat, sign: int = 1) -> QLaurent:
@@ -396,6 +389,106 @@ def reduce_pair(num: QLaurent, den: QLaurent) -> tuple[QLaurent, QLaurent]:
     return num * (1 / lead), den * (1 / lead)
 
 
+# -- cyclotomic normal form --------------------------------------------------
+
+@lru_cache(maxsize=None)
+def cyclotomic(d: int) -> tuple[int, ...]:
+    """Integer coefficients of Phi_d(t), constant term first.
+
+    Derived on first use from t^d - 1 = prod over e | d of Phi_e(t).
+    """
+    poly = [-1] + [0] * (d - 1) + [1]
+    for e in _binomial_phis(d, False)[:-1]:
+        poly, _ = _divmod_monic(poly, cyclotomic(e))
+    return tuple(poly)
+
+
+@lru_cache(maxsize=None)
+def _binomial_phis(n: int, plus: bool) -> tuple[int, ...]:
+    """The d with Phi_d dividing t^n - 1 (plus False) or t^n + 1 (plus True), n > 0:
+    the divisors of n, or the divisors of 2n that do not divide n."""
+    if plus:
+        return tuple(d for d in _binomial_phis(2 * n, False) if n % d)
+    return tuple(d for d in range(1, n + 1) if n % d == 0)
+
+
+def _divmod_monic(p: list, m: tuple[int, ...]) -> tuple[list, list]:
+    """Long division of p by the monic m; coefficient lists, constant term first."""
+    rem = list(p)
+    n = len(m) - 1
+    quo = [0] * max(len(rem) - n, 0)
+    for i in range(len(quo) - 1, -1, -1):
+        c = rem[i + n]
+        if c:
+            quo[i] = c
+            for j in range(n + 1):
+                rem[i + j] -= c * m[j]
+    return quo, rem[:n]
+
+
+def _phi_product(powers: Iterable[tuple[int, int]]) -> list[int]:
+    """Integer coefficients of prod Phi_d(t)^m over (d, m) with m > 0."""
+    out = [1]
+    for d, m in powers:
+        terms = [(j, c) for j, c in enumerate(cyclotomic(d)) if c]
+        for _ in range(m):
+            prod = [0] * (len(out) + terms[-1][0])
+            for j, c in terms:
+                for i, v in enumerate(out, j):
+                    prod[i] += c * v
+            out = prod
+    return out
+
+
+class PhiForm(NamedTuple):
+    """constant * t^shift * prod of Phi_d(t)^m over the pairs (d, m) in phis.
+
+    ``phis`` is sorted by d and holds no zero multiplicity, so two forms are
+    equal exactly when the rational functions they stand for are.  A named
+    tuple rather than a dataclass: it is built on every reduction, and its
+    class costs less to create at import.
+    """
+
+    constant: Fraction
+    shift: int = 0
+    phis: tuple[tuple[int, int], ...] = ()
+
+    def pair(self) -> tuple[QLaurent, QLaurent]:
+        """Coprime (numerator, denominator) with a monic denominator of nonzero
+        constant term: the unique pair ``reduce_pair`` also returns."""
+        if self.constant == 0:
+            return QLaurent.zero(), QLaurent.one()
+        num = _phi_product((d, m) for d, m in self.phis if m > 0)
+        den = _phi_product((d, -m) for d, m in self.phis if m < 0)
+        c, k = self.constant, self.shift
+        return (QLaurent({p + k: c * v for p, v in enumerate(num) if v}),
+                QLaurent({p: v for p, v in enumerate(den) if v}))
+
+
+@lru_cache(maxsize=None)
+def _factor_cyclotomic(value: QLaurent) -> PhiForm:
+    """Trial division by Phi_d for every d with phi(d) <= deg (such d satisfy
+    d <= 2 deg^2); raises unless the nonzero value is c * t^k * prod Phi_d."""
+    low = value.t_low_degree()
+    rest = [Fraction(0)] * (value.t_degree() - low + 1)
+    for p, c in value.coeffs.items():
+        rest[p - low] = c
+    constant = rest[-1]
+    rest = [c / constant for c in rest]
+    mults: dict[int, int] = {}
+    d, bound = 1, 2 * (len(rest) - 1) ** 2
+    while len(rest) > 1 and d <= bound:
+        quo, rem = _divmod_monic(rest, cyclotomic(d))
+        if quo and not any(rem):
+            rest = quo
+            mults[d] = mults.get(d, 0) + 1
+        else:
+            d += 1
+    if len(rest) > 1:
+        raise ValueError(f"{value} is not a product of cyclotomic polynomials in t")
+    return PhiForm(constant, low, tuple(sorted(mults.items())))
+
+
 # -- product expressions -----------------------------------------------------
 
 
@@ -406,11 +499,27 @@ class Cyclo:
     exponent: LinExp
     sign: int = 1
 
-    def value_at(self, a: Rat) -> QLaurent:
+    def exponent_at(self, a: Rat) -> Fraction:
+        """The exponent e at a; raises when the factor is q^0 - 1 = 0."""
         e = self.exponent(a)
         if self.sign == 1 and e == 0:
             raise ZeroExponentError(f"factor q^({self.exponent}) - 1 vanishes at a={a}")
-        return cyclo_factor(e, self.sign)
+        return e
+
+    def value_at(self, a: Rat) -> QLaurent:
+        return cyclo_factor(self.exponent_at(a), self.sign)
+
+    def phi_form(self, a: Rat) -> PhiForm:
+        """t^E - 1 = prod over d | E of Phi_d and t^E + 1 = prod over d | 2E,
+        d not dividing E, of Phi_d, for E = 4e > 0; a negative E contributes
+        the monomial t^E and, for the minus sign, the sign -1."""
+        big_e = _t_power(self.exponent_at(a))
+        if big_e == 0:
+            return PhiForm(Fraction(2))
+        phis = tuple((d, 1) for d in _binomial_phis(abs(big_e), self.sign == -1))
+        if big_e > 0:
+            return PhiForm(Fraction(1), 0, phis)
+        return PhiForm(Fraction(-self.sign), big_e, phis)
 
     def __str__(self) -> str:
         op = "-" if self.sign == 1 else "+"
@@ -425,6 +534,12 @@ class Literal:
 
     def value_at(self, a: Rat) -> QLaurent:
         return self.value
+
+    def phi_form(self, a: Rat) -> PhiForm:
+        """By trial division; a literal that is not cyclotomic raises ValueError."""
+        if self.value.is_zero():
+            raise ZeroExponentError(f"factor {self} vanishes at a={a}")
+        return _factor_cyclotomic(self.value)
 
     def __str__(self) -> str:
         return f"({self.value})"
@@ -466,9 +581,6 @@ class ProductExpr:
     def __truediv__(self, other: "ProductExpr") -> "ProductExpr":
         return self * other.inverse()
 
-    def scaled(self, c: Rat) -> "ProductExpr":
-        return ProductExpr(self.constant * _frac(c), self.prefactor_exponent, self.factors)
-
     def expand(self, a: Rat) -> tuple[QLaurent, QLaurent]:
         """Multiply out at parameter a into an exact (numerator, denominator) pair.
 
@@ -492,35 +604,74 @@ class ProductExpr:
                 den = den * base ** (-mult)
         return num, den
 
+    def phi_form(self, a: Rat) -> PhiForm:
+        """Cyclotomic normal form at parameter a; common factors cancel here."""
+        constant = self.constant
+        shift = _t_power(self.prefactor_exponent(a))
+        mults: dict[int, int] = {}
+        for factor, mult in self.factors:
+            f = factor.phi_form(a)
+            constant *= f.constant ** mult
+            shift += f.shift * mult
+            for d, m in f.phis:
+                mults[d] = mults.get(d, 0) + m * mult
+        if constant == 0:
+            return PhiForm(constant)
+        return PhiForm(constant, shift, tuple(sorted((d, m) for d, m in mults.items() if m)))
+
     def reduced(self, a: Rat) -> tuple[QLaurent, QLaurent]:
-        """Expansion followed by gcd reduction; the pair is coprime."""
-        return reduce_pair(*self.expand(a))
+        """The coprime pair from the cyclotomic normal form; equal to
+        ``reduce_pair(*self.expand(a))``, the division route."""
+        return self.phi_form(a).pair()
 
     def reduce_to_polynomial(self, a: Rat) -> QLaurent:
         """The single reduced value; requires the denominator to divide exactly."""
-        num, den = self.expand(a)
-        return exact_div(num, den)
+        num, den = self.phi_form(a).pair()
+        if den != QLaurent.one():
+            # not a Laurent polynomial: the division route reports the remainder
+            return exact_div(*self.expand(a))
+        return num
 
     def degree_in_q(self, a: Rat) -> Fraction:
         """Exact q-degree of the reduced value at parameter a."""
         total = self.prefactor_exponent(a)
         for factor, mult in self.factors:
             if isinstance(factor, Cyclo):
-                e = factor.exponent(a)
-                if factor.sign == 1 and e == 0:
-                    raise ZeroExponentError(f"factor {factor} vanishes at a={a}")
                 # deg(q^e -+ 1) = e when e > 0, else 0 (Laurent factor bottoms out)
-                total += max(e, Fraction(0)) * mult
+                total += max(factor.exponent_at(a), Fraction(0)) * mult
             else:
                 total += factor.value.degree_in_q() * mult
         return total
 
     def eval_at(self, a: Rat, q: Rat) -> Fraction:
-        num, den = self.expand(a)
-        d = den.eval_at(q)
-        if d == 0:
+        """Exact value at a positive rational q, factor by factor, unexpanded.
+
+        A factor with a fractional power of q needs q to be a rational fourth
+        power, even where such powers would cancel in the expanded product.
+        """
+        q = _frac(q)
+        if q <= 0:
+            raise ValueError("evaluation point must be positive")
+
+        def power(e: Fraction) -> Fraction:
+            if e.denominator == 1:
+                return q ** int(e)
+            return QLaurent.q_power(e).eval_at(q)   # the fourth-root rule
+
+        num = self.constant * power(self.prefactor_exponent(a))
+        den = Fraction(1)
+        for factor, mult in self.factors:
+            if isinstance(factor, Cyclo):
+                v = power(factor.exponent_at(a)) - factor.sign
+            else:
+                v = factor.value.eval_at(q)
+            if mult > 0:
+                num *= v ** mult
+            else:
+                den *= v ** -mult
+        if den == 0:
             raise ZeroDivisionError(f"denominator vanishes at q={q}")
-        return num.eval_at(q) / d
+        return num / den
 
     def __str__(self) -> str:
         parts = []

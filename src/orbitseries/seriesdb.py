@@ -483,11 +483,6 @@ def _f4_series():
 
 # -- the E6 row ---------------------------------------------------------------
 
-def _phi_display(constant, prefactor, num=(), den=(), num_plus=(), den_plus=()):
-    return pexpr(constant, prefactor, num=num, den=den,
-                 num_plus=num_plus, den_plus=den_plus)
-
-
 def _e6_series():
     recs = []
 
@@ -523,21 +518,21 @@ def _e6_series():
         ],
         named=[
             NamedDegree(2, "pair-", "phi_{64,13}", 64, 13,
-                        _phi_display(1, 13, num=[6, 8, 12], den=[1, (3, 2)])),
+                        pexpr(1, 13, num=[6, 8, 12], den=[1, (3, 2)])),
             NamedDegree(4, "pair+", "phi_{120,25}", 120, 25,
-                        _phi_display(Fraction(1, 2), 25, num=[8, 10, 12, 18],
-                                     den=[1, 3, 4, 6], num_plus=[3, 7],
-                                     den_plus=[4, 6])),
+                        pexpr(Fraction(1, 2), 25, num=[8, 10, 12, 18],
+                              den=[1, 3, 4, 6], num_plus=[3, 7],
+                              den_plus=[4, 6])),
             NamedDegree(4, "pair-", "phi_{105,26}", 105, 26,
-                        _phi_display(Fraction(1, 2), 25, num=[8, 10, 12, 18, 3, 7],
-                                     den=[1, 3, 4, 6, 4, 6])),
+                        pexpr(Fraction(1, 2), 25, num=[8, 10, 12, 18, 3, 7],
+                              den=[1, 3, 4, 6, 4, 6])),
             NamedDegree(8, "pair+", "phi_{210,52}", 210, 52,
-                        _phi_display(Fraction(1, 2), 52, num=[14, 18, 20, 30],
-                                     den=[3, 4, 5, 6], num_plus=[4, 12],
-                                     den_plus=[7, 9])),
+                        pexpr(Fraction(1, 2), 52, num=[14, 18, 20, 30],
+                              den=[3, 4, 5, 6], num_plus=[4, 12],
+                              den_plus=[7, 9])),
             NamedDegree(8, "pair-", "phi_{160,55}", 160, 55,
-                        _phi_display(Fraction(1, 2), 52, num=[14, 18, 20, 30, 4, 12],
-                                     den=[3, 4, 5, 6, 7, 9])),
+                        pexpr(Fraction(1, 2), 52, num=[14, 18, 20, 30, 4, 12],
+                              den=[3, 4, 5, 6, 7, 9])),
         ],
         notes=["printed point count lacks the leading q^2-1 numerator factor "
                "carried by every other count in this row; without it the "

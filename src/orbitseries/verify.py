@@ -419,9 +419,9 @@ def _pair_equality_checks(rec: db.SeriesRecord, a_values) -> list[CheckResult]:
     # formal a=1 comparison, recorded: the printed remark attaches the
     # coincidence to the first member, not to a literal a=1 evaluation
     try:
-        n1, d1 = _char_expr(rec, first, 1).expand(1)
-        n2, d2 = _char_expr(rec, second, 1).expand(1)
-        equal = n1 * d2 == n2 * d1
+        # normal forms are equal exactly when the rational functions are
+        equal = (_char_expr(rec, first, 1).phi_form(1) ==
+                 _char_expr(rec, second, 1).phi_form(1))
         out.append(_rec("characters", f"e6:{rec.label} pair comparison at a=1",
                         "equal" if equal else "not equal",
                         "recorded only",

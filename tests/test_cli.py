@@ -1,8 +1,10 @@
+import hashlib
 import json
+from fractions import Fraction
 
 from orbitseries import serialize
 from orbitseries.cli import main
-from orbitseries.seriesdb import all_series
+from orbitseries.seriesdb import MASTER_POINTCOUNT, all_series, lookup, series_by_row
 
 
 def run(capsys, *argv):
@@ -71,6 +73,34 @@ class TestPoints:
         assert code == 0
         assert out.startswith("q^22")
 
+    def test_huge_fourth_power_q(self, capsys):
+        # 3^240 = (3^60)^4 is a fourth power far beyond the float range
+        code, out, err = run(capsys, "points", "f4", "g", "--a", "1",
+                             "--q", str(3 ** 240))
+        assert code == 0 and not err
+        expr = MASTER_POINTCOUNT / lookup("f4", "g").pointcount_Y
+        assert Fraction(out.strip()) == expr.eval_at(1, 3 ** 240)
+
+    def test_huge_q_that_is_no_fourth_power(self, capsys):
+        code, out, err = run(capsys, "points", "f4", "g", "--a", "1",
+                             "--q", str(10 ** 401))
+        assert code == 2 and not out
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_every_label_a_and_q_exits_cleanly(self, capsys):
+        labels = [(row, rec.label) for row in ("f4", "e6")
+                  for rec in series_by_row(row)]
+        qs = (None, -1, 0, 1, 2, 16, 3 ** 240, 10 ** 401)
+        for row, label in labels:
+            for a in (1, 2, 4, 8):
+                for q in qs:
+                    argv = ["points", row, label, "--a", str(a)]
+                    if q is not None:
+                        argv += ["--q", str(q)]
+                    code, _, err = run(capsys, *argv)
+                    assert code in (0, 2), argv
+                    assert "Traceback" not in err, argv
+
 
 class TestVerify:
     def test_verify_subset_and_json(self, capsys, tmp_path):
@@ -99,6 +129,8 @@ class TestExport:
         assert code == 0
         data = json.loads(path.read_text())
         assert serialize.registry_from_json(data) == all_series()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "278d77af96a506e615afa901e6eb0aba11d4f33382de28f138c87e0c0777818e"
 
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "export", "--format", "csv")

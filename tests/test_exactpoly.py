@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitseries.exactpoly import (Cyclo, LinExp, Literal, NotDivisibleError,
+from orbitseries.exactpoly import (Cyclo, FractionalPowerError, LinExp,
+                                   Literal, NotDivisibleError, PhiForm,
                                    ProductExpr, QLaurent, ZeroExponentError,
-                                   cyclo_factor, exact_div, poly_gcd,
-                                   product_expr, random_qlaurent, reduce_pair)
+                                   cyclo_factor, cyclotomic, exact_div,
+                                   poly_gcd, product_expr, random_qlaurent,
+                                   reduce_pair)
 
 
 def qpoly(terms):
@@ -130,6 +132,22 @@ class TestEval:
         with pytest.raises(FractionalPowerError):
             p.eval_at(2)
 
+    def test_fourth_root_of_a_huge_fourth_power(self):
+        # 3^240 = (3^60)^4 lies far beyond the float range
+        t = QLaurent({1: F(1)})
+        assert t.eval_at(3 ** 240) == 3 ** 60
+        assert t.eval_at(F(3 ** 240, 2 ** 400)) == F(3 ** 60, 2 ** 100)
+        with pytest.raises(FractionalPowerError):
+            t.eval_at(10 ** 401)
+
+    @given(st.integers(1, 10 ** 60))
+    @settings(max_examples=80, deadline=None)
+    def test_fourth_root_is_exact(self, n):
+        t = QLaurent({1: F(1)})
+        assert t.eval_at(n ** 4) == n
+        with pytest.raises(FractionalPowerError):
+            t.eval_at(n ** 4 + 1)
+
     def test_triples_round_trip(self):
         p = QLaurent({-2: F(3, 4), 5: F(-1)})
         assert QLaurent.from_triples(p.to_triples()) == p
@@ -198,3 +216,114 @@ class TestCyclo:
 
     def test_cyclo_str(self):
         assert "+" in str(Cyclo(LinExp(3), -1))
+
+
+def t_poly(coeffs):
+    """QLaurent in t from integer coefficients, constant term first."""
+    return QLaurent({p: c for p, c in enumerate(coeffs)})
+
+
+quarter_exponents = st.fractions(min_value=-4, max_value=6).map(
+    lambda x: F(round(4 * x), 4))
+cyclo_factors = st.tuples(quarter_exponents, st.sampled_from((1, -1)),
+                          st.sampled_from((1, 2, -1, -2)))
+
+
+class TestPhiForm:
+    def test_known_cyclotomic_polynomials(self):
+        assert cyclotomic(1) == (-1, 1)
+        assert cyclotomic(2) == (1, 1)
+        assert cyclotomic(12) == (1, 0, -1, 0, 1)
+        # the first cyclotomic polynomial with a coefficient outside {-1, 0, 1}
+        assert -2 in cyclotomic(105) and len(cyclotomic(105)) == 49
+
+    def test_binomials_are_products_of_cyclotomics(self):
+        t = QLaurent({1: F(1)})
+        for n in range(1, 61):
+            prod = QLaurent.one()
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    prod = prod * t_poly(cyclotomic(d))
+            assert prod == t ** n - 1
+
+    def test_factor_rules(self):
+        # q - 1 = t^4 - 1 = Phi_1 Phi_2 Phi_4; q^(1/2) + 1 = t^2 + 1 = Phi_4
+        assert Cyclo(LinExp(1)).phi_form(0) == PhiForm(F(1), 0, ((1, 1), (2, 1), (4, 1)))
+        assert Cyclo(LinExp(F(1, 2)), -1).phi_form(0) == PhiForm(F(1), 0, ((4, 1),))
+        # q^-1 - 1 = -t^-4 (t^4 - 1) and q^-1 + 1 = t^-4 (t^4 + 1)
+        assert Cyclo(LinExp(-1)).phi_form(0) == \
+            PhiForm(F(-1), -4, ((1, 1), (2, 1), (4, 1)))
+        assert Cyclo(LinExp(-1), -1).phi_form(0) == PhiForm(F(1), -4, ((8, 1),))
+        assert Cyclo(LinExp(-2, 1), -1).phi_form(2) == PhiForm(F(2))
+        with pytest.raises(ZeroExponentError, match=r"q\^\(a-2\) - 1 vanishes at a=2"):
+            Cyclo(LinExp(-2, 1)).phi_form(2)
+
+    def test_literal_q2_minus_q_plus_1_is_phi24(self):
+        phi6 = QLaurent.from_q_terms({2: 1, 1: -1, 0: 1})
+        assert Literal(phi6).phi_form(0) == PhiForm(F(1), 0, ((24, 1),))
+        scaled = phi6 * phi6 * QLaurent({3: F(-5, 2)})
+        assert Literal(scaled).phi_form(0) == PhiForm(F(-5, 2), 3, ((24, 2),))
+
+    def test_non_cyclotomic_literal_raises(self):
+        for value in (QLaurent.from_q_terms({1: 1, 0: -2}),
+                      QLaurent.from_q_terms({2: 1, 1: 1, 0: -1}) * (QLaurent.q_power(1) - 1)):
+            with pytest.raises(ValueError, match="not a product of cyclotomic"):
+                Literal(value).phi_form(0)
+
+    def test_reduction_is_multiset_subtraction(self):
+        x = product_expr(3, 2, plus=[6, 4], minus=[2])
+        y = product_expr(1, 1, plus=[3], minus=[1])
+        fx, fy, fxy = x.phi_form(1), y.phi_form(1), (x / y).phi_form(1)
+        mults = dict(fx.phis)
+        for d, m in fy.phis:
+            mults[d] = mults.get(d, 0) - m
+        assert fxy.phis == tuple(sorted((d, m) for d, m in mults.items() if m))
+        assert fxy.shift == fx.shift - fy.shift and fxy.constant == 3
+
+    @given(st.lists(cyclo_factors, max_size=6), quarter_exponents,
+           st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_division_route(self, factors, prefactor, constant):
+        e = ProductExpr(constant, LinExp(prefactor),
+                        tuple((Cyclo(LinExp(x), s), m) for x, s, m in factors))
+        try:
+            want = reduce_pair(*e.expand(0))
+        except ZeroExponentError as err:
+            with pytest.raises(ZeroExponentError) as got:
+                e.reduced(0)
+            assert str(got.value) == str(err)
+            return
+        got = e.reduced(0)
+        assert got == want and str(got) == str(want)
+        num, den = e.expand(0)
+        whole = all(x.denominator == 1 for x, _, _ in factors) and \
+            prefactor.denominator == 1
+        for q in (16, 3) if whole else (16,):
+            if den.eval_at(q) != 0:
+                assert e.eval_at(0, q) == num.eval_at(q) / den.eval_at(q)
+        if all(m > 0 for _, _, m in factors):
+            assert e.reduce_to_polynomial(0) == exact_div(num, den)
+
+    def test_reduce_to_polynomial_reports_remainder(self):
+        e = product_expr(1, 0, plus=[3], minus=[2])
+        with pytest.raises(NotDivisibleError) as err:
+            e.reduce_to_polynomial(0)
+        assert not err.value.remainder.is_zero()
+        assert product_expr(1, 0, plus=[6], minus=[2]).reduce_to_polynomial(0) == \
+            qpoly({4: 1, 2: 1, 0: 1})
+
+    def test_eval_at_wants_a_fourth_root_for_any_fractional_factor(self):
+        # (q^(1/2) - 1)(q^(1/2) + 1) = q - 1 expands onto whole powers, but
+        # evaluation works factor by factor, so q = 2 is refused
+        e = product_expr(1, 0, plus=[F(1, 2), (F(1, 2), -1)])
+        num, den = e.expand(0)
+        assert num.eval_at(2) == 1
+        with pytest.raises(FractionalPowerError):
+            e.eval_at(0, 2)
+        assert e.eval_at(0, 16) == 15
+
+    def test_eval_at_vanishing_denominator(self):
+        with pytest.raises(ZeroDivisionError):
+            product_expr(1, 0, minus=[1]).eval_at(0, 1)
+        with pytest.raises(ValueError, match="positive"):
+            product_expr(1, 0, plus=[1]).eval_at(0, 0)

@@ -1,3 +1,5 @@
+import hashlib
+
 from orbitseries import verify
 from orbitseries.verify import (FAIL, PASS, RECORDED, VerifyConfig, check_dims,
                                 check_gradings, check_pointcounts,
@@ -73,6 +75,9 @@ class TestReport:
         assert report.exit_code == 0
         assert report.counts[PASS] > 800
         assert report.counts[RECORDED] > 50
+        # the output contract: the full report is byte-identical across changes
+        assert hashlib.sha256(report.as_json().encode()).hexdigest() == \
+            "9cc217dadf041c4a24f9b08e2f45a998777adafe7984385eff8ed28791a3aa1c"
 
     def test_determinism(self):
         cfg = VerifyConfig(suites=("dims", "gradings"))
