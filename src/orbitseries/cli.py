@@ -98,6 +98,17 @@ def _pointcount_expr(rec):
     raise db.UnknownSeriesError(f"series {rec.label} carries no point count")
 
 
+def _decimal(n: int) -> str:
+    """Decimal digits of n, also past the interpreter's int-to-str digit limit."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n.bit_length() < 10_000:   # under 3,011 digits
+        return str(n)
+    k = n.bit_length() * 3 // 20   # about half the digits
+    high, low = divmod(n, 10 ** k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
 def cmd_points(args) -> int:
     rec = db.lookup(args.row, args.label)
     expr = _pointcount_expr(rec)
@@ -105,7 +116,9 @@ def cmd_points(args) -> int:
     num, den = expr.reduced(a)
     if args.q is not None:
         q = Fraction(args.q)
-        print(num.eval_at(q) / den.eval_at(q))
+        value = num.eval_at(q) / den.eval_at(q)
+        text = _decimal(value.numerator)
+        print(text if value.denominator == 1 else f"{text}/{_decimal(value.denominator)}")
         return 0
     if den == QLaurent.one():
         print(num)

@@ -1,8 +1,12 @@
 """Root systems of the simple complex Lie algebras, rank at most 12.
 
-Simple roots follow the Bourbaki numbering in the standard orthonormal-model
-coordinates; everything downstream (weighted diagrams, gradings, orbit
-dimensions) is exact rational arithmetic on those coordinates.
+Each type is built from its Cartan matrix in Bourbaki numbering (Bourbaki,
+*Lie Groups and Lie Algebras*, ch. VI, Plates I-IX).  Roots are integer tuples
+in simple-root coordinates, grown height by height with root strings
+(Humphreys, *Introduction to Lie Algebras and Representation Theory*, section
+10), and the invariant form comes from the root lengths the Cartan matrix
+determines.  Weighted diagrams, gradings and orbit dimensions are integer sums
+over these roots.
 """
 
 from __future__ import annotations
@@ -10,9 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
-
-Vector = tuple[Fraction, ...]
 
 _EXCEPTIONAL_RANKS = {"G": 2, "F": 4}
 _E_RANKS = (6, 7, 8)
@@ -117,152 +118,122 @@ def algebra(name: str) -> AlgebraType:
     return AlgebraType(fam, int(s[1:]))
 
 
-def _fr(*xs) -> Vector:
-    return tuple(Fraction(x) for x in xs)
+def _cartan_matrix(alg: AlgebraType) -> tuple[tuple[int, ...], ...]:
+    """Bourbaki's Cartan matrix: entry [i][j] = <alpha_i, alpha_j^vee>.
 
-
-def _simple_roots(alg: AlgebraType) -> list[Vector]:
+    Nodes are numbered as in Bourbaki, Plates I-IX.
+    """
     fam, n = alg.family, alg.rank
+    if fam == "E":
+        bonds = [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, n - 1)]
+    elif fam == "D":
+        bonds = [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]
+    else:
+        bonds = [(i, i + 1) for i in range(n - 1)]
+    m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in bonds:
+        m[i][j] = m[j][i] = -1
+    # the multiple bond (long node, short node, multiplicity)
+    multiple = {"B": (n - 2, n - 1, 2), "C": (n - 1, n - 2, 2),
+                "F": (1, 2, 2), "G": (1, 0, 3)}
+    if fam in multiple:
+        i, j, k = multiple[fam]
+        m[i][j] = -k
+    return tuple(map(tuple, m))
 
-    def e(i, dim):
-        return tuple(Fraction(1 if j == i else 0) for j in range(dim))
 
-    def sub(u, v):
-        return tuple(a - b for a, b in zip(u, v))
+def _squared_lengths(cartan) -> tuple[Fraction, ...]:
+    """(alpha_i, alpha_i) with long roots of length 2.
 
-    if fam == "A":
-        dim = n + 1
-        return [sub(e(i, dim), e(i + 1, dim)) for i in range(n)]
-    if fam == "B":
-        return [sub(e(i, n), e(i + 1, n)) for i in range(n - 1)] + [e(n - 1, n)]
-    if fam == "C":
-        return [sub(e(i, n), e(i + 1, n)) for i in range(n - 1)] + \
-            [tuple(2 * x for x in e(n - 1, n))]
-    if fam == "D":
-        last = tuple(a + b for a, b in zip(e(n - 2, n), e(n - 1, n)))
-        return [sub(e(i, n), e(i + 1, n)) for i in range(n - 1)] + [last]
-    if fam == "G":
-        # Bourbaki plane-in-R^3 model: alpha1 short, alpha2 long.
-        return [_fr(1, -1, 0), _fr(-2, 1, 1)]
-    if fam == "F":
-        return [_fr(0, 1, -1, 0), _fr(0, 0, 1, -1), _fr(0, 0, 0, 1),
-                _fr(Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2))]
-    # E6/E7/E8 inside R^8 (Bourbaki)
-    half = Fraction(1, 2)
-    a1 = (half, -half, -half, -half, -half, -half, -half, half)
-    a2 = _fr(1, 1, 0, 0, 0, 0, 0, 0)
-    chain = [tuple(Fraction(1 if j == i else (-1 if j == i - 1 else 0))
-                   for j in range(8)) for i in range(1, 7)]  # e_i - e_{i-1}
-    roots = [a1, a2] + chain[: n - 2]
+    Symmetry of the form gives A_ij (alpha_j, alpha_j) = A_ji (alpha_i, alpha_i)
+    along every bond of the connected diagram.
+    """
+    n = len(cartan)
+    sq: list[Fraction | None] = [Fraction(1)] + [None] * (n - 1)
+    todo = [0]
+    while todo:
+        i = todo.pop()
+        for j in range(n):
+            if sq[j] is None and cartan[i][j]:
+                sq[j] = sq[i] * cartan[j][i] / cartan[i][j]
+                todo.append(j)
+    top = max(sq)
+    return tuple(2 * x / top for x in sq)
+
+
+def _positive_roots(cartan) -> list[tuple[int, ...]]:
+    """Positive roots in simple-root coordinates, by height then coordinates.
+
+    Root strings (Humphreys, section 10): for a positive root beta that is not
+    alpha_i, beta + alpha_i is a root iff p - <beta, alpha_i^vee> > 0, where p
+    is the largest r with beta - r alpha_i a root.
+    """
+    n = len(cartan)
+    layer = sorted(tuple(int(i == j) for j in range(n)) for i in range(n))
+    found = set(layer)
+    roots = list(layer)
+    while layer:
+        taller = set()
+        for beta in layer:
+            for i in range(n):
+                p = 0
+                while beta[:i] + (beta[i] - p - 1,) + beta[i + 1:] in found:
+                    p += 1
+                if p > sum(b * row[i] for b, row in zip(beta, cartan)):
+                    taller.add(beta[:i] + (beta[i] + 1,) + beta[i + 1:])
+        layer = sorted(taller)
+        found.update(layer)
+        roots.extend(layer)
     return roots
-
-
-def _dot(u: Vector, v: Vector) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 class RootSystem:
     """Roots, Cartan data and the invariant form of one simple algebra.
 
-    The bilinear form is the ambient dot product rescaled so the highest root
-    has squared length 2; instances are immutable and cached per type.
+    Roots are integer tuples in simple-root coordinates, so the simple roots
+    are the unit vectors.  The invariant form is read off the Cartan matrix
+    and scaled so long roots have squared length 2; instances are immutable
+    and cached per type.
     """
 
     def __init__(self, alg: AlgebraType):
         self.algebra = alg
-        self.rank = alg.rank
-        self.simple_roots = tuple(_simple_roots(alg))
-        roots = self._reflection_closure(self.simple_roots)
-        gram = [[_dot(a, b) for b in self.simple_roots] for a in self.simple_roots]
-        self._gram_inv = _invert(gram)
-        coords = {r: self._simple_coords(r) for r in roots}
-        pos = [r for r in roots if sum(coords[r]) > 0]
-        self.positive_roots = tuple(sorted(pos, key=lambda r: (sum(coords[r]), coords[r])))
-        self.root_coords = {r: coords[r] for r in roots}
+        self.rank = n = alg.rank
+        self.cartan_matrix = _cartan_matrix(alg)
+        sq = _squared_lengths(self.cartan_matrix)
+        self._form = tuple(tuple(self.cartan_matrix[i][j] * sq[j] / 2 for j in range(n))
+                           for i in range(n))
+        self.simple_roots = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        self.positive_roots = tuple(_positive_roots(self.cartan_matrix))
         self.N = len(self.positive_roots)
         if self.N != alg.num_positive_roots:
             raise AssertionError(f"{alg}: built {self.N} positive roots")
         self.highest_root = self.positive_roots[-1]
-        self._scale = Fraction(2) / _dot(self.highest_root, self.highest_root)
-        self.cartan_matrix = tuple(
-            tuple(_i(2 * _dot(a, b) / _dot(b, b)) for b in self.simple_roots)
-            for a in self.simple_roots)
-        self.rho = tuple(sum(c) / 2 for c in zip(*self.positive_roots))
+        self.rho = tuple(Fraction(sum(c), 2) for c in zip(*self.positive_roots))
         self.invariant_degrees = alg.invariant_degrees
-        cartan_inv = _invert([[Fraction(x) for x in row] for row in self.cartan_matrix])
-        self.fundamental_weights = tuple(
-            tuple(sum(cartan_inv[i][k] * self.simple_roots[k][c] for k in range(self.rank))
-                  for c in range(len(self.simple_roots[0])))
-            for i in range(self.rank))
 
-    @staticmethod
-    def _reflection_closure(simple: Sequence[Vector]) -> set[Vector]:
-        roots = set(simple)
-        frontier = set(simple)
-        while frontier:
-            new = set()
-            for beta in frontier:
-                for alpha in simple:
-                    coef = 2 * _dot(beta, alpha) / _dot(alpha, alpha)
-                    refl = tuple(b - coef * a for b, a in zip(beta, alpha))
-                    if refl not in roots:
-                        new.add(refl)
-            roots |= new
-            frontier = new
-        return roots
+    def _dot(self, u, v) -> Fraction:
+        return sum(x * f * y for x, row in zip(u, self._form) for f, y in zip(row, v))
 
-    def _simple_coords(self, root: Vector) -> tuple[Fraction, ...]:
-        rhs = [_dot(root, a) for a in self.simple_roots]
-        return tuple(sum(self._gram_inv[i][j] * rhs[j] for j in range(self.rank))
-                     for i in range(self.rank))
-
-    # -- the normalized invariant form --------------------------------------
-
-    def inner(self, u: Vector, v: Vector) -> Fraction:
-        return self._scale * _dot(u, v)
-
-    def pair_coroot(self, lam: Vector, root: Vector) -> Fraction:
+    def pair_coroot(self, lam, root) -> Fraction:
         """<lam, root^vee> = 2(lam,root)/(root,root); scale independent."""
-        return 2 * _dot(lam, root) / _dot(root, root)
+        return 2 * self._dot(lam, root) / self._dot(root, root)
 
     @property
     def dimension(self) -> int:
         return self.rank + 2 * self.N
 
     def dual_coxeter(self) -> int:
-        val = 1 + 2 * _dot(self.rho, self.highest_root) / _dot(self.highest_root,
-                                                               self.highest_root)
-        assert val.denominator == 1
-        return int(val)
+        return 1 + _i(self.pair_coroot(self.rho, self.highest_root))
 
     def adjoint_marks(self) -> tuple[int, ...]:
         """Fundamental-weight coordinates of the highest root."""
         return tuple(_i(self.pair_coroot(self.highest_root, a)) for a in self.simple_roots)
 
-    def group_order_exponents(self) -> tuple[int, tuple[int, ...]]:
-        """(N, invariant degrees), the data of the order polynomial."""
-        return self.N, self.invariant_degrees
-
 
 def _i(x: Fraction) -> int:
     assert x.denominator == 1, x
     return int(x)
-
-
-def _invert(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(1 if i == j else 0)
-                                                    for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 @lru_cache(maxsize=None)
@@ -324,9 +295,7 @@ def grading_dims(wd: WeightedDiagram) -> dict[int, int]:
     rs = build_root_system(wd.algebra)
     dims: dict[int, int] = {0: rs.rank}
     for root in rs.positive_roots:
-        coords = rs.root_coords[root]
-        val = sum(c * l for c, l in zip(coords, wd.labels))
-        v = _i(val)
+        v = sum(c * l for c, l in zip(root, wd.labels))
         dims[v] = dims.get(v, 0) + 1
         dims[-v] = dims.get(-v, 0) + 1
     return dict(sorted(dims.items()))
@@ -335,8 +304,7 @@ def grading_dims(wd: WeightedDiagram) -> dict[int, int]:
 def orbit_dim_from_diagram(wd: WeightedDiagram) -> int:
     """dim g - dim g(0) - dim g(1); exact for genuine orbit diagrams."""
     dims = grading_dims(wd)
-    rs = build_root_system(wd.algebra)
-    return rs.dimension - dims.get(0, 0) - dims.get(1, 0)
+    return wd.algebra.dimension - dims.get(0, 0) - dims.get(1, 0)
 
 
 def desing_dims(wd: WeightedDiagram) -> tuple[int, int]:

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from .exactpoly import Cyclo, LinExp, Literal, ProductExpr, QLaurent
 from .partitions import EMPTY, Family, Partition, PartitionPair, pair_to_partition
-from .rootsystems import AlgebraType, algebra, build_root_system
+from .rootsystems import AlgebraType, algebra
 
 __all__ = [
     "ReductiveSpec", "Member", "CharacterFormula", "NamedDegree", "SeriesRecord",
@@ -139,9 +139,8 @@ def group_order(spec: ReductiveSpec) -> ProductExpr:
     prefactor = LinExp(0)
     degrees: list[int] = []
     for f in spec.factors:
-        rs = build_root_system(f)
-        prefactor = prefactor + rs.N
-        degrees.extend(rs.invariant_degrees)
+        prefactor = prefactor + f.num_positive_roots
+        degrees.extend(f.invariant_degrees)
     degrees.extend([1] * spec.torus_rank)
     return pexpr(1, prefactor, num=degrees)
 

@@ -301,8 +301,7 @@ def _char_expr(rec: db.SeriesRecord, formula: db.CharacterFormula,
         name = db.EXCEPTIONAL_AMBIENTS[a]
     else:
         name = rec.member(a).ambient.name
-    n = rsys.root_system(name).N
-    return formula.expr(n)
+    return formula.expr(rsys.algebra(name).num_positive_roots)
 
 
 def check_characters(a_values: Sequence[int] = (2, 4, 8)) -> list[CheckResult]:

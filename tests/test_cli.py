@@ -1,6 +1,9 @@
 import hashlib
 import json
+import sys
 from fractions import Fraction
+
+import pytest
 
 from orbitseries import serialize
 from orbitseries.cli import main
@@ -61,6 +64,33 @@ class TestGrading:
         assert data["1"] == 32 and data["2"] == 10
 
 
+EXCEPTIONAL_ROW_LABELS = [(row, rec.label, {m.ambient.name for m in rec.members})
+                          for row in ("f4", "e6") for rec in series_by_row(row)]
+
+
+def test_diagram_and_grading_every_label_and_algebra(capsys):
+    """Exit 0 or 2 and no traceback everywhere; on the algebras a row's members
+    live in, exit 0, the orbit dimension of the table, and the output as
+    frozen in the sha256 below."""
+    digest = hashlib.sha256()
+    for row, label, ambients in EXCEPTIONAL_ROW_LABELS:
+        rec = lookup(row, label)
+        for alg in ("f4", "e6", "e7", "e8", "sl6", "c3", "x9"):
+            for cmd in ("diagram", "grading"):
+                argv = [cmd, row, label, "--algebra", alg]
+                code, out, err = run(capsys, *argv)
+                assert code in (0, 2) and "Traceback" not in err, argv
+                if alg not in ambients:
+                    continue
+                assert code == 0 and not err, argv
+                digest.update(f"{argv}\n{out}".encode())
+                if cmd == "grading":
+                    a = next(m.a for m in rec.members if m.ambient.name == alg)
+                    assert out.splitlines()[-1] == f"orbit dimension {rec.dim_at(a)}"
+    assert digest.hexdigest() == \
+        "4f84c634f978e1661e8b469f6552df1ddd66235ed09f359cd36bb8299c1b8ab2"
+
+
 class TestPoints:
     def test_value_is_group_order_quotient(self, capsys):
         code, out, _ = run(capsys, "points", "f4", "g", "--a", "2", "--q", "2")
@@ -86,6 +116,22 @@ class TestPoints:
                              "--q", str(10 ** 401))
         assert code == 2 and not out
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("a,q", [(8, 3 ** 240), (2, 10 ** 401)],
+                             ids=["a8-q3^240", "a2-q10^401"])
+    def test_value_past_the_int_to_str_digit_limit(self, capsys, a, q):
+        code, out, err = run(capsys, "points", "f4", "g", "--a", str(a),
+                             "--q", str(q))
+        assert code == 0 and not err
+        limit = sys.get_int_max_str_digits()
+        assert len(out) > limit
+        sys.set_int_max_str_digits(0)
+        try:
+            value = Fraction(out.strip())
+        finally:
+            sys.set_int_max_str_digits(limit)
+        num, den = (MASTER_POINTCOUNT / lookup("f4", "g").pointcount_Y).reduced(a)
+        assert value == num.eval_at(q) / den.eval_at(q)
 
     def test_every_label_a_and_q_exits_cleanly(self, capsys):
         labels = [(row, rec.label) for row in ("f4", "e6")

@@ -60,6 +60,26 @@ class TestConstruction:
         rs = root_system(name)
         assert sum(d - 1 for d in rs.invariant_degrees) == rs.N
 
+    @pytest.mark.parametrize("name", ALL_TYPES)
+    def test_kostant_height_partition(self, name):
+        # Kostant: #{positive roots of height k} = #{exponents d_i - 1 >= k}
+        rs = root_system(name)
+        degrees = algebra(name).invariant_degrees
+        for k in range(1, max(degrees)):
+            count = sum(1 for r in rs.positive_roots if sum(r) == k)
+            assert count == sum(1 for d in degrees if d - 1 >= k), k
+
+    @pytest.mark.parametrize("name", ALL_TYPES)
+    def test_highest_root_matches_plates(self, name):
+        plates = {"g2": (3, 2), "f4": (2, 3, 4, 2), "e6": (1, 2, 2, 3, 2, 1),
+                  "e7": (2, 2, 3, 4, 3, 2, 1), "e8": (2, 3, 4, 6, 5, 4, 3, 2)}
+        alg = algebra(name)
+        n = alg.rank
+        closed = {"A": (1,) * n, "B": (1,) + (2,) * (n - 1),
+                  "C": (2,) * (n - 1) + (1,), "D": (1,) + (2,) * (n - 3) + (1, 1)}
+        want = plates[name] if name in plates else closed[alg.family]
+        assert root_system(name).highest_root == want
+
     def test_unsupported(self):
         with pytest.raises(UnsupportedRankError):
             AlgebraType("E", 9)
@@ -164,6 +184,13 @@ class TestUniversalOrbits:
                                             ("g2", 4), ("e6", 12), ("e7", 18)])
     def test_dual_coxeter(self, name, value):
         assert root_system(name).dual_coxeter() == value
+
+    @pytest.mark.parametrize("name", [t for t in ALL_TYPES if t[0] in "abcd"])
+    def test_dual_coxeter_closed_forms(self, name):
+        alg = algebra(name)
+        n = alg.rank
+        want = {"A": n + 1, "B": 2 * n - 1, "C": n + 1, "D": 2 * n - 2}[alg.family]
+        assert root_system(name).dual_coxeter() == want
 
     def test_sigma1(self):
         assert orbit_dim_from_diagram(sigma1_diagram(root_system("e8"))) == 112

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from orbitseries import serialize
-from orbitseries.exactpoly import LinExp, QLaurent
+from orbitseries.exactpoly import LinExp, ProductExpr, QLaurent
 from orbitseries.partitions import Family, orbit_dim_classical
 from orbitseries.seriesdb import (MASTER_POINTCOUNT, L, UnknownSeriesError,
                                   all_series, group_order, hasse_edges, lookup,
@@ -56,6 +56,44 @@ class TestReductiveSpecs:
         gl3 = group_order(reductive("gl3"))
         val = gl3.eval_at(0, 2)
         assert val == 2 ** 3 * (2 - 1) * (4 - 1) * (8 - 1)
+
+
+def _partitions(n, largest=None):
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def _gl(m: int) -> str:
+    return f"gl{m}" if m >= 2 else "T1"
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_nilpotent_count_of_gl_n(n):
+    """Fine-Herstein: gl_n(F_q) holds q^(n^2 - n) nilpotent matrices.
+
+    Summed over partitions lambda of n, |GL_n(q)| / |Z_lambda(q)| with
+    |Z_lambda(q)| = q^(sum lambda'_i^2 - sum m_i^2) prod |GL_{m_i}(q)|.
+    """
+    gl_n = group_order(reductive(_gl(n)))
+    values = {2: F(0), 3: F(0)}
+    total = QLaurent.zero()
+    for lam in _partitions(n):
+        mults = [lam.count(k) for k in sorted(set(lam))]
+        conj = [sum(1 for x in lam if x > i) for i in range(lam[0])]
+        unipotent = sum(c * c for c in conj) - sum(m * m for m in mults)
+        centralizer = group_order(reductive("+".join(_gl(m) for m in mults)))
+        orbit = gl_n / (centralizer * ProductExpr(F(1), LinExp(unipotent), ()))
+        for q in values:
+            values[q] += orbit.eval_at(0, q)
+        num, den = orbit.reduced(0)
+        assert den == QLaurent.one(), lam
+        total = total + num
+    assert values == {q: F(q) ** (n * n - n) for q in values}
+    assert total == QLaurent.q_power(n * n - n)
 
 
 class TestRegistryShape:
