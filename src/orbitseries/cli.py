@@ -18,22 +18,12 @@ from .exactpoly import QLaurent
 USAGE_ERROR = 2
 
 
-def _fmt_affine(coeffs) -> str:
-    s, i = coeffs
-    if s == 0:
-        return str(i)
-    head = "a" if s == 1 else f"{s}a"
-    if i == 0:
-        return head
-    return f"{head}{'+' if i > 0 else '-'}{abs(i)}"
-
-
 def cmd_list(args) -> int:
     rows = [args.row] if args.row else db.rows()
     for row in rows:
         for rec in db.series_by_row(row):
-            print(f"{row:16s} {rec.label:22s} dim O_a = {_fmt_affine(rec.dim_coeffs):8s}"
-                  f" dim r(a) = {_fmt_affine(rec.rad_coeffs)}")
+            print(f"{row:16s} {rec.label:22s} dim O_a = {str(rec.dim):8s}"
+                  f" dim r(a) = {rec.rad}")
     return 0
 
 
@@ -42,8 +32,8 @@ def cmd_show(args) -> int:
     print(f"series {rec.label}  (row {rec.row})")
     if rec.exponents:
         print(f"  weight exponents (p,q,r,s) = {rec.exponents}")
-    print(f"  dim O_a  = {_fmt_affine(rec.dim_coeffs)}")
-    print(f"  dim r(a) = {_fmt_affine(rec.rad_coeffs)}")
+    print(f"  dim O_a  = {rec.dim}")
+    print(f"  dim r(a) = {rec.rad}")
     print(f"  fundamental group: {rec.fundamental_group}")
     if rec.so8_partition:
         print(f"  so8 member (a=0): partition {rec.so8_partition}, h = {rec.so8_h}")
@@ -55,7 +45,7 @@ def cmd_show(args) -> int:
     for i, claim in rec.grading_claims:
         print(f"  grading claim: dim g(a,{i}) = {claim}")
     for c in rec.characters:
-        print(f"  character [{c.name}] = {c.constant} * q^(N-({c.shift})) * (...)"
+        print(f"  character [{c.name}] = {c.body.constant} * q^(N-({c.shift})) * (...)"
               f"  for a in {c.a_values}")
     for n in rec.named_degrees:
         print(f"  named degree a={n.a}: {n.label} via [{n.variant}]")
@@ -156,9 +146,8 @@ def _export_csv() -> str:
                      "dim_at_a"])
     for rec in db.all_series():
         for m in rec.members:
-            writer.writerow([rec.row, rec.label, _fmt_affine(rec.dim_coeffs),
-                             _fmt_affine(rec.rad_coeffs), m.a, m.ambient.name,
-                             m.carter, m.h.name, int(rec.dim_at(m.a))])
+            writer.writerow([rec.row, rec.label, rec.dim, rec.rad, m.a,
+                             m.ambient.name, m.carter, m.h.name, int(rec.dim(m.a))])
     return buf.getvalue()
 
 
@@ -169,8 +158,8 @@ def _export_latex() -> str:
         carters = ", ".join(m.carter for m in rec.members)
         hs = ", ".join(m.h.name or "0" for m in rec.members)
         lines.append(r"\begin{array}{ll}")
-        lines.append(rf"\text{{{label}}} & \dim O_a = {_fmt_affine(rec.dim_coeffs)} \\")
-        lines.append(rf" & \dim r(a) = {_fmt_affine(rec.rad_coeffs)} \\")
+        lines.append(rf"\text{{{label}}} & \dim O_a = {rec.dim} \\")
+        lines.append(rf" & \dim r(a) = {rec.rad} \\")
         lines.append(rf"[{carters}] & h(a) = {hs}")
         lines.append(r"\end{array}")
         lines.append("")

@@ -20,6 +20,7 @@ no such form.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -684,39 +685,52 @@ class ProductExpr:
         return " * ".join(parts) if parts else "1"
 
 
-def product_expr(constant: Rat = 1,
-                 prefactor: LinExp | Rat = 0,
-                 plus: Iterable[LinExp | Rat | tuple] = (),
-                 minus: Iterable[LinExp | Rat | tuple] = (),
-                 literal_plus: Iterable[QLaurent] = (),
-                 literal_minus: Iterable[QLaurent] = ()) -> ProductExpr:
-    """Convenience builder.
-
-    ``plus`` and ``minus`` list cyclotomic-type exponents for numerator and
-    denominator; an entry may be a LinExp, a rational (constant exponent), or
-    a tuple (exponent, sign, multiplicity).
-    """
-    def norm(entry, default_mult):
-        sign, mult = 1, default_mult
-        if isinstance(entry, tuple):
-            e = entry[0]
-            if len(entry) >= 2:
-                sign = entry[1]
-            if len(entry) == 3:
-                mult = entry[2] * default_mult
+def L(s: LinExp | Rat | str) -> LinExp:
+    """Parse exponents written the way the tables print them: '3a/2+2', 'a/4', '11a+8'."""
+    if isinstance(s, LinExp):
+        return s
+    if isinstance(s, (int, Fraction)):
+        return LinExp(s)
+    c0 = Fraction(0)
+    c1 = Fraction(0)
+    for term in re.findall(r"[+-]?[^+-]+", s.replace(" ", "")):
+        sign = -1 if term.startswith("-") else 1
+        term = term.lstrip("+-")
+        if "a" in term:
+            head, _, tail = term.partition("a")
+            coeff = Fraction(head) if head else Fraction(1)
+            if tail:
+                if not tail.startswith("/"):
+                    raise ValueError(f"cannot parse term {term!r}")
+                coeff /= Fraction(tail[1:])
+            c1 += sign * coeff
         else:
-            e = entry
-        if not isinstance(e, LinExp):
-            e = LinExp(e)
-        return Cyclo(e, sign), mult
+            c0 += sign * Fraction(term)
+    return LinExp(c0, c1)
 
-    factors: list[tuple[Factor, int]] = []
-    factors += [norm(e, 1) for e in plus]
-    factors += [norm(e, -1) for e in minus]
-    factors += [(Literal(v), 1) for v in literal_plus]
-    factors += [(Literal(v), -1) for v in literal_minus]
-    pf = prefactor if isinstance(prefactor, LinExp) else LinExp(prefactor)
-    return ProductExpr(_frac(constant), pf, tuple(factors))
+
+def _factors(entries, mult_sign: int, sign: int) -> tuple[tuple[Factor, int], ...]:
+    out = []
+    for entry in entries:
+        mult = 1
+        if isinstance(entry, tuple):
+            entry, mult = entry
+        out.append((Cyclo(L(entry), sign), mult_sign * mult))
+    return tuple(out)
+
+
+def pexpr(constant: Rat = 1, prefactor: LinExp | Rat | str = 0, num=(), den=(),
+          num_plus=(), den_plus=(), literal_den: Iterable[QLaurent] = ()) -> ProductExpr:
+    """Product expression from table-style exponents, the one builder.
+
+    ``num``/``den`` hold (q^e - 1) factors, ``num_plus``/``den_plus`` hold
+    (q^e + 1) factors, in that order; an entry is an exponent (a LinExp, a
+    rational or a string for ``L``) or an (exponent, multiplicity) pair.
+    """
+    factors = _factors(num, 1, 1) + _factors(den, -1, 1) + \
+        _factors(num_plus, 1, -1) + _factors(den_plus, -1, -1) + \
+        tuple((Literal(v), -1) for v in literal_den)
+    return ProductExpr(_frac(constant), L(prefactor), factors)
 
 
 def random_qlaurent(rng, max_terms: int = 6, power_range: int = 12,

@@ -60,9 +60,6 @@ class Partition:
     def repeat_twice(self) -> "Partition":
         return Partition(tuple(x for x in self.parts for _ in range(2)))
 
-    def double_parts(self) -> "Partition":
-        return Partition(tuple(2 * x for x in self.parts))
-
     def extend(self, ones: int) -> "Partition":
         return Partition(self.parts + (1,) * ones)
 

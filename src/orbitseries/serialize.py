@@ -2,13 +2,18 @@
 
 The export mirrors the record structure field by field; ``registry_from_json``
 rebuilds equal SeriesRecord objects, which the round-trip test relies on.
+Two fields keep the v0 schema rather than the objects' own shape: a dimension
+formula is written as its integer [slope, intercept] pair, and a character
+formula as the lists num, den, num_plus, den_plus ([exponent, multiplicity]
+pairs) and literal_den, derived from its body's factors in order and rebuilt
+with ``pexpr``, which assembles the factors in that same order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactpoly import Cyclo, LinExp, Literal, ProductExpr, QLaurent
+from .exactpoly import Cyclo, LinExp, Literal, ProductExpr, QLaurent, pexpr
 from .partitions import Family, Partition, PartitionPair
 from . import seriesdb as db
 
@@ -27,6 +32,16 @@ def linexp_to_json(e: LinExp) -> dict:
 
 def linexp_from_json(d) -> LinExp:
     return LinExp(_unfrac(d["c0"]), _unfrac(d["c1"]))
+
+
+def _affine_to_json(e: LinExp) -> list[int]:
+    """An integral dimension formula as its v0 [slope, intercept] pair."""
+    return [int(e.c1), int(e.c0)]
+
+
+def _affine_from_json(v) -> LinExp:
+    slope, intercept = v
+    return LinExp(intercept, slope)
 
 
 def qlaurent_to_json(p: QLaurent) -> list:
@@ -107,32 +122,36 @@ def member_from_json(d) -> db.Member:
                      sl_pair=sl_pair)
 
 
-def _entries_to_json(entries) -> list:
-    return [[linexp_to_json(e), m] for e, m in entries]
-
-
 def _entries_from_json(v) -> tuple:
     return tuple((linexp_from_json(e), m) for e, m in v)
 
 
 def character_to_json(c: db.CharacterFormula) -> dict:
-    return {"name": c.name, "constant": _frac(c.constant),
-            "shift": linexp_to_json(c.shift),
-            "num": _entries_to_json(c.num), "den": _entries_to_json(c.den),
-            "num_plus": _entries_to_json(c.num_plus),
-            "den_plus": _entries_to_json(c.den_plus),
-            "literal_den": [qlaurent_to_json(v) for v in c.literal_den],
+    lists: dict[str, list] = {k: [] for k in ("num", "den", "num_plus", "den_plus",
+                                              "literal_den")}
+    for f, m in c.body.factors:
+        if isinstance(f, Cyclo):
+            key = ("num" if m > 0 else "den") + ("" if f.sign == 1 else "_plus")
+            lists[key].append([linexp_to_json(f.exponent), abs(m)])
+        elif m == -1:
+            lists["literal_den"].append(qlaurent_to_json(f.value))
+        else:
+            raise ValueError(f"character {c.name}: factor {f}^{m} has no list")
+    if c.body.prefactor_exponent != LinExp(0):
+        raise ValueError(f"character {c.name}: the body carries a q-prefactor")
+    return {"name": c.name, "constant": _frac(c.body.constant),
+            "shift": linexp_to_json(c.shift), **lists,
             "a_values": list(c.a_values), "doubled_at": c.doubled_at}
 
 
 def character_from_json(d) -> db.CharacterFormula:
-    return db.CharacterFormula(
-        d["name"], _unfrac(d["constant"]), linexp_from_json(d["shift"]),
-        num=_entries_from_json(d["num"]), den=_entries_from_json(d["den"]),
-        num_plus=_entries_from_json(d["num_plus"]),
-        den_plus=_entries_from_json(d["den_plus"]),
-        literal_den=tuple(qlaurent_from_json(v) for v in d["literal_den"]),
-        a_values=tuple(d["a_values"]), doubled_at=d["doubled_at"])
+    body = pexpr(_unfrac(d["constant"]), 0,
+                 *(_entries_from_json(d[k]) for k in ("num", "den", "num_plus",
+                                                      "den_plus")),
+                 literal_den=[qlaurent_from_json(v) for v in d["literal_den"]])
+    return db.CharacterFormula(d["name"], linexp_from_json(d["shift"]), body,
+                               a_values=tuple(d["a_values"]),
+                               doubled_at=d["doubled_at"])
 
 
 def named_to_json(n: db.NamedDegree) -> dict:
@@ -151,7 +170,7 @@ def record_to_json(rec: db.SeriesRecord) -> dict:
     return {
         "row": rec.row, "label": rec.label,
         "exponents": None if rec.exponents is None else list(rec.exponents),
-        "dim_coeffs": list(rec.dim_coeffs), "rad_coeffs": list(rec.rad_coeffs),
+        "dim_coeffs": _affine_to_json(rec.dim), "rad_coeffs": _affine_to_json(rec.rad),
         "members": [member_to_json(m) for m in rec.members],
         "so8_partition": _partition_to_json(rec.so8_partition),
         "so8_h": None if rec.so8_h is None else rec.so8_h.name,
@@ -173,7 +192,7 @@ def record_from_json(d) -> db.SeriesRecord:
     return db.SeriesRecord(
         row=d["row"], label=d["label"],
         exponents=None if d["exponents"] is None else tuple(d["exponents"]),
-        dim_coeffs=tuple(d["dim_coeffs"]), rad_coeffs=tuple(d["rad_coeffs"]),
+        dim=_affine_from_json(d["dim_coeffs"]), rad=_affine_from_json(d["rad_coeffs"]),
         members=tuple(member_from_json(m) for m in d["members"]),
         so8_partition=_partition_from_json(d["so8_partition"]),
         so8_h=None if d["so8_h"] is None else db.reductive(d["so8_h"]),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactpoly import Cyclo, LinExp, Literal, ProductExpr, QLaurent
+from .exactpoly import L, LinExp, ProductExpr, QLaurent, pexpr
 from .partitions import EMPTY, Family, Partition, PartitionPair, pair_to_partition
 from .rootsystems import AlgebraType, algebra
 
@@ -33,54 +33,6 @@ __all__ = [
 
 class UnknownSeriesError(KeyError):
     pass
-
-
-def L(s) -> LinExp:
-    """Parse exponents written the way the tables print them: '3a/2+2', 'a/4', '11a+8'."""
-    if isinstance(s, LinExp):
-        return s
-    if isinstance(s, (int, Fraction)):
-        return LinExp(s)
-    text = s.replace(" ", "")
-    c0 = Fraction(0)
-    c1 = Fraction(0)
-    for term in re.findall(r"[+-]?[^+-]+", text):
-        sign = -1 if term.startswith("-") else 1
-        term = term.lstrip("+-")
-        if "a" in term:
-            head, _, tail = term.partition("a")
-            coeff = Fraction(head) if head else Fraction(1)
-            if tail:
-                if not tail.startswith("/"):
-                    raise ValueError(f"cannot parse term {term!r}")
-                coeff /= Fraction(tail[1:])
-            c1 += sign * coeff
-        else:
-            c0 += sign * Fraction(term)
-    return LinExp(c0, c1)
-
-
-def _factors(entries, mult_sign, plus_one=False):
-    out = []
-    for entry in entries or ():
-        mult = 1
-        if isinstance(entry, tuple):
-            entry, mult = entry
-        out.append((Cyclo(L(entry), -1 if plus_one else 1), mult_sign * mult))
-    return tuple(out)
-
-
-def pexpr(constant=1, prefactor=0, num=(), den=(), num_plus=(), den_plus=(),
-          literal_den=()) -> ProductExpr:
-    """Product expression from table-style exponent strings.
-
-    ``num``/``den`` hold (q^e - 1) factors, ``num_plus``/``den_plus`` hold
-    (q^e + 1) factors; entries may be (exponent, multiplicity) pairs.
-    """
-    factors = _factors(num, 1) + _factors(den, -1) + \
-        _factors(num_plus, 1, True) + _factors(den_plus, -1, True) + \
-        tuple((Literal(v), -1) for v in literal_den)
-    return ProductExpr(Fraction(constant), L(prefactor), factors)
 
 
 # -- reductive stabilizer specifications --------------------------------------
@@ -175,48 +127,22 @@ class Member:
         return self.partition
 
 
-def _norm_entries(entries) -> tuple[tuple[LinExp, int], ...]:
-    out = []
-    for entry in entries or ():
-        mult = 1
-        if isinstance(entry, tuple) and not isinstance(entry, LinExp):
-            entry, mult = entry
-        out.append((L(entry), int(mult)))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class CharacterFormula:
-    """One degree expression: constant * q^(N - shift(a)) * cyclotomic product.
+    """One degree expression: q^(N - shift(a)) times the body.
 
-    Exponent lists are normalized to (LinExp, multiplicity) pairs.
+    ``body`` carries the constant and the cyclotomic factors, with prefactor
+    exponent 0; N is the number of positive roots of the ambient algebra.
     """
 
     name: str
-    constant: Fraction
     shift: LinExp
-    num: tuple = ()
-    den: tuple = ()
-    num_plus: tuple = ()
-    den_plus: tuple = ()
-    literal_den: tuple = ()
+    body: ProductExpr
     a_values: tuple[int, ...] = (2, 4, 8)
     doubled_at: int | None = None   # member whose unique character is the pair sum
 
-    def __post_init__(self):
-        for name in ("num", "den", "num_plus", "den_plus"):
-            object.__setattr__(self, name, _norm_entries(getattr(self, name)))
-        object.__setattr__(self, "literal_den", tuple(self.literal_den))
-        object.__setattr__(self, "a_values", tuple(self.a_values))
-
     def expr(self, n_positive_roots: int) -> ProductExpr:
-        pre = LinExp(n_positive_roots) - self.shift
-        factors = tuple((Cyclo(e, 1), m) for e, m in self.num) + \
-            tuple((Cyclo(e, 1), -m) for e, m in self.den) + \
-            tuple((Cyclo(e, -1), m) for e, m in self.num_plus) + \
-            tuple((Cyclo(e, -1), -m) for e, m in self.den_plus) + \
-            tuple((Literal(v), -1) for v in self.literal_den)
-        return ProductExpr(Fraction(self.constant), pre, factors)
+        return ProductExpr(1, LinExp(n_positive_roots) - self.shift) * self.body
 
 
 @dataclass(frozen=True)
@@ -235,8 +161,8 @@ class NamedDegree:
 class SeriesRecord:
     row: str
     label: str
-    dim_coeffs: tuple[int, int]          # (slope, intercept) of dim O_a
-    rad_coeffs: tuple[int, int]          # (slope, intercept) of dim r(a)
+    dim: LinExp                          # dim O_a
+    rad: LinExp                          # dim r(a)
     members: tuple[Member, ...]
     exponents: tuple[int, int, int, int] | None = None   # (p, q, r, s)
     so8_partition: Partition | None = None
@@ -250,14 +176,6 @@ class SeriesRecord:
     characters: tuple[CharacterFormula, ...] = ()
     named_degrees: tuple[NamedDegree, ...] = ()
     notes: tuple[str, ...] = ()
-
-    def dim_at(self, a) -> Fraction:
-        s, i = self.dim_coeffs
-        return Fraction(s) * a + i
-
-    def rad_at(self, a) -> Fraction:
-        s, i = self.rad_coeffs
-        return Fraction(s) * a + i
 
     def member(self, a: int) -> Member:
         for m in self.members:
@@ -306,76 +224,78 @@ _PHI6 = QLaurent.from_q_terms({2: 1, 1: -1, 0: 1})   # q^2 - q + 1
 def _f4_series():
     recs = []
 
-    def add(label, pqrs, dims, rads, carter, h_list, *, so8=None, so8_h=None,
+    def add(label, pqrs, dim, rad, carter, h_list, *, so8=None, so8_h=None,
             fg="trivial", folding=False, grading=None, gpos=None, Y=None,
             chars=(), notes=()):
         members = tuple(_exc_member(a, c, h) for a, c, h in
                         zip((1, 2, 4, 8), carter, h_list))
         recs.append(SeriesRecord(
-            row="f4", label=label, exponents=pqrs, dim_coeffs=dims, rad_coeffs=rads,
+            row="f4", label=label, exponents=pqrs, dim=L(dim), rad=L(rad),
             members=members, so8_partition=_pt(so8) if so8 else None,
             so8_h=reductive(so8_h) if so8_h is not None else None,
             fundamental_group=fg, folding=folding,
             grading_claims=_grading(grading or {}), grading_positive_count=gpos,
             pointcount_Y=Y, characters=tuple(chars), notes=tuple(notes)))
 
-    add("g", (1, 0, 0, 0), (6, 10), (6, 9),
+    add("g", (1, 0, 0, 0), "6a+10", "6a+9",
         ["A1", "A1", "A1", "A1"], ["sp6", "sl6", "so12", "e7"],
         so8="221111", so8_h="3sl2", folding=True,
         grading={1: "6a+8", 2: "1"},
         Y=pexpr(1, "11a+8", num=["a", "a+2", "3a/2", "3a/2+2", "2a+2"]),
-        chars=[CharacterFormula("principal", Fraction(1), L("3a+5"),
-                                num=["2a+4", "5a/2+4"], den=["a/2+2", "a+2"])])
+        chars=[CharacterFormula("principal", L("3a+5"), pexpr(1, 0,
+                                    num=["2a+4", "5a/2+4"], den=["a/2+2", "a+2"]))])
 
-    add("gQ", (0, 0, 0, 1), (10, 12), (9, 6),
+    add("gQ", (0, 0, 0, 1), "10a+12", "9a+6",
         ["A~1", "2A1", "2A1", "2A1"], ["sl4", "co7", "so9+sl2", "so13"],
         so8="2222", so8_h="so5",
         grading={1: "8a", 2: "a+6"},
         Y=pexpr(1, "21a/2+6", num=["a/2", "a", "a+2", "a+4"]),
-        chars=[CharacterFormula("principal", Fraction(1), L("5a+6"),
-                                num=["3a/2", "3a/2+2", "2a+4", "3a+6"],
-                                den=["a/2", "a/2+2", "a+2", "a+4"])])
+        chars=[CharacterFormula("principal", L("5a+6"), pexpr(1, 0,
+                                    num=["3a/2", "3a/2+2", "2a+4", "3a+6"],
+                                    den=["a/2", "a/2+2", "a+2", "a+4"]))])
 
-    add("g2", (0, 1, 0, 0), (12, 16), (9, 9),
+    add("g2", (0, 1, 0, 0), "12a+16", "9a+9",
         ["A1+A~1", "3A1", "3A1", "3A1"], ["2sl2", "sl2+sl3", "sl2+sp6", "sl2+f4"],
         so8="3221", so8_h="sl2", folding=True,
         grading={1: "6a+6", 2: "3a+3", 3: "2"},
         Y=pexpr(1, "19a/2+6", num=["2", "a", "3a/2"]),
-        chars=[CharacterFormula("principal", Fraction(1, 2), L("6a+9"),
-                                num=["a/2+1", "a+1", "3a/2+2", "2a+4", "5a/2+4", "3a+6"],
-                                den=["1", ("a/2+2", 2), ("a+2", 2), "3a/2+3"])],
+        chars=[CharacterFormula("principal", L("6a+9"), pexpr(Fraction(1, 2), 0,
+                                    num=["a/2+1", "a+1", "3a/2+2", "2a+4", "5a/2+4",
+                                         "3a+6"],
+                                    den=["1", ("a/2+2", 2), ("a+2", 2), "3a/2+3"]))],
         notes=["printed degree denominator repeats the numerator factor "
                "q^(a/2+1)-1; with it the expression is not a polynomial in q "
                "at any a, so the duplicate is dropped here"])
 
-    add("g^2", (2, 0, 0, 0), (12, 18), (6, 8),
+    add("g^2", (2, 0, 0, 0), "12a+18", "6a+8",
         ["A2", "A2", "A2", "A2"], ["sl3", "2sl3", "sl6", "e6"],
         so8="3311", so8_h="T2", fg="Z2", folding=True,
         grading={2: "6a+8", 4: "1"},
         Y=pexpr(1, "8a+4", num=["a/2+1", "a", "a+1", "3a/2"]),
-        chars=[CharacterFormula("first", Fraction(1, 2), L("6a+9"),
-                                num=["a+2", "3a/2+2", "2a+2", "5a/2+4", "3a+6"],
-                                den=["1", "a/2+1", "a+1", "a+4", "3a/2+3"]),
-               CharacterFormula("second", Fraction(1, 2), L("6a+9"),
-                                num=["1", "3a/2+2", "3a/2+3", "2a+2", "2a+4", "5a/2+4"],
-                                den=["2", "a/2+1", ("a/2+2", 2), "a+1", "a+2"])])
+        chars=[CharacterFormula("first", L("6a+9"), pexpr(Fraction(1, 2), 0,
+                                    num=["a+2", "3a/2+2", "2a+2", "5a/2+4", "3a+6"],
+                                    den=["1", "a/2+1", "a+1", "a+4", "3a/2+3"])),
+               CharacterFormula("second", L("6a+9"), pexpr(Fraction(1, 2), 0,
+                                    num=["1", "3a/2+2", "3a/2+3", "2a+2", "2a+4",
+                                         "5a/2+4"],
+                                    den=["2", "a/2+1", ("a/2+2", 2), "a+1", "a+2"]))])
 
-    add("g3", (0, 0, 1, 0), (16, 18), (9, 6),
+    add("g3", (0, 0, 1, 0), "16a+18", "9a+6",
         ["A2+A~1", "A2+2A1", "A2+2A1", "A2+2A1"], ["sl2", "gl2", "3sl2", "sl2+so7"],
         grading={1: "6a", 2: "3a+6", 3: "2a", 4: "3"},
         Y=pexpr(1, "15a/2+4", num=["2", "a/2"]),
-        chars=[CharacterFormula("principal", Fraction(1), L("8a+9"),
-                                num=["a/2+4", "2a-2", "2a+4", "5a/2+4", "3a+6"],
-                                den=["2", "6", "a/2", "a/2+2", "a+2"])])
+        chars=[CharacterFormula("principal", L("8a+9"), pexpr(1, 0,
+                                    num=["a/2+4", "2a-2", "2a+4", "5a/2+4", "3a+6"],
+                                    den=["2", "6", "a/2", "a/2+2", "a+2"]))])
 
-    add("g^2.gQ", (2, 0, 0, 1), (16, 20), (5, 5),
+    add("g^2.gQ", (2, 0, 0, 1), "16a+20", "5a+5",
         ["B2", "A3", "A3", "A3"], ["2sl2", "co5", "so7+sl2", "so11"],
         so8="44", so8_h="sl2",
         grading={1: "4a", 2: "a+5", 3: "4a", 4: "a+4", 6: "1"},
         Y=pexpr(1, "11a/2+2", num=["a/2", "a", "a+2"]),
-        chars=[CharacterFormula("principal", Fraction(1), L("8a+10"),
-                                num=["3a/2", "3a/2+2", "2a+2", "5a/2+4", "3a+6"],
-                                den=["2", "a/2", "a/2+2", "a/2+4", "a+2"])],
+        chars=[CharacterFormula("principal", L("8a+10"), pexpr(1, 0,
+                                    num=["3a/2", "3a/2+2", "2a+2", "5a/2+4", "3a+6"],
+                                    den=["2", "a/2", "a/2+2", "a/2+4", "a+2"]))],
         notes=["printed stabilizer for the so8 member is 2C; the reductive "
                "centralizer of the (4,4) nilpotent in so8 is sp2 = sl2, and "
                "only that value satisfies the radical identity at a=0",
@@ -384,98 +304,101 @@ def _f4_series():
                "dimension a+5 and its one-dimensional level at i=6, and only "
                "those values sum to dim g with the quoted g(a,0)"])
 
-    add("gQ^2", (0, 0, 0, 2), (18, 12), (8, 0),
+    add("gQ^2", (0, 0, 0, 2), "18a+12", "8a",
         ["A~2", "2A2", "2A2", "2A2"], ["g2", "g2", "sl2+g2", "2g2"],
         fg="mixed",
         grading={2: "8a", 4: "a+6"},
         Y=pexpr(1, "6a+4", num=["2", "6"]),
-        chars=[CharacterFormula("principal", Fraction(1), L("9a+6"),
-                                num=["a", "3a/2+2", "2a+4", "5a/2+4", "3a+6"],
-                                den=[("2", 2), "6", "a/2+2", "a/2+4"]),
-               CharacterFormula("eps=+1", Fraction(1, 2), L("9a+6"),
-                                num=["a", "3a/2+2", "2a+4", "5a/2+4", "3a+6",
-                                     "9", "1"],
-                                den=[("2", 2), "6", "a/2+2", "a/2+4", "3", "7"],
+        chars=[CharacterFormula("principal", L("9a+6"), pexpr(1, 0,
+                                    num=["a", "3a/2+2", "2a+4", "5a/2+4", "3a+6"],
+                                    den=[("2", 2), "6", "a/2+2", "a/2+4"])),
+               CharacterFormula("eps=+1", L("9a+6"), pexpr(Fraction(1, 2), 0,
+                                    num=["a", "3a/2+2", "2a+4", "5a/2+4", "3a+6",
+                                         "9", "1"],
+                                    den=[("2", 2), "6", "a/2+2", "a/2+4", "3", "7"]),
                                 a_values=(8,)),
-               CharacterFormula("eps=-1", Fraction(1, 2), L("9a+6"),
-                                num=["a", "3a/2+2", "2a+4", "5a/2+4", "3a+6"],
-                                den=[("2", 2), "6", "a/2+2", "a/2+4"],
-                                num_plus=["9", "1"], den_plus=["3", "7"],
+               CharacterFormula("eps=-1", L("9a+6"), pexpr(Fraction(1, 2), 0,
+                                    num=["a", "3a/2+2", "2a+4", "5a/2+4", "3a+6"],
+                                    den=[("2", 2), "6", "a/2+2", "a/2+4"],
+                                    num_plus=["9", "1"], den_plus=["3", "7"]),
                                 a_values=(8,))])
 
-    add("g2.gQ", (0, 1, 0, 1), (18, 18), (8, 5),
+    add("g2.gQ", (0, 1, 0, 1), "18a+18", "8a+5",
         ["A~2+A1", "2A2+A1", "2A2+A1", "2A2+A1"], ["sl2", "sl2", "2sl2", "sl2+g2"],
         grading={1: "4a+4", 2: "4a+1", 3: "2a+2", 4: "a+2", 5: "2"},
         Y=pexpr(1, "6a+4", num=["2"]),
-        chars=[CharacterFormula("principal", Fraction(1, 3), L("9a+11"),
-                                num=["a/2", "a", "3a/2+2", "2a+2", "2a+4",
-                                     "5a/2+4", "3a+6"],
-                                den=[("2", 2), ("a/2+2", 3), ("a+2", 2)])])
+        chars=[CharacterFormula("principal", L("9a+11"), pexpr(Fraction(1, 3), 0,
+                                    num=["a/2", "a", "3a/2+2", "2a+2", "2a+4",
+                                         "5a/2+4", "3a+6"],
+                                    den=[("2", 2), ("a/2+2", 3), ("a+2", 2)]))])
 
-    add("g.g3", (1, 0, 1, 0), (18, 20), (7, 4),
+    add("g.g3", (1, 0, 1, 0), "18a+20", "7a+4",
         ["C3(a1)", "A3+A1", "A~3+A~1", "A3+A1"], ["sl2", "gl2", "3sl2", "sl2+so7"],
         grading={1: "4a+2", 2: "3a+2", 3: "2a+4", 4: "2a", 5: "2", 6: "1"},
         Y=pexpr(1, "11a/2+2", num=["2", "a/2"]),
-        chars=[CharacterFormula("principal", Fraction(1, 2), L("9a+11"),
-                                num=["3a/2", "3a/2+2", "2a+2", "2a+4", "5a/2+4", "3a+6"],
-                                den=["1", "3", "a/2+1", "a/2+2", "a+4", "3a/2+3"])])
+        chars=[CharacterFormula("principal", L("9a+11"), pexpr(Fraction(1, 2), 0,
+                                    num=["3a/2", "3a/2+2", "2a+2", "2a+4", "5a/2+4",
+                                         "3a+6"],
+                                    den=["1", "3", "a/2+1", "a/2+2", "a+4", "3a/2+3"]))])
 
-    add("g2^2", (0, 2, 0, 0), (18, 22), (6, 6),
+    add("g2^2", (0, 2, 0, 0), "18a+22", "6a+6",
         ["F4(a3)", "D4(a1)", "D4(a1)", "D4(a1)"], ["0", "T2", "3sl2", "so8"],
         so8="53", so8_h="0", fg="Z2",
         grading={2: "6a+6", 4: "3a+3", 6: "2"},
         Y=pexpr(1, "5a+2", num=[("a/2", 2)]),
-        chars=[CharacterFormula("first", Fraction(1, 6), L("9a+11"),
-                                num=[("a/2+1", 3), "a", "3a/2", "3a/2+2", "2a+2",
-                                     "2a+4", "5a/2+4", "3a+6"],
-                                den=[("1", 2), ("a/2", 2), ("a/2+2", 3),
-                                     ("a+2", 2), "3a/2+3"],
-                                literal_den=(_PHI6,)),
-               CharacterFormula("second", Fraction(1, 3), L("9a+11"),
-                                num=["a", "3a/2", "3a/2+2", "2a+2", "2a+4",
-                                     "5a/2+4", "3a+6"],
-                                den=[("2", 2), ("a/2", 2), ("a+2", 2), "3a/2+6"])])
+        chars=[CharacterFormula("first", L("9a+11"), pexpr(Fraction(1, 6), 0,
+                                    num=[("a/2+1", 3), "a", "3a/2", "3a/2+2", "2a+2",
+                                         "2a+4", "5a/2+4", "3a+6"],
+                                    den=[("1", 2), ("a/2", 2), ("a/2+2", 3),
+                                         ("a+2", 2), "3a/2+3"], literal_den=(_PHI6,))),
+               CharacterFormula("second", L("9a+11"), pexpr(Fraction(1, 3), 0,
+                                    num=["a", "3a/2", "3a/2+2", "2a+2", "2a+4",
+                                         "5a/2+4", "3a+6"],
+                                    den=[("2", 2), ("a/2", 2), ("a+2", 2), "3a/2+6"]))])
 
-    add("g^2.g2^2", (2, 2, 0, 0), (18, 24), (3, 4),
+    add("g^2.g2^2", (2, 2, 0, 0), "18a+24", "3a+4",
         ["B3", "D4", "D4", "D4"], ["sl2", "sl3", "sp6", "f4"],
         so8="71", so8_h="0", folding=True,
         Y=pexpr(1, "7a/2", num=["a", "3a/2"]),
-        chars=[CharacterFormula("principal", Fraction(1), L("9a+12"),
-                                num=["3a/2+2", "2a+2", "2a+4", "5a/2+4", "3a+6"],
-                                den=["2", "6", "a/2+2", "a/2+4", "a+4"])])
+        chars=[CharacterFormula("principal", L("9a+12"), pexpr(1, 0,
+                                    num=["3a/2+2", "2a+2", "2a+4", "5a/2+4", "3a+6"],
+                                    den=["2", "6", "a/2+2", "a/2+4", "a+4"]))])
 
-    add("g.g3.gQ^2", (1, 0, 1, 2), (22, 20), (4, 3),
+    add("g.g3.gQ^2", (1, 0, 1, 2), "22a+20", "4a+3",
         ["C3", "A5", "A~5", "A5"], ["sl2", "sl2", "2sl2", "sl2+g2"],
         gpos=10,
         Y=pexpr(1, "2a+2", num=["2"]),
-        chars=[CharacterFormula("principal", Fraction(1, 2), L("11a+11"),
-                                num=["a", "3a/2", "3a/2+2", "2a+2", "2a+4",
-                                     "5a/2+4", "3a+6"],
-                                den=["1", "3", "4", "a/2+2", "a/2+3", "a/2+5", "a+4"])])
+        chars=[CharacterFormula("principal", L("11a+11"), pexpr(Fraction(1, 2), 0,
+                                    num=["a", "3a/2", "3a/2+2", "2a+2", "2a+4",
+                                         "5a/2+4", "3a+6"],
+                                    den=["1", "3", "4", "a/2+2", "a/2+3", "a/2+5",
+                                         "a+4"]))])
 
-    add("g2^2.gQ^2", (0, 2, 0, 2), (22, 22), (4, 4),
+    add("g2^2.gQ^2", (0, 2, 0, 2), "22a+22", "4a+4",
         ["F4(a2)", "E6(a3)", "E6(a3)", "E6(a3)"], ["0", "0", "sl2", "g2"],
         Y=pexpr(1, "2a+2"),
-        chars=[CharacterFormula("principal", Fraction(1, 2), L("11a+11"),
-                                num=["a/2+3", "a", "3a/2", "3a/2+2", "2a+2",
-                                     "2a+4", "5a/2+4", "3a+6"],
-                                den=["1", ("2", 2), ("a/2+2", 3), "a/2+5", "a+6"],
-                                den_plus=["3"])])
+        chars=[CharacterFormula("principal", L("11a+11"), pexpr(Fraction(1, 2), 0,
+                                    num=["a/2+3", "a", "3a/2", "3a/2+2", "2a+2",
+                                         "2a+4", "5a/2+4", "3a+6"],
+                                    den=["1", ("2", 2), ("a/2+2", 3), "a/2+5", "a+6"],
+                                    den_plus=["3"]))])
 
-    add("g^2.g2^2.gQ^2", (2, 2, 0, 2), (22, 24), (3, 3),
+    add("g^2.g2^2.gQ^2", (2, 2, 0, 2), "22a+24", "3a+3",
         ["F4(a1)", "D5", "D5", "D5"], ["0", "T1", "2sl2", "so7"],
         Y=pexpr(1, "3a/2", num=["a/2"]),
-        chars=[CharacterFormula("principal", Fraction(1), L("11a+12"),
-                                num=["a/2+4", "2a-2", "2a+2", "2a+4", "5a/2+4", "3a+6"],
-                                den=["2", "4", ("6", 2), "a/2", "a/2+8"])])
+        chars=[CharacterFormula("principal", L("11a+12"), pexpr(1, 0,
+                                    num=["a/2+4", "2a-2", "2a+2", "2a+4", "5a/2+4",
+                                         "3a+6"],
+                                    den=["2", "4", ("6", 2), "a/2", "a/2+8"]))])
 
-    add("g^2.g2^2.g3^2.gQ^2", (2, 2, 2, 2), (24, 24), (2, 2),
+    add("g^2.g2^2.g3^2.gQ^2", (2, 2, 2, 2), "24a+24", "2a+2",
         ["F4", "E6", "E6", "E6"], ["0", "0", "sl2", "g2"],
         Y=pexpr(1, 0),
-        chars=[CharacterFormula("principal", Fraction(1), L("12a+12"),
-                                num=["a", "3a/2", "3a/2+2", "2a+2", "2a+4",
-                                     "5a/2+4", "3a+6"],
-                                den=["2", "6", "8", "12", "a/2+2", "a/2+4", "a/2+8"])])
+        chars=[CharacterFormula("principal", L("12a+12"), pexpr(1, 0,
+                                    num=["a", "3a/2", "3a/2+2", "2a+2", "2a+4",
+                                         "5a/2+4", "3a+6"],
+                                    den=["2", "6", "8", "12", "a/2+2", "a/2+4",
+                                         "a/2+8"]))])
 
     return recs
 
@@ -485,34 +408,35 @@ def _f4_series():
 def _e6_series():
     recs = []
 
-    def add(label, pqrs, dims, rads, carter, h_list, *, pc, chars, named,
+    def add(label, pqrs, dim, rad, carter, h_list, *, pc, chars, named,
             notes=()):
         members = tuple(_exc_member(a, carter, h)
                         for a, h in zip((2, 4, 8), h_list))
         recs.append(SeriesRecord(
-            row="e6", label=label, exponents=pqrs, dim_coeffs=dims,
-            rad_coeffs=rads, members=members, fundamental_group="mixed",
+            row="e6", label=label, exponents=pqrs, dim=L(dim), rad=L(rad),
+            members=members, fundamental_group="mixed",
             pointcount=pc, characters=tuple(chars), named_degrees=tuple(named),
             notes=tuple(notes)))
 
     e6_pc_core = ["5a/4-2", "3a/2", "3a/2+2", "2a+2", "2a+4", "5a/2+4", "3a+6"]
 
-    add("g.gQ", (1, 0, 0, 1), (15, 16), (9, 5), "A2+A1",
+    add("g.gQ", (1, 0, 0, 1), "15a+16", "9a+5", "A2+A1",
         ["gl3", "gl4", "sl6"],
         pc=pexpr(1, "3a+4", num=["2"] + e6_pc_core,
                  den=["3", "a/4", "a/2", "a/2+1", "a/2+2"]),
         chars=[
-            CharacterFormula("pair-", Fraction(1, 2), L("15a/2+8"),
-                             num=["2", "5a/4-2", "3a/2+2", "2a+2", "2a+4", "3a+6",
-                                  "a/4+2", "5a/4+2"],
-                             den=["3", "a/4", "a/2", "a/2+1", "a/2+2", "a/2+4",
-                                  "3a/4+1", "3a/4+3"],
+            CharacterFormula("pair-", L("15a/2+8"), pexpr(Fraction(1, 2), 0,
+                                 num=["2", "5a/4-2", "3a/2+2", "2a+2", "2a+4",
+                                      "3a+6", "a/4+2", "5a/4+2"],
+                                 den=["3", "a/4", "a/2", "a/2+1", "a/2+2", "a/2+4",
+                                      "3a/4+1", "3a/4+3"]),
                              doubled_at=2),
-            CharacterFormula("pair+", Fraction(1, 2), L("15a/2+8"),
-                             num=["2", "5a/4-2", "3a/2+2", "2a+2", "2a+4", "3a+6"],
-                             den=["3", "a/4", "a/2", "a/2+1", "a/2+2", "a/2+4"],
-                             num_plus=["a/4+2", "5a/4+2"],
-                             den_plus=["3a/4+1", "3a/4+3"],
+            CharacterFormula("pair+", L("15a/2+8"), pexpr(Fraction(1, 2), 0,
+                                 num=["2", "5a/4-2", "3a/2+2", "2a+2", "2a+4",
+                                      "3a+6"],
+                                 den=["3", "a/4", "a/2", "a/2+1", "a/2+2", "a/2+4"],
+                                 num_plus=["a/4+2", "5a/4+2"],
+                                 den_plus=["3a/4+1", "3a/4+3"]),
                              doubled_at=2),
         ],
         named=[
@@ -541,22 +465,22 @@ def _e6_series():
                "q^(a/4)-1: the printed form vanishes identically at a=4 and "
                "misses the explicit degrees at a=2 and a=8"])
 
-    add("g^2.gQ^2", (2, 0, 0, 2), (20, 20), (5, 4), "A4",
+    add("g^2.gQ^2", (2, 0, 0, 2), "20a+20", "5a+4", "A4",
         ["gl2", "gl3", "sl5"],
         pc=pexpr(1, "15a/2+6", num=["2"] + e6_pc_core,
                  den=["3", "a/4", "a/2", "a/2+1"]),
         chars=[
-            CharacterFormula("pair-", Fraction(1, 2), L("10a+10"),
-                             num=["3a/4-1", "3a/4", "a+4", "2a-2", "2a+2",
-                                  "5a/2+4", "3a+6", "2", "a+2"],
-                             den=["4", "6", "a/4", "a/4+1", "a/2", ("a/2+1", 2),
-                                  "a/2+1", "a/2+3"],
+            CharacterFormula("pair-", L("10a+10"), pexpr(Fraction(1, 2), 0,
+                                 num=["3a/4-1", "3a/4", "a+4", "2a-2", "2a+2",
+                                      "5a/2+4", "3a+6", "2", "a+2"],
+                                 den=["4", "6", "a/4", "a/4+1", "a/2", ("a/2+1", 2),
+                                      "a/2+1", "a/2+3"]),
                              doubled_at=2),
-            CharacterFormula("pair+", Fraction(1, 2), L("10a+10"),
-                             num=["3a/4-1", "3a/4", "a+4", "2a-2", "2a+2",
-                                  "5a/2+4", "3a+6"],
-                             den=["4", "6", "a/4", "a/4+1", "a/2", ("a/2+1", 2)],
-                             num_plus=["2", "a+2"], den_plus=["a/2+1", "a/2+3"],
+            CharacterFormula("pair+", L("10a+10"), pexpr(Fraction(1, 2), 0,
+                                 num=["3a/4-1", "3a/4", "a+4", "2a-2", "2a+2",
+                                      "5a/2+4", "3a+6"],
+                                 den=["4", "6", "a/4", "a/4+1", "a/2", ("a/2+1", 2)],
+                                 num_plus=["2", "a+2"], den_plus=["a/2+1", "a/2+3"]),
                              doubled_at=2),
         ],
         named=[
@@ -567,15 +491,15 @@ def _e6_series():
             NamedDegree(8, "pair-", "phi_{1296,33}", 1296, 33, None),
         ])
 
-    add("g.g3.gQ", (1, 0, 1, 1), (21, 20), (6, 3), "A4+A1",
+    add("g.g3.gQ", (1, 0, 1, 1), "21a+20", "6a+3", "A4+A1",
         ["T1", "T2", "gl3"],
         pc=pexpr(1, "15a/2+6", num=["2"] + e6_pc_core, den=["1", "3", "a/4"]),
         chars=[
-            CharacterFormula("pair", Fraction(1, 2), L("21a/2+10"),
-                             num=["2", "5a/4-2", "3a/2", "3a/2+2", "2a+2",
-                                  "2a+4", "5a/2+4", "3a+6"],
-                             den=["1", ("3", 2), "a/4", "a/2+1", "a/2+3",
-                                  "a/2+5", "3a/2+3"],
+            CharacterFormula("pair", L("21a/2+10"), pexpr(Fraction(1, 2), 0,
+                                 num=["2", "5a/4-2", "3a/2", "3a/2+2", "2a+2",
+                                      "2a+4", "5a/2+4", "3a+6"],
+                                 den=["1", ("3", 2), "a/4", "a/2+1", "a/2+3",
+                                      "a/2+5", "3a/2+3"]),
                              doubled_at=2),
         ],
         named=[
@@ -586,21 +510,21 @@ def _e6_series():
             NamedDegree(8, "pair", "phi_{4096,27}", 4096, 27, None),
         ])
 
-    add("g^2.g3.gQ", (2, 0, 1, 1), (21, 22), (5, 3), "D5(a1)",
+    add("g^2.g3.gQ", (2, 0, 1, 1), "21a+22", "5a+3", "D5(a1)",
         ["T1", "gl2", "sl4"],
         pc=pexpr(1, "8a+7", num=["2"] + e6_pc_core, den=["3", "a/4", "a/2"]),
         chars=[
-            CharacterFormula("psi", Fraction(1, 2), L("21a/2+11"),
-                             num=["a/4+4", "3a/4", "5a/4-2", "3a/2+2", "2a+2",
-                                  "2a+4", "5a/2+4", "3a+6"],
-                             den=[("3", 2), "a/4", "a/4+1", "a/2", "a/2+4",
-                                  "a/2+8", "3a/4+3"],
+            CharacterFormula("psi", L("21a/2+11"), pexpr(Fraction(1, 2), 0,
+                                 num=["a/4+4", "3a/4", "5a/4-2", "3a/2+2", "2a+2",
+                                      "2a+4", "5a/2+4", "3a+6"],
+                                 den=[("3", 2), "a/4", "a/4+1", "a/2", "a/2+4",
+                                      "a/2+8", "3a/4+3"]),
                              doubled_at=2),
-            CharacterFormula("psi'", Fraction(1, 2), L("21a/2+11"),
-                             num=["3a/4-1", "5a/4-1", "3a/2", "3a/2+2", "2a+2",
-                                  "2a+4", "5a/2+4", "3a+6"],
-                             den=["3", "5", "a/4", "a/2", ("a/2+2", 2), "3a/4",
-                                  "3a/2+6"],
+            CharacterFormula("psi'", L("21a/2+11"), pexpr(Fraction(1, 2), 0,
+                                 num=["3a/4-1", "5a/4-1", "3a/2", "3a/2+2", "2a+2",
+                                      "2a+4", "5a/2+4", "3a+6"],
+                                 den=["3", "5", "a/4", "a/2", ("a/2+2", 2), "3a/4",
+                                      "3a/2+6"]),
                              doubled_at=2),
         ],
         named=[
@@ -611,21 +535,21 @@ def _e6_series():
             NamedDegree(8, "psi'", "phi_{2100,28}", 2100, 28, None),
         ])
 
-    add("g^2.g3^2.gQ^2", (2, 0, 2, 2), (24, 22), (3, 2), "E6(a1)",
+    add("g^2.g3^2.gQ^2", (2, 0, 2, 2), "24a+22", "3a+2", "E6(a1)",
         ["0", "T1", "sl3"],
         pc=pexpr(1, "21a/2+7", num=["2"] + e6_pc_core, den=["3", "a/4"]),
         chars=[
-            CharacterFormula("psi", Fraction(1, 2), L("12a+11"),
-                             num=["a/2+2", "3a/4-1", "3a/4", "2a-2", "2a+2",
-                                  "2a+4", "5a/2+4", "3a+6"],
-                             den=[("3", 2), "4", "12", "a/4", "a/4+1",
-                                  "a/2+1", "a/2+5"],
+            CharacterFormula("psi", L("12a+11"), pexpr(Fraction(1, 2), 0,
+                                 num=["a/2+2", "3a/4-1", "3a/4", "2a-2", "2a+2",
+                                      "2a+4", "5a/2+4", "3a+6"],
+                                 den=[("3", 2), "4", "12", "a/4", "a/4+1", "a/2+1",
+                                      "a/2+5"]),
                              doubled_at=2),
-            CharacterFormula("psi'", Fraction(1, 2), L("12a+11"),
-                             num=["a/2+5", "5a/4-2", "3a/2", "3a/2+2", "2a+2",
-                                  "2a+4", "5a/2+4", "3a+6"],
-                             den=["3", "4", ("6", 2), "a/4", "a/2+2", "a/2+4",
-                                  "a+10"],
+            CharacterFormula("psi'", L("12a+11"), pexpr(Fraction(1, 2), 0,
+                                 num=["a/2+5", "5a/4-2", "3a/2", "3a/2+2", "2a+2",
+                                      "2a+4", "5a/2+4", "3a+6"],
+                                 den=["3", "4", ("6", 2), "a/4", "a/2+2", "a/2+4",
+                                      "a+10"]),
                              doubled_at=2),
         ],
         named=[
@@ -673,16 +597,16 @@ def _sub_members(spec):
 def _other_rows():
     recs = []
 
-    def add(row, label, dims, rads, members, *, exponents=None, notes=()):
-        recs.append(SeriesRecord(row=row, label=label, dim_coeffs=dims,
-                                 rad_coeffs=rads, members=members,
+    def add(row, label, dim, rad, members, *, exponents=None, notes=()):
+        recs.append(SeriesRecord(row=row, label=label, dim=L(dim), rad=L(rad),
+                                 members=members,
                                  exponents=exponents, notes=tuple(notes)))
 
     tor = "subexceptional torus factors restored: the printed tables quote "\
           "only the semisimple type, and the radical identity plus the "\
           "centralizer oracle fix the full reductive centralizer"
 
-    add("subexceptional", "g", (4, 2), (4, 1), _sub_members([
+    add("subexceptional", "g", "4a+2", "4a+1", _sub_members([
         (1, "(11|1)", "so5", _pp("11", "1")),
         (2, "(21111)", "gl4", _pt("21111")),
         (4, "(21111|-)", "sl2+so8", _pp("21111", "")),
@@ -690,7 +614,7 @@ def _other_rows():
         notes=["printed h for the sl6 member is sl4(so6); the centralizer is "
                "gl4 and the identity needs the torus", tor])
 
-    add("subexceptional", "gQ", (6, 4), (5, 2), _sub_members([
+    add("subexceptional", "gQ", "6a+4", "5a+2", _sub_members([
         (1, "(21|-)", "gl2", _pp("21", "")),
         (2, "(2211)", "2sl2+T1", _pt("2211")),
         (4, "(2211|-)", "so5+2sl2", _pp("2211", "")),
@@ -699,50 +623,50 @@ def _other_rows():
                "the (2,2,2,2,1,1,1,1) nilpotent is sp4+so4 = so5+2sl2 and the "
                "radical identity requires dimension 16", tor])
 
-    add("subexceptional", "gAP2", (6, 6), (3, 3), _sub_members([
+    add("subexceptional", "gAP2", "6a+6", "3a+3", _sub_members([
         (1, "(2|1)", "sl2", _pp("2", "1")),
         (2, "(222)", "sl3", _pt("222")),
         (4, "(222|-)", "sp6", _pp("222", "")),
         (8, "3A1''", "f4", None)]))
 
-    add("subexceptional", "gQ^2", (10, 4), (4, 0), _sub_members([
+    add("subexceptional", "gQ^2", "10a+4", "4a", _sub_members([
         (1, "(3|-)", "sl2", _pp("3", "")),
         (2, "(33)", "sl2", _pt("33")),
         (4, "(33|-)", "2sl2", _pp("33", "")),
         (8, "2A2", "sl2+g2", None)]))
 
-    add("subexceptional", "gAP2^2.gQ", (10, 4), (3, 1), _sub_members([
+    add("subexceptional", "gAP2^2.gQ", "10a+4", "3a+1", _sub_members([
         (1, "(1|2)", "sl2", _pp("1", "2")),
         (2, "(411)", "gl2", _pt("411")),
         (4, "(411|-)", "3sl2", _pp("411", "")),
         (8, "A3", "sl2+so7", None)]))
 
-    add("subexceptional", "gAP2.g", (10, 6), (3, 2), _sub_members([
+    add("subexceptional", "gAP2.g", "10a+6", "3a+2", _sub_members([
         (1, "(-|21)", "0", _pp("", "21")),
         (2, "(42)", "T1", _pt("42")),
         (4, "(42|-)", "2sl2", _pp("42", "")),
         (8, "A3+A1''", "so7", None)]))
 
-    add("subexceptional", "g^2.gAP2^2.gQ^2", (12, 6), (2, 1), _sub_members([
+    add("subexceptional", "g^2.gAP2^2.gQ^2", "12a+6", "2a+1", _sub_members([
         (1, "(-|3)", "0", _pp("", "3")),
         (2, "(6)", "0", _pt("6")),
         (4, "(6|-)", "sl2", _pp("6", "")),
         (8, "A5", "g2", None)]))
 
-    add("subexceptional", "g^2.gQ^2", (12, 4), (3, 0), _sub_members([
+    add("subexceptional", "g^2.gQ^2", "12a+4", "3a", _sub_members([
         (2, "(51)", "T1", _pt("51")),
         (4, "(51|-)", "T2", _pp("51", "")),
         (8, "A4", "gl3", None)]),
         notes=["printed h column reads 0, 0, sl3; the centralizers are the "
                "tori S(gl1 x gl1), so2 x so2 and gl3, as the identity requires", tor])
 
-    add("subexceptional", "g.gQ", (9, 4), (5, 1), _sub_members([
+    add("subexceptional", "g.gQ", "9a+4", "5a+1", _sub_members([
         (2, "(321)", "T2", _pt("321")),
         (4, "(321|-)", "sl2+T2", _pp("321", "")),
         (8, "A2+A1", "gl4", None)]),
         notes=[tor])
 
-    add("subexceptional", "g^2", (8, 2), (4, 0), _sub_members([
+    add("subexceptional", "g^2", "8a+2", "4a", _sub_members([
         (2, "(3111)", "gl3", _pt("3111")),
         (4, "(3111|-)", "co6", _pp("3111", "")),
         (8, "A2", "sl6", None)]),
@@ -771,20 +695,20 @@ def _other_rows():
            "V line and 2A2 (dim 48) on the VV* line, and the stabilizers "\
            "follow the centralizer oracle"
 
-    add("severi", "V", (4, 0), (3, 0), sev_members([
+    add("severi", "V", "4a", "3a", sev_members([
         (1, "(21)", "T1", _pt("21")),
         (2, "((21),(21))", "T2", (_pt("21"), _pt("21"))),
         (4, "(2211)", "2sl2+T1", _pt("2211")),
         (8, "2A1", "co7", None)]), notes=[swap])
 
-    add("severi", "gQ=VV*", (6, 0), (2, 0), sev_members([
+    add("severi", "gQ=VV*", "6a", "2a", sev_members([
         (1, "(3)", "0", _pt("3")),
         (2, "((3),(3))", "0", (_pt("3"), _pt("3"))),
         (4, "(33)", "sl2", _pt("33")),
         (8, "2A2", "g2", None)]), notes=[swap])
 
     # sub-Severi row: sl2, sl3, sp6, f4
-    add("subseveri", "gQ=W", (4, -2), (1, 0), (
+    add("subseveri", "gQ=W", "4a-2", "a", (
         _cls_member(1, "sl2", "(2)", "0", family=Family("sl", 2),
                     partition=_pt("2")),
         _cls_member(2, "sl3", "(3)", "0", family=Family("sl", 3),

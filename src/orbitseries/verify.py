@@ -20,7 +20,7 @@ from . import partitions as pt
 from . import rootsystems as rsys
 from . import seriesdb as db
 from .exactpoly import (LinExp, ProductExpr, QLaurent, ZeroExponentError,
-                        reduce_pair)
+                        pexpr, reduce_pair)
 
 PASS = "pass"
 FAIL = "fail"
@@ -67,14 +67,12 @@ def _diagram_for(rec: db.SeriesRecord, a: int) -> rsys.WeightedDiagram:
 # -- dimensions ---------------------------------------------------------------
 
 
-def check_dims(rows: Sequence[str] = db.rows()) -> list[CheckResult]:
+def check_dims() -> list[CheckResult]:
     out: list[CheckResult] = []
     for rec in db.all_series():
-        if rec.row not in rows:
-            continue
         tag = f"{rec.row}:{rec.label}"
         for m in rec.members:
-            want = rec.dim_at(m.a)
+            want = rec.dim(m.a)
             if rec.exponents is not None and m.family is None:
                 got = rsys.orbit_dim_from_diagram(_diagram_for(rec, m.a))
                 out.append(_res("dims", f"{tag} a={m.a} diagram", got == want,
@@ -86,21 +84,20 @@ def check_dims(rows: Sequence[str] = db.rows()) -> list[CheckResult]:
         if rec.so8_partition is not None:
             got = pt.orbit_dim_classical(rec.so8_partition, pt.Family("so", 8))
             out.append(_res("dims", f"{tag} so8 intercept",
-                            got == rec.dim_coeffs[1], got, rec.dim_coeffs[1]))
+                            got == rec.dim.c0, got, rec.dim.c0))
         for m in rec.members:
-            lhs = m.ambient.dim - rec.dim_at(m.a) - m.h.dim
+            lhs = m.ambient.dim - rec.dim(m.a) - m.h.dim
             out.append(_res("dims", f"{tag} a={m.a} radical identity",
-                            lhs == rec.rad_at(m.a), lhs, rec.rad_at(m.a),
+                            lhs == rec.rad(m.a), lhs, rec.rad(m.a),
                             f"h(a) = {m.h}"))
         if rec.so8_partition is not None and rec.so8_h is not None:
             d0 = pt.orbit_dim_classical(rec.so8_partition, pt.Family("so", 8))
             lhs = 28 - d0 - rec.so8_h.dim
             out.append(_res("dims", f"{tag} so8 radical identity",
-                            lhs == rec.rad_coeffs[1], lhs, rec.rad_coeffs[1]))
-    if "f4" in rows:
-        out.extend(_folding_checks())
-        out.extend(_hasse_checks())
-        out.extend(_stabilizer_series_checks())
+                            lhs == rec.rad.c0, lhs, rec.rad.c0))
+    out.extend(_folding_checks())
+    out.extend(_hasse_checks())
+    out.extend(_stabilizer_series_checks())
     return out
 
 
@@ -137,7 +134,7 @@ def _folding_checks() -> list[CheckResult]:
     for rec in db.series_by_row("f4"):
         if not rec.folding:
             continue
-        v = rec.dim_at(Fraction(-2, 3))
+        v = rec.dim(Fraction(-2, 3))
         if rec.label == "g":
             out.append(_res("dims", "f4:g folding a=-2/3", v == 2 * hd - 2,
                             v, 2 * hd - 2, "minimal orbit of the folded algebra"))
@@ -150,13 +147,13 @@ def _folding_checks() -> list[CheckResult]:
     for a, name in ((Fraction(-4, 3), "a1"), (Fraction(-1), "a2")):
         rs = rsys.root_system(name)
         want = 2 * rs.dual_coxeter() - 2
-        out.append(_res("dims", f"f4:g extension a={a}", g.dim_at(a) == want,
-                        g.dim_at(a), want, f"minimal orbit of {name}"))
+        out.append(_res("dims", f"f4:g extension a={a}", g.dim(a) == want,
+                        g.dim(a), want, f"minimal orbit of {name}"))
     gsq = db.lookup("f4", "g^2")
     rs = rsys.root_system("a2")
     want = rs.dimension - rs.rank
-    out.append(_res("dims", "f4:g^2 extension a=-1", gsq.dim_at(-1) == want,
-                    gsq.dim_at(-1), want, "regular orbit of a2"))
+    out.append(_res("dims", "f4:g^2 extension a=-1", gsq.dim(-1) == want,
+                    gsq.dim(-1), want, "regular orbit of a2"))
     return out
 
 
@@ -165,9 +162,9 @@ def _hasse_checks() -> list[CheckResult]:
     for up, dn in db.hasse_edges():
         u = db.lookup("f4", up)
         d = db.lookup("f4", dn)
-        ok = all(u.dim_at(a) > d.dim_at(a) for a in (1, 2, 4, 8))
-        dims_u = [u.dim_at(a) for a in (1, 2, 4, 8)]
-        dims_d = [d.dim_at(a) for a in (1, 2, 4, 8)]
+        ok = all(u.dim(a) > d.dim(a) for a in (1, 2, 4, 8))
+        dims_u = [u.dim(a) for a in (1, 2, 4, 8)]
+        dims_d = [d.dim(a) for a in (1, 2, 4, 8)]
         out.append(_res("dims", f"hasse {up} > {dn}", ok, dims_u, dims_d))
     return out
 
@@ -216,7 +213,7 @@ def check_gradings(rows: Sequence[str] = ("f4", "e6")) -> list[CheckResult]:
         for a in a_values:
             wd = _diagram_for(rec, a)
             base, fiber = rsys.desing_dims(wd)
-            dim_o = int(rec.dim_at(a))
+            dim_o = int(rec.dim(a))
             ok = base + fiber == dim_o
             if wd.is_even():
                 ok = ok and base == fiber
@@ -231,7 +228,7 @@ def check_gradings(rows: Sequence[str] = ("f4", "e6")) -> list[CheckResult]:
 
 def _expected_quotient(rec: db.SeriesRecord, m: db.Member) -> ProductExpr:
     order_g = db.group_order(m.ambient)
-    order_k = db.group_order(m.h) * db.pexpr(1, rec.rad_at(m.a))
+    order_k = db.group_order(m.h) * pexpr(1, rec.rad(m.a))
     return order_g / order_k
 
 
@@ -249,8 +246,8 @@ def check_pointcounts(a_values: Sequence[int] = (1, 2, 4, 8)) -> list[CheckResul
         for a in a_values:
             tag = f"f4:{rec.label} a={a}"
             deg = z.degree_in_q(a)
-            out.append(_res("pointcounts", f"{tag} degree", deg == rec.dim_at(a),
-                            deg, rec.dim_at(a)))
+            out.append(_res("pointcounts", f"{tag} degree", deg == rec.dim(a),
+                            deg, rec.dim(a)))
             num, den = z.reduced(a)
             poly = den == QLaurent.one() and num.is_q_polynomial()
             if a == 1:
@@ -276,8 +273,8 @@ def check_pointcounts(a_values: Sequence[int] = (1, 2, 4, 8)) -> list[CheckResul
             a = m.a
             tag = f"e6:{rec.label} a={a}"
             deg = rec.pointcount.degree_in_q(a)
-            out.append(_res("pointcounts", f"{tag} degree", deg == rec.dim_at(a),
-                            deg, rec.dim_at(a)))
+            out.append(_res("pointcounts", f"{tag} degree", deg == rec.dim(a),
+                            deg, rec.dim(a)))
             num, den = rec.pointcount.reduced(a)
             poly = den == QLaurent.one() and num.is_q_polynomial()
             out.append(_res("pointcounts", f"{tag} polynomial", poly, poly, True))
@@ -472,10 +469,9 @@ def check_universal(max_n_magic: int = 10, max_n_example2: int = 12) -> list[Che
               ("gQ", "sigma_Q", 4 * hdual - 5 - LinExp(4, 1))]
     for label, name, formula in claims:
         rec = db.lookup("f4", label)
-        series = LinExp(rec.dim_coeffs[1], rec.dim_coeffs[0])
-        offset = formula - series
+        offset = formula - rec.dim
         out.append(_rec("universal", f"{name} corollary vs series {label}",
-                        f"formula {formula}", f"series dim {series}",
+                        f"formula {formula}", f"series dim {rec.dim}",
                         f"offset {offset}; recorded, not asserted"))
     # sigma_(1) diagrams agree with the series diagrams where both exist
     for a, name in db.EXCEPTIONAL_AMBIENTS.items():
@@ -633,7 +629,6 @@ class VerifyConfig:
                                "universal", "errata")
     pointcount_a: tuple[int, ...] = (1, 2, 4, 8)
     character_a: tuple[int, ...] = (2, 4, 8)
-    rows: tuple[str, ...] = db.rows()
 
 
 @dataclass(frozen=True)
@@ -675,7 +670,7 @@ class VerificationReport:
 def run_all(config: VerifyConfig = VerifyConfig()) -> VerificationReport:
     results: list[CheckResult] = []
     if "dims" in config.suites:
-        results.extend(check_dims(config.rows))
+        results.extend(check_dims())
     if "gradings" in config.suites:
         results.extend(check_gradings())
     if "pointcounts" in config.suites:

@@ -52,11 +52,11 @@ def test_criterion_03_dimension_suite():
         for a in (1, 2, 4, 8):
             wd = series_weight_to_diagram(*rec.exponents,
                                           {1: "f4", 2: "e6", 4: "e7", 8: "e8"}[a])
-            if orbit_dim_from_diagram(wd) != rec.dim_at(a):
+            if orbit_dim_from_diagram(wd) != rec.dim(a):
                 failures.append((rec.label, a))
         if rec.so8_partition is not None:
             d0 = orbit_dim_classical(rec.so8_partition, Family("so", 8))
-            if d0 != rec.dim_coeffs[1]:
+            if d0 != rec.dim.c0:
                 failures.append((rec.label, "so8"))
     # folding values at a = -2/3 land on orbit dimensions of the folded algebra
     g2alg = algebra("g2")
@@ -66,7 +66,7 @@ def test_criterion_03_dimension_suite():
     for rec in series_by_row("f4"):
         if not rec.folding:
             continue
-        v = rec.dim_at(F(-2, 3))
+        v = rec.dim(F(-2, 3))
         if rec.label == "g" and v != 2 * hd - 2:
             failures.append((rec.label, "folding"))
         if v not in g2_dims:
@@ -80,11 +80,11 @@ def test_criterion_04_radical_identity():
     failures = []
     for rec in all_series():
         for m in rec.members:
-            if m.ambient.dim - rec.dim_at(m.a) - m.h.dim != rec.rad_at(m.a):
+            if m.ambient.dim - rec.dim(m.a) - m.h.dim != rec.rad(m.a):
                 failures.append((rec.row, rec.label, m.a))
         if rec.so8_partition is not None and rec.so8_h is not None:
             d0 = orbit_dim_classical(rec.so8_partition, Family("so", 8))
-            if 28 - d0 - rec.so8_h.dim != rec.rad_coeffs[1]:
+            if 28 - d0 - rec.so8_h.dim != rec.rad.c0:
                 failures.append((rec.row, rec.label, 0))
     report(4, "radical identity", not failures, f"failures={failures}")
 

@@ -2,10 +2,12 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from orbitseries import serialize
+from orbitseries.verify import VerifyConfig
 from orbitseries.cli import main
 from orbitseries.seriesdb import MASTER_POINTCOUNT, all_series, lookup, series_by_row
 
@@ -86,7 +88,7 @@ def test_diagram_and_grading_every_label_and_algebra(capsys):
                 digest.update(f"{argv}\n{out}".encode())
                 if cmd == "grading":
                     a = next(m.a for m in rec.members if m.ambient.name == alg)
-                    assert out.splitlines()[-1] == f"orbit dimension {rec.dim_at(a)}"
+                    assert out.splitlines()[-1] == f"orbit dimension {rec.dim(a)}"
     assert digest.hexdigest() == \
         "4f84c634f978e1661e8b469f6552df1ddd66235ed09f359cd36bb8299c1b8ab2"
 
@@ -167,6 +169,19 @@ class TestVerify:
         assert total == len(payload["results"])
         assert f"{payload['summary']['pass']} passed" in out
 
+    @pytest.mark.parametrize("args, want", [
+        *((f"--suite {suite}", 0) for suite in VerifyConfig().suites),
+        *((f"--a {a}", 0) for a in (1, 2, 4, 8)),
+        ("--suite bogus", 2),
+        ("--a 3", 2)])
+    def test_exit_codes(self, capsys, args, want):
+        code, out, err = run(capsys, "verify", *args.split())
+        assert code == want and "Traceback" not in err
+        if want == 0:
+            assert out.splitlines()[-1].split(", ")[1] == "0 failed"
+        else:
+            assert "invalid choice" in err
+
 
 class TestExport:
     def test_json_round_trip(self, capsys, tmp_path):
@@ -190,6 +205,26 @@ class TestExport:
         assert code == 0
         assert out.count(r"\begin{array}") == 33
         assert r"\dim O_a = 6a+10" in out
+
+
+BENCH_REFERENCES = Path(__file__).resolve().parents[1] / "bench" / "references.json"
+
+
+def test_outputs_match_benchmark_references(capsys):
+    """Every non-verify argv of the benchmark's cli workload, run in process:
+    exit code and stdout sha256 as bench/references.json records them, so a
+    change to any printed byte fails here first."""
+    refs = json.loads(BENCH_REFERENCES.read_text(encoding="utf-8"))
+    argvs = [argv for slot, group in refs["cli_space"].items()
+             if not slot.startswith("verify") for argv in group]
+    assert len(argvs) == 687
+    changed = []
+    for argv in argvs:
+        code, out, _ = run(capsys, *argv)
+        got = {"rc": code, "stdout_sha256": hashlib.sha256(out.encode()).hexdigest()}
+        if got != refs["cli"][" ".join(argv)]:
+            changed.append(argv)
+    assert not changed
 
 
 class TestUsage:

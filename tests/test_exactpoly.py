@@ -9,7 +9,7 @@ from orbitseries.exactpoly import (Cyclo, FractionalPowerError, LinExp,
                                    Literal, NotDivisibleError, PhiForm,
                                    ProductExpr, QLaurent, ZeroExponentError,
                                    cyclo_factor, cyclotomic, exact_div,
-                                   poly_gcd, product_expr, random_qlaurent,
+                                   pexpr, poly_gcd, random_qlaurent,
                                    reduce_pair)
 
 
@@ -156,23 +156,23 @@ class TestEval:
 
 class TestProductExpr:
     def test_single_factor(self):
-        e = product_expr(1, 0, plus=[LinExp(0, 1)])
+        e = pexpr(1, 0, num=[LinExp(0, 1)])
         num, den = e.expand(2)
         assert num == qpoly({2: 1, 0: -1})
         assert den == QLaurent.one()
 
     def test_constant_and_inverse_factor(self):
-        e = product_expr(F(1, 2), 0, plus=[2], minus=[1])
+        e = pexpr(F(1, 2), 0, num=[2], den=[1])
         num, den = e.expand(3)
         assert num == qpoly({2: F(1, 2), 0: F(-1, 2)})
         assert den == qpoly({1: 1, 0: -1})
 
     def test_zero_exponent_error(self):
-        e = product_expr(1, 0, plus=[LinExp(-2, 1)])
+        e = pexpr(1, 0, num=[LinExp(-2, 1)])
         with pytest.raises(ZeroExponentError):
             e.expand(2)
         # q^0 + 1 = 2 does not degenerate
-        e = product_expr(1, 0, plus=[(LinExp(-2, 1), -1)])
+        e = pexpr(1, 0, num_plus=[LinExp(-2, 1)])
         num, den = e.expand(2)
         assert num == QLaurent.constant(2)
 
@@ -181,8 +181,8 @@ class TestProductExpr:
         assert not QLaurent({2: F(1), 0: F(-1)}).is_q_polynomial()  # q^(1/2)-1
 
     def test_expand_multiplicative(self):
-        e1 = product_expr(2, LinExp(1, 1), plus=[LinExp(0, 1)], minus=[2])
-        e2 = product_expr(F(1, 3), 1, plus=[3, (1, -1)])
+        e1 = pexpr(2, LinExp(1, 1), num=[LinExp(0, 1)], den=[2])
+        e2 = pexpr(F(1, 3), 1, num=[3], num_plus=[1])
         n1, d1 = e1.expand(4)
         n2, d2 = e2.expand(4)
         n, d = (e1 * e2).expand(4)
@@ -196,7 +196,7 @@ class TestProductExpr:
             minus = [LinExp(rng.randint(1, 3), F(rng.randint(0, 2), 2))
                      for _ in range(rng.randint(0, 2))]
             pref = LinExp(rng.randint(0, 5), rng.randint(0, 3))
-            e = product_expr(1, pref, plus=plus, minus=minus)
+            e = pexpr(1, pref, num=plus, den=minus)
             for a in (1, 2, 4, 8):
                 num, den = e.reduced(a)
                 want = pref(a) + sum(x(a) for x in plus) - sum(x(a) for x in minus)
@@ -271,8 +271,8 @@ class TestPhiForm:
                 Literal(value).phi_form(0)
 
     def test_reduction_is_multiset_subtraction(self):
-        x = product_expr(3, 2, plus=[6, 4], minus=[2])
-        y = product_expr(1, 1, plus=[3], minus=[1])
+        x = pexpr(3, 2, num=[6, 4], den=[2])
+        y = pexpr(1, 1, num=[3], den=[1])
         fx, fy, fxy = x.phi_form(1), y.phi_form(1), (x / y).phi_form(1)
         mults = dict(fx.phis)
         for d, m in fy.phis:
@@ -305,17 +305,17 @@ class TestPhiForm:
             assert e.reduce_to_polynomial(0) == exact_div(num, den)
 
     def test_reduce_to_polynomial_reports_remainder(self):
-        e = product_expr(1, 0, plus=[3], minus=[2])
+        e = pexpr(1, 0, num=[3], den=[2])
         with pytest.raises(NotDivisibleError) as err:
             e.reduce_to_polynomial(0)
         assert not err.value.remainder.is_zero()
-        assert product_expr(1, 0, plus=[6], minus=[2]).reduce_to_polynomial(0) == \
+        assert pexpr(1, 0, num=[6], den=[2]).reduce_to_polynomial(0) == \
             qpoly({4: 1, 2: 1, 0: 1})
 
     def test_eval_at_wants_a_fourth_root_for_any_fractional_factor(self):
         # (q^(1/2) - 1)(q^(1/2) + 1) = q - 1 expands onto whole powers, but
         # evaluation works factor by factor, so q = 2 is refused
-        e = product_expr(1, 0, plus=[F(1, 2), (F(1, 2), -1)])
+        e = pexpr(1, 0, num=[F(1, 2)], num_plus=[F(1, 2)])
         num, den = e.expand(0)
         assert num.eval_at(2) == 1
         with pytest.raises(FractionalPowerError):
@@ -324,6 +324,6 @@ class TestPhiForm:
 
     def test_eval_at_vanishing_denominator(self):
         with pytest.raises(ZeroDivisionError):
-            product_expr(1, 0, minus=[1]).eval_at(0, 1)
+            pexpr(1, 0, den=[1]).eval_at(0, 1)
         with pytest.raises(ValueError, match="positive"):
-            product_expr(1, 0, plus=[1]).eval_at(0, 0)
+            pexpr(1, 0, num=[1]).eval_at(0, 0)

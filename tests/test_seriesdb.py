@@ -4,11 +4,12 @@ from fractions import Fraction as F
 import pytest
 
 from orbitseries import serialize
-from orbitseries.exactpoly import LinExp, ProductExpr, QLaurent
+from orbitseries.exactpoly import LinExp, Literal, ProductExpr, QLaurent, pexpr
 from orbitseries.partitions import Family, orbit_dim_classical
-from orbitseries.seriesdb import (MASTER_POINTCOUNT, L, UnknownSeriesError,
-                                  all_series, group_order, hasse_edges, lookup,
-                                  reductive, rows, series_by_row)
+from orbitseries.seriesdb import (MASTER_POINTCOUNT, CharacterFormula, L,
+                                  UnknownSeriesError, all_series, group_order,
+                                  hasse_edges, lookup, reductive, rows,
+                                  series_by_row)
 
 
 class TestExponentParser:
@@ -106,16 +107,16 @@ class TestRegistryShape:
 
     def test_lookup_examples(self):
         g = lookup("f4", "g")
-        assert g.dim_coeffs == (6, 10)
+        assert g.dim == LinExp(10, 6)
         assert [m.h.name for m in g.members] == ["sp6", "sl6", "so12", "e7"]
         assert g.so8_h.name == "3sl2"
 
         gq2 = lookup("f4", "gQ^2")
-        assert gq2.rad_coeffs == (8, 0)
+        assert gq2.rad == LinExp(0, 8)
         assert gq2.fundamental_group == "mixed"
 
         w = lookup("subseveri", "gQ=W")
-        assert w.dim_coeffs == (4, -2)
+        assert w.dim == LinExp(-2, 4)
 
     def test_unknown(self):
         with pytest.raises(UnknownSeriesError):
@@ -148,16 +149,16 @@ class TestInternalConsistency:
     def test_radical_identity_all_rows(self):
         for rec in all_series():
             for m in rec.members:
-                lhs = m.ambient.dim - rec.dim_at(m.a) - m.h.dim
-                assert lhs == rec.rad_at(m.a), (rec.row, rec.label, m.a)
+                lhs = m.ambient.dim - rec.dim(m.a) - m.h.dim
+                assert lhs == rec.rad(m.a), (rec.row, rec.label, m.a)
 
     def test_so8_column(self):
         for rec in series_by_row("f4"):
             if rec.so8_partition is None:
                 continue
             d0 = orbit_dim_classical(rec.so8_partition, Family("so", 8))
-            assert d0 == rec.dim_coeffs[1]
-            assert 28 - d0 - rec.so8_h.dim == rec.rad_coeffs[1]
+            assert d0 == rec.dim.c0
+            assert 28 - d0 - rec.so8_h.dim == rec.rad.c0
 
     def test_classical_members_match_formulas(self):
         for rec in all_series():
@@ -165,7 +166,7 @@ class TestInternalConsistency:
                 if m.family is None:
                     continue
                 got = orbit_dim_classical(m.orbit_datum(), m.family)
-                assert got == rec.dim_at(m.a), (rec.row, rec.label, m.a)
+                assert got == rec.dim(m.a), (rec.row, rec.label, m.a)
 
     def test_hasse_edges_reference_known_series(self):
         labels = {r.label for r in series_by_row("f4")}
@@ -176,7 +177,7 @@ class TestInternalConsistency:
         for up, dn in hasse_edges():
             u, d = lookup("f4", up), lookup("f4", dn)
             for a in (1, 2, 4, 8):
-                assert u.dim_at(a) > d.dim_at(a)
+                assert u.dim(a) > d.dim(a)
 
 
 class TestSerialization:
@@ -185,6 +186,12 @@ class TestSerialization:
         text = json.dumps(data, sort_keys=True)
         back = serialize.registry_from_json(json.loads(text))
         assert back == all_series()
+
+    def test_character_outside_the_list_schema_is_refused(self):
+        literal_numerator = ProductExpr(1, LinExp(0), ((Literal(QLaurent.one()), 1),))
+        for body in (pexpr(1, "a", num=["a"]), literal_numerator):
+            with pytest.raises(ValueError):
+                serialize.character_to_json(CharacterFormula("x", L("3a+5"), body))
 
     def test_json_is_deterministic(self):
         a = json.dumps(serialize.registry_to_json(), sort_keys=True)
