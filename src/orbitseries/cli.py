@@ -40,7 +40,7 @@ def cmd_show(args) -> int:
     for m in rec.members:
         datum = ""
         if m.family is not None:
-            datum = f"  [{m.family.tag}: {m.pair or m.partition or m.sl_pair}]"
+            datum = f"  [{m.family.tag}: {m.datum}]"
         print(f"  a={m.a}: {m.ambient.name:6s} orbit {m.carter:12s} h(a) = {m.h}{datum}")
     for i, claim in rec.grading_claims:
         print(f"  grading claim: dim g(a,{i}) = {claim}")
@@ -55,11 +55,7 @@ def cmd_show(args) -> int:
 
 
 def _diagram(args) -> rsys.WeightedDiagram:
-    rec = db.lookup(args.row, args.label)
-    if rec.exponents is None:
-        raise db.UnknownSeriesError(
-            f"series {args.label} has no weight-table diagram")
-    return rsys.series_weight_to_diagram(*rec.exponents, args.algebra)
+    return db.lookup(args.row, args.label).diagram(args.algebra)
 
 
 def cmd_diagram(args) -> int:
@@ -80,14 +76,6 @@ def cmd_grading(args) -> int:
     return 0
 
 
-def _pointcount_expr(rec):
-    if rec.pointcount is not None:
-        return rec.pointcount
-    if rec.pointcount_Y is not None:
-        return db.MASTER_POINTCOUNT / rec.pointcount_Y
-    raise db.UnknownSeriesError(f"series {rec.label} carries no point count")
-
-
 def _decimal(n: int) -> str:
     """Decimal digits of n, also past the interpreter's int-to-str digit limit."""
     if n < 0:
@@ -100,10 +88,7 @@ def _decimal(n: int) -> str:
 
 
 def cmd_points(args) -> int:
-    rec = db.lookup(args.row, args.label)
-    expr = _pointcount_expr(rec)
-    a = Fraction(args.a)
-    num, den = expr.reduced(a)
+    num, den = db.lookup(args.row, args.label).point_count.reduced(Fraction(args.a))
     if args.q is not None:
         q = Fraction(args.q)
         value = num.eval_at(q) / den.eval_at(q)
@@ -118,16 +103,9 @@ def cmd_points(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = verify.VerifyConfig()
-    if args.suite:
-        config = verify.VerifyConfig(suites=tuple(args.suite))
-    if args.a:
-        # restricting to a=1 leaves the character suite exploratory-only
-        config = verify.VerifyConfig(
-            suites=config.suites,
-            pointcount_a=tuple(args.a),
-            character_a=tuple(x for x in args.a if x in (2, 4, 8)))
-    report = verify.run_all(config)
+    default = verify.VerifyConfig()
+    report = verify.run_all(verify.VerifyConfig(tuple(args.suite or default.suites),
+                                                tuple(args.a or default.a_values)))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(report.as_json())

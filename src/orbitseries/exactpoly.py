@@ -510,6 +510,10 @@ class Cyclo:
     def value_at(self, a: Rat) -> QLaurent:
         return cyclo_factor(self.exponent_at(a), self.sign)
 
+    def degree_in_q(self, a: Rat) -> Fraction:
+        """deg(q^e -+ 1) = e when e > 0, else 0 (the Laurent factor bottoms out)."""
+        return max(self.exponent_at(a), Fraction(0))
+
     def phi_form(self, a: Rat) -> PhiForm:
         """t^E - 1 = prod over d | E of Phi_d and t^E + 1 = prod over d | 2E,
         d not dividing E, of Phi_d, for E = 4e > 0; a negative E contributes
@@ -535,6 +539,9 @@ class Literal:
 
     def value_at(self, a: Rat) -> QLaurent:
         return self.value
+
+    def degree_in_q(self, a: Rat) -> Fraction:
+        return self.value.degree_in_q()
 
     def phi_form(self, a: Rat) -> PhiForm:
         """By trial division; a literal that is not cyclotomic raises ValueError."""
@@ -635,14 +642,8 @@ class ProductExpr:
 
     def degree_in_q(self, a: Rat) -> Fraction:
         """Exact q-degree of the reduced value at parameter a."""
-        total = self.prefactor_exponent(a)
-        for factor, mult in self.factors:
-            if isinstance(factor, Cyclo):
-                # deg(q^e -+ 1) = e when e > 0, else 0 (Laurent factor bottoms out)
-                total += max(factor.exponent_at(a), Fraction(0)) * mult
-            else:
-                total += factor.value.degree_in_q() * mult
-        return total
+        return self.prefactor_exponent(a) + sum(
+            (f.degree_in_q(a) * mult for f, mult in self.factors), Fraction(0))
 
     def eval_at(self, a: Rat, q: Rat) -> Fraction:
         """Exact value at a positive rational q, factor by factor, unexpanded.

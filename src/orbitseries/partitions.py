@@ -437,20 +437,11 @@ def extend_by_zeros_dims(p: Partition, family: Family, t_values: Sequence[int]) 
     One unit of t adds one row/column for sl and so, and one hyperbolic plane
     (two 1-parts) for sp, keeping the partition admissible.
     """
-    out = []
-    for t in t_values:
-        if family.kind == "sl":
-            fam_t = Family("sl", family.n + t)
-            out.append(orbit_dim_classical(p.extend(t), fam_t))
-        elif family.kind == "so":
-            fam_t = Family("so", family.n + t)
-            out.append(orbit_dim_classical(p.extend(t), fam_t))
-        elif family.kind == "sp":
-            fam_t = Family("sp", family.n + 2 * t)
-            out.append(orbit_dim_classical(p.extend(2 * t), fam_t))
-        else:
-            raise InvalidPartitionError("extension defined for sl, so, sp only")
-    return out
+    if family.kind not in ("sl", "so", "sp"):
+        raise InvalidPartitionError("extension defined for sl, so, sp only")
+    step = 2 if family.kind == "sp" else 1
+    return [orbit_dim_classical(p.extend(step * t), Family(family.kind, family.n + step * t))
+            for t in t_values]
 
 
 def printed_extension_slope(p: Partition, family: Family) -> Fraction:

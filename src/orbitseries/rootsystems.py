@@ -93,11 +93,6 @@ class AlgebraType:
         return self.name
 
 
-_TYPE_ALIASES = {
-    "sl": "A", "so": "BD", "sp": "C", "spin": "BD", "co": None,
-}
-
-
 def algebra(name: str) -> AlgebraType:
     """Parse names like 'e8', 'F4', 'sl6', 'so12', 'sp6', 'spin7', 'g2'."""
     s = name.strip().lower()
@@ -268,26 +263,25 @@ class WeightedDiagram:
     def is_even(self) -> bool:
         return all(x % 2 == 0 for x in self.labels)
 
+    def _split(self) -> tuple[tuple[int, ...], str, tuple[int, ...]]:
+        """Labels along the long arm, then the branch (E) or fork (D) labels."""
+        l, n = self.labels, self.algebra.rank
+        if self.algebra.family == "E":
+            return (l[0],) + l[2:], "branch", l[1:2]
+        if self.algebra.family == "D":
+            return l[: n - 2], "fork", l[n - 2:]
+        return l, "", ()
+
     def as_string(self) -> str:
         """Compact form: labels along the long arm, '/branch' for E types."""
-        fam, n = self.algebra.family, self.algebra.rank
-        if fam == "E":
-            arm = [self.labels[0]] + list(self.labels[2:])
-            return ",".join(map(str, arm)) + f"/{self.labels[1]}"
-        if fam == "D":
-            arm = list(self.labels[: n - 2])
-            return ",".join(map(str, arm)) + f"/{self.labels[n - 2]},{self.labels[n - 1]}"
-        return ",".join(map(str, self.labels))
+        arm, kind, rest = self._split()
+        text = ",".join(map(str, arm))
+        return f"{text}/{','.join(map(str, rest))}" if kind else text
 
     def pretty(self) -> str:
-        fam, n = self.algebra.family, self.algebra.rank
-        if fam == "E":
-            arm = [self.labels[0]] + list(self.labels[2:])
-            return " ".join(map(str, arm)) + f" / branch {self.labels[1]}"
-        if fam == "D":
-            arm = self.labels[: n - 2]
-            return " ".join(map(str, arm)) + f" / fork {self.labels[n-2]} {self.labels[n-1]}"
-        return " ".join(map(str, self.labels))
+        arm, kind, rest = self._split()
+        text = " ".join(map(str, arm))
+        return f"{text} / {kind} {' '.join(map(str, rest))}" if kind else text
 
 
 def grading_dims(wd: WeightedDiagram) -> dict[int, int]:

@@ -2,11 +2,13 @@
 
 The export mirrors the record structure field by field; ``registry_from_json``
 rebuilds equal SeriesRecord objects, which the round-trip test relies on.
-Two fields keep the v0 schema rather than the objects' own shape: a dimension
-formula is written as its integer [slope, intercept] pair, and a character
-formula as the lists num, den, num_plus, den_plus ([exponent, multiplicity]
-pairs) and literal_den, derived from its body's factors in order and rebuilt
-with ``pexpr``, which assembles the factors in that same order.
+Three fields keep the v0 schema rather than the objects' own shape: a
+dimension formula is written as its integer [slope, intercept] pair; a
+character formula as the lists num, den, num_plus, den_plus ([exponent,
+multiplicity] pairs) and literal_den, derived from its body's factors in order
+and rebuilt with ``pexpr``, which assembles the factors in that same order;
+and a member's datum as the keys pair, partition and sl_pair, the one that
+matches the datum's type set and the others null.
 """
 
 from __future__ import annotations
@@ -86,40 +88,39 @@ def _partition_from_json(v) -> Partition | None:
     return None if v is None else Partition(tuple(v))
 
 
-def _pair_to_json(pp: PartitionPair | None):
-    if pp is None:
-        return None
-    return {"alpha": list(pp.alpha.parts), "beta": list(pp.beta.parts)}
+def _datum_to_json(datum) -> dict:
+    """The v0 keys pair, partition and sl_pair; the datum's type picks its key."""
+    keys = {"pair": None, "partition": None, "sl_pair": None}
+    if isinstance(datum, PartitionPair):
+        keys["pair"] = {"alpha": list(datum.alpha.parts), "beta": list(datum.beta.parts)}
+    elif isinstance(datum, Partition):
+        keys["partition"] = list(datum.parts)
+    elif datum is not None:
+        keys["sl_pair"] = [list(p.parts) for p in datum]
+    return keys
 
 
-def _pair_from_json(v) -> PartitionPair | None:
-    if v is None:
-        return None
-    return PartitionPair(Partition(tuple(v["alpha"])), Partition(tuple(v["beta"])))
+def _datum_from_json(d):
+    if d["pair"] is not None:
+        return PartitionPair(Partition(d["pair"]["alpha"]), Partition(d["pair"]["beta"]))
+    if d["partition"] is not None:
+        return Partition(d["partition"])
+    if d["sl_pair"] is not None:
+        return tuple(Partition(p) for p in d["sl_pair"])
+    return None
 
 
 def member_to_json(m: db.Member) -> dict:
     return {"a": m.a, "ambient": m.ambient.name, "carter": m.carter,
             "h": m.h.name,
             "family": None if m.family is None else [m.family.kind, m.family.n],
-            "pair": _pair_to_json(m.pair),
-            "partition": _partition_to_json(m.partition),
-            "sl_pair": None if m.sl_pair is None else
-            [list(m.sl_pair[0].parts), list(m.sl_pair[1].parts)]}
+            **_datum_to_json(m.datum)}
 
 
 def member_from_json(d) -> db.Member:
-    amb = db.reductive(d["ambient"])
-    amb = db.ReductiveSpec(amb.factors, amb.torus_rank, d["ambient"])
     fam = None if d["family"] is None else Family(d["family"][0], d["family"][1])
-    sl_pair = None
-    if d["sl_pair"] is not None:
-        sl_pair = (Partition(tuple(d["sl_pair"][0])),
-                   Partition(tuple(d["sl_pair"][1])))
-    return db.Member(d["a"], amb, d["carter"], db.reductive(d["h"]), family=fam,
-                     pair=_pair_from_json(d["pair"]),
-                     partition=_partition_from_json(d["partition"]),
-                     sl_pair=sl_pair)
+    return db.Member(d["a"], db.reductive(d["ambient"]), d["carter"],
+                     db.reductive(d["h"]), fam, _datum_from_json(d))
 
 
 def _entries_from_json(v) -> tuple:

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from .exactpoly import L, LinExp, ProductExpr, QLaurent, pexpr
 from .partitions import EMPTY, Family, Partition, PartitionPair, pair_to_partition
-from .rootsystems import AlgebraType, algebra
+from .rootsystems import AlgebraType, WeightedDiagram, algebra, series_weight_to_diagram
 
 __all__ = [
     "ReductiveSpec", "Member", "CharacterFormula", "NamedDegree", "SeriesRecord",
@@ -105,26 +105,24 @@ EXCEPTIONAL_AMBIENTS = {1: "f4", 2: "e6", 4: "e7", 8: "e8"}
 
 @dataclass(frozen=True)
 class Member:
-    """One algebra in a series: ambient, orbit label and stabilizer data."""
+    """One algebra in a series: ambient, orbit label and stabilizer data.
+
+    ``datum`` is the classical parametrization as the tables print it: a
+    Partition, a PartitionPair (alpha|beta), or a pair of partitions for 2sl.
+    """
 
     a: int
     ambient: ReductiveSpec
     carter: str
     h: ReductiveSpec
     family: Family | None = None
-    pair: PartitionPair | None = None
-    partition: Partition | None = None
-    sl_pair: tuple[Partition, Partition] | None = None
+    datum: Partition | PartitionPair | tuple[Partition, Partition] | None = None
 
     def orbit_datum(self):
-        """Classical parametrization resolved to the family's datum, if any."""
-        if self.family is None:
-            return None
-        if self.family.kind == "2sl":
-            return self.sl_pair
-        if self.pair is not None:
-            return pair_to_partition(self.pair, self.family.n)
-        return self.partition
+        """The datum in the family's form: a pair resolves to its partition."""
+        if isinstance(self.datum, PartitionPair):
+            return pair_to_partition(self.datum, self.family.n)
+        return self.datum
 
 
 @dataclass(frozen=True)
@@ -183,6 +181,19 @@ class SeriesRecord:
                 return m
         raise UnknownSeriesError(f"{self.label} has no member at a={a}")
 
+    @property
+    def point_count(self) -> ProductExpr | None:
+        """The master count over Y (f4 row), the explicit count (e6 row), else None."""
+        if self.pointcount_Y is not None:
+            return MASTER_POINTCOUNT / self.pointcount_Y
+        return self.pointcount
+
+    def diagram(self, alg: str) -> WeightedDiagram:
+        """Weighted Dynkin diagram of the member in ``alg``, from the weight exponents."""
+        if self.exponents is None:
+            raise UnknownSeriesError(f"series {self.label} has no weight-table diagram")
+        return series_weight_to_diagram(*self.exponents, alg)
+
 
 def _pt(s: str) -> Partition:
     """Partition from a digit string such as '3221' (single-digit parts)."""
@@ -193,18 +204,13 @@ def _pp(alpha: str, beta: str) -> PartitionPair:
     return PartitionPair(_pt(alpha) if alpha else EMPTY, _pt(beta) if beta else EMPTY)
 
 
-def _exc_member(a: int, carter: str, h: str, ambient: str | None = None) -> Member:
-    name = ambient or EXCEPTIONAL_AMBIENTS[a]
-    return Member(a, ReductiveSpec((algebra(name),), 0, name), carter, reductive(h))
+def _members(table: dict, rows) -> tuple[Member, ...]:
+    """Members from (a, carter, h, datum) rows; ``table`` maps a to (ambient, family)."""
+    return tuple(Member(a, reductive(table[a][0]), carter, reductive(h), table[a][1], datum)
+                 for a, carter, h, datum in rows)
 
 
-def _cls_member(a: int, ambient: str, carter: str, h: str, *, family: Family,
-                pair: PartitionPair | None = None, partition: Partition | None = None,
-                sl_pair=None) -> Member:
-    amb = reductive(ambient)
-    return Member(a, ReductiveSpec(amb.factors, amb.torus_rank, ambient), carter,
-                  reductive(h), family=family, pair=pair, partition=partition,
-                  sl_pair=sl_pair)
+_EXCEPTIONAL = {a: (name, None) for a, name in EXCEPTIONAL_AMBIENTS.items()}
 
 
 def _grading(claims: dict) -> tuple[tuple[int, LinExp], ...]:
@@ -227,8 +233,7 @@ def _f4_series():
     def add(label, pqrs, dim, rad, carter, h_list, *, so8=None, so8_h=None,
             fg="trivial", folding=False, grading=None, gpos=None, Y=None,
             chars=(), notes=()):
-        members = tuple(_exc_member(a, c, h) for a, c, h in
-                        zip((1, 2, 4, 8), carter, h_list))
+        members = _members(_EXCEPTIONAL, zip((1, 2, 4, 8), carter, h_list, (None,) * 4))
         recs.append(SeriesRecord(
             row="f4", label=label, exponents=pqrs, dim=L(dim), rad=L(rad),
             members=members, so8_partition=_pt(so8) if so8 else None,
@@ -410,8 +415,7 @@ def _e6_series():
 
     def add(label, pqrs, dim, rad, carter, h_list, *, pc, chars, named,
             notes=()):
-        members = tuple(_exc_member(a, carter, h)
-                        for a, h in zip((2, 4, 8), h_list))
+        members = _members(_EXCEPTIONAL, zip((2, 4, 8), (carter,) * 3, h_list, (None,) * 3))
         recs.append(SeriesRecord(
             row="e6", label=label, exponents=pqrs, dim=L(dim), rad=L(rad),
             members=members, fundamental_group="mixed",
@@ -578,144 +582,118 @@ def _e6_series():
 # -- the subexceptional, Severi and sub-Severi rows ---------------------------
 
 
-def _sub_members(spec):
-    """Members over [sp6, sl6, so12, e7] from (carter, h, datum) triples."""
-    out = []
-    table = {1: ("sp6", Family("sp", 6)), 2: ("sl6", Family("sl", 6)),
-             4: ("so12", Family("so", 12)), 8: ("e7", None)}
-    for a, carter, h, datum in spec:
-        ambient, fam = table[a]
-        if fam is None:
-            out.append(_exc_member(8, carter, h, ambient="e7"))
-        elif isinstance(datum, PartitionPair):
-            out.append(_cls_member(a, ambient, carter, h, family=fam, pair=datum))
-        else:
-            out.append(_cls_member(a, ambient, carter, h, family=fam, partition=datum))
-    return tuple(out)
+# ambient algebra and classical family of each member, row by row
+_ROW_TABLES = {
+    "subexceptional": {1: ("sp6", Family("sp", 6)), 2: ("sl6", Family("sl", 6)),
+                       4: ("so12", Family("so", 12)), 8: ("e7", None)},
+    "severi": {1: ("sl3", Family("sl", 3)), 2: ("2sl3", Family("2sl", 3)),
+               4: ("sl6", Family("sl", 6)), 8: ("e6", None)},
+    "subseveri": {1: ("sl2", Family("sl", 2)), 2: ("sl3", Family("sl", 3)),
+                  4: ("sp6", Family("sp", 6)), 8: ("f4", None)},
+}
 
 
 def _other_rows():
     recs = []
 
-    def add(row, label, dim, rad, members, *, exponents=None, notes=()):
+    def add(row, label, dim, rad, members, *, notes=()):
         recs.append(SeriesRecord(row=row, label=label, dim=L(dim), rad=L(rad),
-                                 members=members,
-                                 exponents=exponents, notes=tuple(notes)))
+                                 members=_members(_ROW_TABLES[row], members),
+                                 notes=tuple(notes)))
 
     tor = "subexceptional torus factors restored: the printed tables quote "\
           "only the semisimple type, and the radical identity plus the "\
           "centralizer oracle fix the full reductive centralizer"
 
-    add("subexceptional", "g", "4a+2", "4a+1", _sub_members([
+    add("subexceptional", "g", "4a+2", "4a+1", [
         (1, "(11|1)", "so5", _pp("11", "1")),
         (2, "(21111)", "gl4", _pt("21111")),
         (4, "(21111|-)", "sl2+so8", _pp("21111", "")),
-        (8, "A1", "so12", None)]),
+        (8, "A1", "so12", None)],
         notes=["printed h for the sl6 member is sl4(so6); the centralizer is "
                "gl4 and the identity needs the torus", tor])
 
-    add("subexceptional", "gQ", "6a+4", "5a+2", _sub_members([
+    add("subexceptional", "gQ", "6a+4", "5a+2", [
         (1, "(21|-)", "gl2", _pp("21", "")),
         (2, "(2211)", "2sl2+T1", _pt("2211")),
         (4, "(2211|-)", "so5+2sl2", _pp("2211", "")),
-        (8, "2A1", "sl2+so9", None)]),
+        (8, "2A1", "sl2+so9", None)],
         notes=["printed h for the so12 member is sl2+so5; the centralizer of "
                "the (2,2,2,2,1,1,1,1) nilpotent is sp4+so4 = so5+2sl2 and the "
                "radical identity requires dimension 16", tor])
 
-    add("subexceptional", "gAP2", "6a+6", "3a+3", _sub_members([
+    add("subexceptional", "gAP2", "6a+6", "3a+3", [
         (1, "(2|1)", "sl2", _pp("2", "1")),
         (2, "(222)", "sl3", _pt("222")),
         (4, "(222|-)", "sp6", _pp("222", "")),
-        (8, "3A1''", "f4", None)]))
+        (8, "3A1''", "f4", None)])
 
-    add("subexceptional", "gQ^2", "10a+4", "4a", _sub_members([
+    add("subexceptional", "gQ^2", "10a+4", "4a", [
         (1, "(3|-)", "sl2", _pp("3", "")),
         (2, "(33)", "sl2", _pt("33")),
         (4, "(33|-)", "2sl2", _pp("33", "")),
-        (8, "2A2", "sl2+g2", None)]))
+        (8, "2A2", "sl2+g2", None)])
 
-    add("subexceptional", "gAP2^2.gQ", "10a+4", "3a+1", _sub_members([
+    add("subexceptional", "gAP2^2.gQ", "10a+4", "3a+1", [
         (1, "(1|2)", "sl2", _pp("1", "2")),
         (2, "(411)", "gl2", _pt("411")),
         (4, "(411|-)", "3sl2", _pp("411", "")),
-        (8, "A3", "sl2+so7", None)]))
+        (8, "A3", "sl2+so7", None)])
 
-    add("subexceptional", "gAP2.g", "10a+6", "3a+2", _sub_members([
+    add("subexceptional", "gAP2.g", "10a+6", "3a+2", [
         (1, "(-|21)", "0", _pp("", "21")),
         (2, "(42)", "T1", _pt("42")),
         (4, "(42|-)", "2sl2", _pp("42", "")),
-        (8, "A3+A1''", "so7", None)]))
+        (8, "A3+A1''", "so7", None)])
 
-    add("subexceptional", "g^2.gAP2^2.gQ^2", "12a+6", "2a+1", _sub_members([
+    add("subexceptional", "g^2.gAP2^2.gQ^2", "12a+6", "2a+1", [
         (1, "(-|3)", "0", _pp("", "3")),
         (2, "(6)", "0", _pt("6")),
         (4, "(6|-)", "sl2", _pp("6", "")),
-        (8, "A5", "g2", None)]))
+        (8, "A5", "g2", None)])
 
-    add("subexceptional", "g^2.gQ^2", "12a+4", "3a", _sub_members([
+    add("subexceptional", "g^2.gQ^2", "12a+4", "3a", [
         (2, "(51)", "T1", _pt("51")),
         (4, "(51|-)", "T2", _pp("51", "")),
-        (8, "A4", "gl3", None)]),
+        (8, "A4", "gl3", None)],
         notes=["printed h column reads 0, 0, sl3; the centralizers are the "
                "tori S(gl1 x gl1), so2 x so2 and gl3, as the identity requires", tor])
 
-    add("subexceptional", "g.gQ", "9a+4", "5a+1", _sub_members([
+    add("subexceptional", "g.gQ", "9a+4", "5a+1", [
         (2, "(321)", "T2", _pt("321")),
         (4, "(321|-)", "sl2+T2", _pp("321", "")),
-        (8, "A2+A1", "gl4", None)]),
+        (8, "A2+A1", "gl4", None)],
         notes=[tor])
 
-    add("subexceptional", "g^2", "8a+2", "4a", _sub_members([
+    add("subexceptional", "g^2", "8a+2", "4a", [
         (2, "(3111)", "gl3", _pt("3111")),
         (4, "(3111|-)", "co6", _pp("3111", "")),
-        (8, "A2", "sl6", None)]),
+        (8, "A2", "sl6", None)],
         notes=["printed radical dimension 5a+1 duplicates the line above; "
                "the stabilizer bookkeeping gives 4a for all three members", tor])
-
-    # Severi row: ambient algebras sl3, 2sl3, sl6, e6
-    def sev_members(spec):
-        table = {1: ("sl3", Family("sl", 3)), 2: ("2sl3", Family("2sl", 3)),
-                 4: ("sl6", Family("sl", 6)), 8: ("e6", None)}
-        out = []
-        for a, carter, h, datum in spec:
-            ambient, fam = table[a]
-            if fam is None:
-                out.append(_exc_member(8, carter, h, ambient="e6"))
-            elif fam.kind == "2sl":
-                out.append(_cls_member(a, ambient, carter, h, family=fam,
-                                       sl_pair=datum))
-            else:
-                out.append(_cls_member(a, ambient, carter, h, family=fam,
-                                       partition=datum))
-        return tuple(out)
 
     swap = "printed Carter labels and stabilizers of the two Severi series "\
            "are exchanged: the dimension formulas force 2A1 (dim 32) on the "\
            "V line and 2A2 (dim 48) on the VV* line, and the stabilizers "\
            "follow the centralizer oracle"
 
-    add("severi", "V", "4a", "3a", sev_members([
+    add("severi", "V", "4a", "3a", [
         (1, "(21)", "T1", _pt("21")),
         (2, "((21),(21))", "T2", (_pt("21"), _pt("21"))),
         (4, "(2211)", "2sl2+T1", _pt("2211")),
-        (8, "2A1", "co7", None)]), notes=[swap])
+        (8, "2A1", "co7", None)], notes=[swap])
 
-    add("severi", "gQ=VV*", "6a", "2a", sev_members([
+    add("severi", "gQ=VV*", "6a", "2a", [
         (1, "(3)", "0", _pt("3")),
         (2, "((3),(3))", "0", (_pt("3"), _pt("3"))),
         (4, "(33)", "sl2", _pt("33")),
-        (8, "2A2", "g2", None)]), notes=[swap])
+        (8, "2A2", "g2", None)], notes=[swap])
 
-    # sub-Severi row: sl2, sl3, sp6, f4
-    add("subseveri", "gQ=W", "4a-2", "a", (
-        _cls_member(1, "sl2", "(2)", "0", family=Family("sl", 2),
-                    partition=_pt("2")),
-        _cls_member(2, "sl3", "(3)", "0", family=Family("sl", 3),
-                    partition=_pt("3")),
-        _cls_member(4, "sp6", "(3|-)", "sl2", family=Family("sp", 6),
-                    pair=_pp("3", "")),
-        _exc_member(8, "A~2", "g2", ambient="f4")))
+    add("subseveri", "gQ=W", "4a-2", "a", [
+        (1, "(2)", "0", _pt("2")),
+        (2, "(3)", "0", _pt("3")),
+        (4, "(3|-)", "sl2", _pp("3", "")),
+        (8, "A~2", "g2", None)])
 
     return recs
 

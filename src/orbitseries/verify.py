@@ -20,7 +20,7 @@ from . import partitions as pt
 from . import rootsystems as rsys
 from . import seriesdb as db
 from .exactpoly import (LinExp, ProductExpr, QLaurent, ZeroExponentError,
-                        pexpr, reduce_pair)
+                        exact_div, pexpr, reduce_pair)
 
 PASS = "pass"
 FAIL = "fail"
@@ -29,6 +29,14 @@ RECORDED = "discrepancy-recorded"
 # Constant point-count ratios compatible with the component groups that occur.
 ALLOWED_RATIOS = {Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3),
                   Fraction(1, 3), Fraction(6), Fraction(1, 6)}
+
+# The series parameter values; a = 1 entries are recorded, never asserted.
+A_VALUES = (1, 2, 4, 8)
+
+# Sweep bounds of the magic-square checks: orthogonal partitions up to so_10,
+# and the (3,1,...,1) closed form up to so_12.
+MAGIC_MAX_N = 10
+EXAMPLE2_MAX_N = 12
 
 
 @dataclass(frozen=True)
@@ -60,8 +68,7 @@ def _order_int(spec: db.ReductiveSpec, q: int) -> int:
 
 
 def _diagram_for(rec: db.SeriesRecord, a: int) -> rsys.WeightedDiagram:
-    p, q_, r, s = rec.exponents
-    return rsys.series_weight_to_diagram(p, q_, r, s, db.EXCEPTIONAL_AMBIENTS[a])
+    return rec.diagram(db.EXCEPTIONAL_AMBIENTS[a])
 
 
 # -- dimensions ---------------------------------------------------------------
@@ -179,10 +186,10 @@ def _affine_through(points: list[tuple[int, int]]) -> LinExp | None:
     return line if all(line(a) == v for a, v in points) else None
 
 
-def check_gradings(rows: Sequence[str] = ("f4", "e6")) -> list[CheckResult]:
+def check_gradings() -> list[CheckResult]:
     out: list[CheckResult] = []
     for rec in db.all_series():
-        if rec.row not in rows or rec.exponents is None:
+        if rec.exponents is None:
             continue
         tag = f"{rec.row}:{rec.label}"
         a_values = [m.a for m in rec.members if m.family is None]
@@ -239,12 +246,15 @@ def _constant_ratio(expr: ProductExpr, a) -> Fraction | None:
     return None
 
 
-def check_pointcounts(a_values: Sequence[int] = (1, 2, 4, 8)) -> list[CheckResult]:
+def check_pointcounts(a_values: Sequence[int] = A_VALUES) -> list[CheckResult]:
     out: list[CheckResult] = []
-    for rec in db.series_by_row("f4"):
-        z = db.MASTER_POINTCOUNT / rec.pointcount_Y
-        for a in a_values:
-            tag = f"f4:{rec.label} a={a}"
+    for rec in db.series_by_row("f4") + db.series_by_row("e6"):
+        z = rec.point_count
+        for m in rec.members:
+            a = m.a
+            if a not in a_values:
+                continue
+            tag = f"{rec.row}:{rec.label} a={a}"
             deg = z.degree_in_q(a)
             out.append(_res("pointcounts", f"{tag} degree", deg == rec.dim(a),
                             deg, rec.dim(a)))
@@ -256,35 +266,22 @@ def check_pointcounts(a_values: Sequence[int] = (1, 2, 4, 8)) -> list[CheckResul
                                 "not asserted at a=1",
                                 "printed counts hold verbatim only for a >= 2"))
                 continue
-            out.append(_res("pointcounts", f"{tag} polynomial", poly,
-                            poly, True))
-            ratio = _constant_ratio(z / _expected_quotient(rec, rec.member(a)), a)
-            if rec.fundamental_group == "trivial":
-                ok = ratio == 1
-            else:
-                ok = ratio in ALLOWED_RATIOS
-            out.append(_res("pointcounts", f"{tag} group-order quotient",
-                            ok, f"ratio {ratio}", "1" if
-                            rec.fundamental_group == "trivial" else
-                            "allowed constant",
-                            f"fundamental group {rec.fundamental_group}"))
-    for rec in db.series_by_row("e6"):
-        for m in rec.members:
-            a = m.a
-            tag = f"e6:{rec.label} a={a}"
-            deg = rec.pointcount.degree_in_q(a)
-            out.append(_res("pointcounts", f"{tag} degree", deg == rec.dim(a),
-                            deg, rec.dim(a)))
-            num, den = rec.pointcount.reduced(a)
-            poly = den == QLaurent.one() and num.is_q_polynomial()
             out.append(_res("pointcounts", f"{tag} polynomial", poly, poly, True))
-            vals = [num.eval_at(q) for q in (2, 3, 5)] if poly else []
-            ok = poly and all(v.denominator == 1 and v > 0 for v in vals)
-            out.append(_res("pointcounts", f"{tag} integral at q=2,3,5", ok,
-                            [str(v) for v in vals], "positive integers"))
-            ratio = _constant_ratio(rec.pointcount / _expected_quotient(rec, m), a)
+            ratio = _constant_ratio(z / _expected_quotient(rec, m), a)
+            if rec.row == "e6":
+                # the explicit counts: integral values, quotient exactly 1
+                vals = [num.eval_at(q) for q in (2, 3, 5)] if poly else []
+                ok = poly and all(v.denominator == 1 and v > 0 for v in vals)
+                out.append(_res("pointcounts", f"{tag} integral at q=2,3,5", ok,
+                                [str(v) for v in vals], "positive integers"))
+                out.append(_res("pointcounts", f"{tag} group-order quotient",
+                                ratio == 1, f"ratio {ratio}", "1"))
+                continue
+            trivial = rec.fundamental_group == "trivial"
             out.append(_res("pointcounts", f"{tag} group-order quotient",
-                            ratio == 1, f"ratio {ratio}", "1"))
+                            ratio == 1 if trivial else ratio in ALLOWED_RATIOS,
+                            f"ratio {ratio}", "1" if trivial else "allowed constant",
+                            f"fundamental group {rec.fundamental_group}"))
     return out
 
 
@@ -301,7 +298,7 @@ def _char_expr(rec: db.SeriesRecord, formula: db.CharacterFormula,
     return formula.expr(rsys.algebra(name).num_positive_roots)
 
 
-def check_characters(a_values: Sequence[int] = (2, 4, 8)) -> list[CheckResult]:
+def check_characters(a_values: Sequence[int] = A_VALUES) -> list[CheckResult]:
     out: list[CheckResult] = []
     for rec in db.all_series():
         if not rec.characters:
@@ -402,12 +399,16 @@ def _pair_equality_checks(rec: db.SeriesRecord, a_values) -> list[CheckResult]:
     pairs = [f for f in rec.characters if f.doubled_at is not None]
     if not pairs:
         return out
-    # a single formula covers both characters of the pair; compare it to itself
     first, second = pairs[0], pairs[-1]
     a0 = pairs[0].doubled_at
     if a0 in a_values:
         e1 = _char_expr(rec, first, a0).reduce_to_polynomial(a0)
-        e2 = _char_expr(rec, second, a0).reduce_to_polynomial(a0)
+        if len(pairs) == 1:
+            # a single formula covers both characters of the pair: check its
+            # cyclotomic reduction against the division route
+            e2 = exact_div(*_char_expr(rec, second, a0).expand(a0))
+        else:
+            e2 = _char_expr(rec, second, a0).reduce_to_polynomial(a0)
         out.append(_res("characters",
                         f"e6:{rec.label} pair equality at first member (a={a0})",
                         e1 == e2, str(e1)[:50] + "...", str(e2)[:50] + "...",
@@ -454,7 +455,7 @@ _SIMPLE_TYPES = tuple(
      rsys.AlgebraType("E", 6), rsys.AlgebraType("E", 7), rsys.AlgebraType("E", 8)])
 
 
-def check_universal(max_n_magic: int = 10, max_n_example2: int = 12) -> list[CheckResult]:
+def check_universal() -> list[CheckResult]:
     out: list[CheckResult] = []
     for alg in _SIMPLE_TYPES:
         rs = rsys.build_root_system(alg)
@@ -499,7 +500,7 @@ def check_universal(max_n_magic: int = 10, max_n_example2: int = 12) -> list[Che
             out.append(_res("universal", f"sigma_(1) {name} rejected", True,
                             "AdjointNotFundamental", "AdjointNotFundamental"))
     out.extend(_extension_checks())
-    out.extend(_magic_square_checks(max_n_magic, max_n_example2))
+    out.extend(_magic_square_checks())
     return out
 
 
@@ -536,12 +537,12 @@ def _extension_checks() -> list[CheckResult]:
     return out
 
 
-def _magic_square_checks(max_n: int, max_n_ex2: int) -> list[CheckResult]:
+def _magic_square_checks() -> list[CheckResult]:
     out = []
     cells = [(a, b) for a in (1, 2, 4) for b in (1, 2, 4)]
     total = 0
     failures = []
-    for n in range(4, max_n + 1):
+    for n in range(4, MAGIC_MAX_N + 1):
         for p in pt.valid_partitions(pt.Family("so", n)):
             for cell in cells:
                 datum = pt.propagate_from_so(p, cell, n)
@@ -551,13 +552,13 @@ def _magic_square_checks(max_n: int, max_n_ex2: int) -> list[CheckResult]:
                 total += 1
                 if got != want:
                     failures.append((n, p.parts, cell, got, want))
-    out.append(_res("universal", f"magic square bilinear formula (n<={max_n})",
+    out.append(_res("universal", f"magic square bilinear formula (n<={MAGIC_MAX_N})",
                     not failures, f"{total} cases checked",
                     "propagated dims equal the closed form",
                     str(failures[:3]) if failures else ""))
     # path independence across the chart
     mism = []
-    for n in range(4, max_n + 1):
+    for n in range(4, MAGIC_MAX_N + 1):
         for p in pt.valid_partitions(pt.Family("so", n)):
             via_sp = pt.propagate(pt.propagate(p, (1, 1), (2, 1), n), (2, 1), (4, 1), n)
             via_sp2 = pt.propagate(pt.propagate(p, (1, 1), (1, 2), n), (1, 2), (1, 4), n)
@@ -571,7 +572,7 @@ def _magic_square_checks(max_n: int, max_n_ex2: int) -> list[CheckResult]:
                     "all chart paths agree", "agree", str(mism[:3])))
     # row restriction is affine in a for fixed b
     bad = []
-    for n in range(4, max_n + 1):
+    for n in range(4, MAGIC_MAX_N + 1):
         for p in pt.valid_partitions(pt.Family("so", n)):
             for b in (1, 2, 4):
                 points = [(a, pt.magic_dim_formula(p, a, b)) for a in (1, 2, 4)]
@@ -581,7 +582,7 @@ def _magic_square_checks(max_n: int, max_n_ex2: int) -> list[CheckResult]:
                     "fixed-b restrictions affine", "affine", str(bad[:3])))
     # example 2 closed form
     bad = []
-    for n in range(4, max_n_ex2 + 1):
+    for n in range(4, EXAMPLE2_MAX_N + 1):
         p = pt.Partition((3,) + (1,) * (n - 3))
         for a, b in cells:
             want = pt.example2_formula(n, a, b)
@@ -590,7 +591,7 @@ def _magic_square_checks(max_n: int, max_n_ex2: int) -> list[CheckResult]:
                                           pt.magic_family(a, b, n))
             if not (got == want == prop):
                 bad.append((n, a, b, got, want, prop))
-    out.append(_res("universal", f"magic square example (3,1,...,1) n<={max_n_ex2}",
+    out.append(_res("universal", f"magic square example (3,1,...,1) n<={EXAMPLE2_MAX_N}",
                     not bad, "2(ab(n-2)+a+b-2)", "propagated dims", str(bad[:3])))
     # example 1: printed regular-orbit form, recorded
     for n in (7, 8):
@@ -627,8 +628,7 @@ def check_errata() -> list[CheckResult]:
 class VerifyConfig:
     suites: tuple[str, ...] = ("dims", "gradings", "pointcounts", "characters",
                                "universal", "errata")
-    pointcount_a: tuple[int, ...] = (1, 2, 4, 8)
-    character_a: tuple[int, ...] = (2, 4, 8)
+    a_values: tuple[int, ...] = A_VALUES
 
 
 @dataclass(frozen=True)
@@ -674,9 +674,9 @@ def run_all(config: VerifyConfig = VerifyConfig()) -> VerificationReport:
     if "gradings" in config.suites:
         results.extend(check_gradings())
     if "pointcounts" in config.suites:
-        results.extend(check_pointcounts(config.pointcount_a))
+        results.extend(check_pointcounts(config.a_values))
     if "characters" in config.suites:
-        results.extend(check_characters(config.character_a))
+        results.extend(check_characters(config.a_values))
     if "universal" in config.suites:
         results.extend(check_universal())
     if "errata" in config.suites:

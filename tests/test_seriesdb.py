@@ -5,7 +5,8 @@ import pytest
 
 from orbitseries import serialize
 from orbitseries.exactpoly import LinExp, Literal, ProductExpr, QLaurent, pexpr
-from orbitseries.partitions import Family, orbit_dim_classical
+from orbitseries.partitions import Family, Partition, PartitionPair, orbit_dim_classical
+from orbitseries.rootsystems import series_weight_to_diagram
 from orbitseries.seriesdb import (MASTER_POINTCOUNT, CharacterFormula, L,
                                   UnknownSeriesError, all_series, group_order,
                                   hasse_edges, lookup, reductive, rows,
@@ -143,6 +144,41 @@ class TestRegistryShape:
         num1, den1 = z.reduced(1)
         assert not (num1.is_q_polynomial() and den1 == QLaurent.one())
         assert num1.degree_in_q() - den1.degree_in_q() == 16
+
+
+class TestRecordOwnsItsDerivedData:
+    def test_point_count(self):
+        for rec in all_series():
+            if rec.pointcount_Y is not None:
+                assert rec.point_count == MASTER_POINTCOUNT / rec.pointcount_Y
+            else:
+                assert rec.point_count == rec.pointcount
+            assert (rec.point_count is not None) == (rec.row in ("f4", "e6")), rec.label
+
+    def test_diagram(self):
+        for rec in all_series():
+            for alg in ("f4", "e6", "e7", "e8"):
+                if rec.exponents is None:
+                    with pytest.raises(UnknownSeriesError):
+                        rec.diagram(alg)
+                else:
+                    assert rec.diagram(alg) == series_weight_to_diagram(*rec.exponents, alg)
+
+    def test_member_datum_matches_its_family(self):
+        for rec in all_series():
+            for m in rec.members:
+                kind = None if m.family is None else m.family.kind
+                if kind is None:
+                    assert m.datum is None
+                elif kind == "2sl":
+                    assert len(m.datum) == 2
+                    assert all(isinstance(p, Partition) for p in m.datum)
+                else:
+                    assert isinstance(m.datum, (Partition, PartitionPair))
+                keys = serialize.member_to_json(m)
+                assert sum(keys[k] is not None for k in ("pair", "partition", "sl_pair")) \
+                    == (m.datum is not None)
+                assert serialize.member_from_json(keys) == m
 
 
 class TestInternalConsistency:

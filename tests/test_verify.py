@@ -1,6 +1,11 @@
 import hashlib
+import re
+
+import pytest
 
 from orbitseries import verify
+from orbitseries.exactpoly import ProductExpr
+from orbitseries.seriesdb import lookup
 from orbitseries.verify import (FAIL, PASS, RECORDED, VerifyConfig, check_dims,
                                 check_gradings, check_pointcounts,
                                 check_characters, check_universal, run_all)
@@ -99,3 +104,42 @@ class TestReport:
         from orbitseries.verify import CheckResult, VerificationReport
         rep = VerificationReport((CheckResult("x", "s", FAIL, "1", "2"),))
         assert rep.exit_code == 1
+
+
+class TestARange:
+    @pytest.mark.parametrize("a", [1, 2, 4, 8])
+    def test_asserted_checks_name_only_the_chosen_a(self, a):
+        report = run_all(VerifyConfig(("pointcounts", "characters"), (a,)))
+        asserted = [r for r in report.results if r.status != RECORDED]
+        assert asserted and report.counts[FAIL] == 0
+        named = {r.subject: set(re.findall(r"a=(\d+)", r.subject)) for r in asserted}
+        assert {s: n for s, n in named.items() if n != {str(a)}} == {}
+
+    def test_a1_asserts_only_the_f4_degrees(self):
+        report = run_all(VerifyConfig(("pointcounts", "characters"), (1,)))
+        assert report.counts == {PASS: 15, FAIL: 0, RECORDED: 38}
+        asserted = [r.subject for r in report.results if r.status == PASS]
+        assert all(s.startswith("f4:") and s.endswith("a=1 degree") for s in asserted)
+
+
+@pytest.mark.parametrize("route", ["expand", "reduce_to_polynomial"])
+def test_single_formula_pair_compares_two_routes(monkeypatch, route):
+    """e6:g.g3.gQ has one paired formula; its pair equality check compares the
+    cyclotomic reduction with the division route, so corrupting either fails it."""
+    rec = lookup("e6", "g.g3.gQ")
+    assert [f.name for f in rec.characters if f.doubled_at is not None] == ["pair"]
+
+    def pair_equality():
+        [res] = [r for r in verify._pair_equality_checks(rec, (2,))
+                 if "pair equality" in r.subject]
+        return res
+
+    assert pair_equality().status == PASS
+    original = getattr(ProductExpr, route)
+
+    def corrupted(self, a):
+        value = original(self, a)
+        return (value[0] * 2, value[1]) if route == "expand" else value * 2
+
+    monkeypatch.setattr(ProductExpr, route, corrupted)
+    assert pair_equality().status == FAIL
