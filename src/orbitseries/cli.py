@@ -218,7 +218,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (db.UnknownSeriesError, rsys.UnsupportedRankError, ValueError,
-            ArithmeticError) as e:
+            ArithmeticError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
 

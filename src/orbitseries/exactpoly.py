@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -332,41 +332,41 @@ def exact_div(n: QLaurent, d: QLaurent) -> QLaurent:
     if n.is_zero():
         return QLaurent.zero()
     # Shift both to honest polynomials in t; Laurent units are monomials.
-    shift = n.t_low_degree() - d.t_low_degree()
-    num = n.shift_t(-n.t_low_degree())
-    den = d.shift_t(-d.t_low_degree())
-    quo, rem = _poly_divmod(num, den)
-    if not rem.is_zero():
-        raise NotDivisibleError(rem)
-    return quo.shift_t(shift)
+    # Dividing by the monic rescaling of d leaves the same remainder.
+    den = _dense(d)
+    lead = den[-1]
+    quo, rem = _divmod_monic(_dense(n), [c / lead for c in den])
+    if any(rem):
+        raise NotDivisibleError(_laurent(rem))
+    return _laurent([c / lead for c in quo], n.t_low_degree() - d.t_low_degree())
 
 
-def _poly_divmod(num: QLaurent, den: QLaurent) -> tuple[QLaurent, QLaurent]:
-    # Ordinary long division in Q[t]; num and den have nonnegative t-powers.
-    q: dict[int, Fraction] = {}
-    rem = num
-    dd = den.t_degree()
-    dlead = den.leading_coeff()
-    while not rem.is_zero() and rem.t_degree() >= dd:
-        p = rem.t_degree() - dd
-        c = rem.leading_coeff() / dlead
-        q[p] = c
-        rem = rem - den.shift_t(p) * c
-    return QLaurent(q), rem
+def _dense(p: QLaurent) -> list[Fraction]:
+    """Coefficients of p / t^(lowest power), constant term first; [] for zero."""
+    if p.is_zero():
+        return []
+    low = p.t_low_degree()
+    out = [Fraction(0)] * (p.t_degree() - low + 1)
+    for e, c in p._coeffs.items():
+        out[e - low] = c
+    return out
+
+
+def _laurent(coeffs: Iterable[Rat], shift: int = 0) -> QLaurent:
+    """The inverse of ``_dense``: sum of coeffs[i] t^(i + shift)."""
+    return QLaurent({i + shift: c for i, c in enumerate(coeffs) if c})
 
 
 def poly_gcd(x: QLaurent, y: QLaurent) -> QLaurent:
     """Monic gcd in Q[t], with Laurent inputs normalized by unit monomials."""
-    a = x.shift_t(-x.t_low_degree()) if not x.is_zero() else x
-    b = y.shift_t(-y.t_low_degree()) if not y.is_zero() else y
-    while not b.is_zero():
-        _, r = _poly_divmod(a, b)
+    a, b = _dense(x), _dense(y)
+    while b:
+        b = [c / b[-1] for c in b]
+        _, r = _divmod_monic(a, b)
+        while r and not r[-1]:
+            r.pop()
         a, b = b, r
-        if not a.is_zero():
-            a = a * (1 / a.leading_coeff())
-    if a.is_zero():
-        return a
-    return a * (1 / a.leading_coeff())
+    return _laurent([c / a[-1] for c in a]) if a else QLaurent.zero()
 
 
 def reduce_pair(num: QLaurent, den: QLaurent) -> tuple[QLaurent, QLaurent]:
@@ -413,17 +413,18 @@ def _binomial_phis(n: int, plus: bool) -> tuple[int, ...]:
     return tuple(d for d in range(1, n + 1) if n % d == 0)
 
 
-def _divmod_monic(p: list, m: tuple[int, ...]) -> tuple[list, list]:
+def _divmod_monic(p: list, m: Sequence[Rat]) -> tuple[list, list]:
     """Long division of p by the monic m; coefficient lists, constant term first."""
     rem = list(p)
     n = len(m) - 1
+    terms = [(j, v) for j, v in enumerate(m) if v]
     quo = [0] * max(len(rem) - n, 0)
     for i in range(len(quo) - 1, -1, -1):
         c = rem[i + n]
         if c:
             quo[i] = c
-            for j in range(n + 1):
-                rem[i + j] -= c * m[j]
+            for j, v in terms:
+                rem[i + j] -= c * v
     return quo, rem[:n]
 
 
@@ -470,10 +471,7 @@ class PhiForm(NamedTuple):
 def _factor_cyclotomic(value: QLaurent) -> PhiForm:
     """Trial division by Phi_d for every d with phi(d) <= deg (such d satisfy
     d <= 2 deg^2); raises unless the nonzero value is c * t^k * prod Phi_d."""
-    low = value.t_low_degree()
-    rest = [Fraction(0)] * (value.t_degree() - low + 1)
-    for p, c in value.coeffs.items():
-        rest[p - low] = c
+    rest = _dense(value)
     constant = rest[-1]
     rest = [c / constant for c in rest]
     mults: dict[int, int] = {}
@@ -487,7 +485,7 @@ def _factor_cyclotomic(value: QLaurent) -> PhiForm:
             d += 1
     if len(rest) > 1:
         raise ValueError(f"{value} is not a product of cyclotomic polynomials in t")
-    return PhiForm(constant, low, tuple(sorted(mults.items())))
+    return PhiForm(constant, value.t_low_degree(), tuple(sorted(mults.items())))
 
 
 # -- product expressions -----------------------------------------------------

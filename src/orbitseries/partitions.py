@@ -7,6 +7,8 @@ generalized magic-square propagation maps move partitions between cells.
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -151,149 +153,89 @@ def orbit_dim_classical(datum, family: Family) -> int:
 # -- independent centralizer oracle ------------------------------------------
 
 
-def _jordan_block(d: int) -> list[list[Fraction]]:
-    m = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(d - 1):
-        m[i][i + 1] = Fraction(1)
-    return m
-
-
-def _block_diag(blocks: Sequence[list[list[Fraction]]]) -> list[list[Fraction]]:
-    n = sum(len(b) for b in blocks)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    off = 0
-    for b in blocks:
-        d = len(b)
-        for i in range(d):
-            for j in range(d):
-                out[off + i][off + j] = b[i][j]
-        off += d
-    return out
-
-
-def _single_block_with_form(d: int) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
-    # One Jordan block preserves the form B(e_i,e_j) = (-1)^i delta_{i+j,d+1},
-    # symmetric for odd d and alternating for even d.
-    x = _jordan_block(d)
-    s = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(1, d + 1):
-        s[i - 1][d - i] = Fraction((-1) ** i)
+def _nilpotent_and_form(p: Partition, kind: str):
+    """X of Jordan type p and, for so and sp, the form S that X preserves
+    (empty for sl), both as sparse integer maps {(row, column): entry}."""
+    x, s, off = {}, {}, 0
+    for d in sorted(set(p.parts), reverse=True):
+        m = p.multiplicity(d)
+        pairs, single = (0, m) if kind == "sl" else divmod(m, 2)
+        for _ in range(pairs):
+            # hyperbolic pair J + (-J^T) on V + V*; the natural pairing gives
+            # a symmetric (so) or alternating (sp) form
+            for i in range(d - 1):
+                x[off + i, off + i + 1] = 1
+                x[off + d + i + 1, off + d + i] = -1
+            for i in range(d):
+                s[off + i, off + d + i] = 1
+                s[off + d + i, off + i] = 1 if kind == "so" else -1
+            off += 2 * d
+        for _ in range(single):
+            # one Jordan block preserves B(e_i, e_j) = (-1)^i delta_{i+j,d+1},
+            # symmetric for odd d and alternating for even d
+            for i in range(d - 1):
+                x[off + i, off + i + 1] = 1
+            if kind != "sl":
+                for i in range(1, d + 1):
+                    s[off + i - 1, off + d - i] = (-1) ** i
+            off += d
     return x, s
 
 
-def _paired_blocks_with_form(d: int, symmetric: bool) -> tuple[list[list[Fraction]],
-                                                               list[list[Fraction]]]:
-    # Hyperbolic pair J + (-J^T) on V + V*; the natural pairing gives a
-    # symmetric or alternating form as requested.
-    x = [[Fraction(0)] * (2 * d) for _ in range(2 * d)]
-    for i in range(d - 1):
-        x[i][i + 1] = Fraction(1)
-        x[d + i + 1][d + i] = Fraction(-1)
-    s = [[Fraction(0)] * (2 * d) for _ in range(2 * d)]
-    eps = Fraction(1) if symmetric else Fraction(-1)
-    for i in range(d):
-        s[i][d + i] = Fraction(1)
-        s[d + i][i] = eps
-    return x, s
-
-
-def _nilpotent_in_form_algebra(p: Partition, symmetric: bool):
-    """A nilpotent of Jordan type p inside so(S) or sp(S), plus the form S."""
-    xs, ss = [], []
-    counts = {d: p.multiplicity(d) for d in set(p.parts)}
-    for d in sorted(counts, reverse=True):
-        m = counts[d]
-        single_ok = (d % 2 == 1) if symmetric else (d % 2 == 0)
-        while m >= 2:
-            xb, sb = _paired_blocks_with_form(d, symmetric)
-            xs.append(xb)
-            ss.append(sb)
-            m -= 2
-        if m == 1:
-            if not single_ok:
-                raise InvalidPartitionError(f"part {d} needs even multiplicity")
-            xb, sb = _single_block_with_form(d)
-            xs.append(xb)
-            ss.append(sb)
-    return _block_diag(xs), _block_diag(ss)
-
-
-def _nullity(rows: list[list[Fraction]], ncols: int) -> int:
-    """Exact rank computation by Gaussian elimination over Q."""
-    mat = [row[:] for row in rows if any(row)]
-    rank = 0
-    col = 0
-    nrows = len(mat)
-    while rank < nrows and col < ncols:
-        piv = next((r for r in range(rank, nrows) if mat[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(nrows):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-        col += 1
-    return ncols - rank
+def _rank(rows: Iterable[dict[int, int]]) -> int:
+    """Rank over Q of sparse integer rows {column: coefficient}, by the
+    incremental echelon form that centralizer_oracle describes."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        while any(row.values()):
+            content = math.gcd(*row.values())
+            row = {c: v // content for c, v in row.items() if v}
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            f, g = row[lead], pivot[lead]
+            row = {c: g * v for c, v in row.items()}
+            for c, v in pivot.items():
+                row[c] = row.get(c, 0) - f * v
+    return len(pivots)
 
 
 def centralizer_oracle(datum, family: Family) -> int:
     """Orbit dimension from the exact commutant linear system.
 
     Builds a nilpotent matrix X of the partition's Jordan type inside the
-    family's matrix Lie algebra and solves {Y in g : [X, Y] = 0} by rational
-    elimination; the orbit dimension is dim g minus that nullity.
+    family's matrix Lie algebra and solves {Y in g : [X, Y] = 0} by integer
+    elimination: each new sparse row is reduced against the pivot row with
+    the same leading column (g*row - f*pivot) and divided by the gcd of its
+    entries, the fraction-free method of Bareiss (*Math. Comp.* 22, 1968).
+    The orbit dimension is dim g minus the nullity.
     """
     family.validate(datum)
     if family.kind == "2sl":
         a, b = datum
         sl = Family("sl", family.n)
         return centralizer_oracle(a, sl) + centralizer_oracle(b, sl)
-    p: Partition = datum
     n = family.n
     if n > 12:
         raise InvalidPartitionError("oracle restricted to matrix size <= 12")
-    if family.kind == "sl":
-        x = _block_diag([_jordan_block(d) for d in p.parts])
-        s = None
-    else:
-        x, s = _nilpotent_in_form_algebra(p, symmetric=(family.kind == "so"))
-    # unknowns: the n*n entries of Y, flattened row-major
-    rows: list[list[Fraction]] = []
-
-    def add_equation(coeff_fn):
-        row = [Fraction(0)] * (n * n)
-        coeff_fn(row)
-        if any(row):
-            rows.append(row)
-
-    for i in range(n):
+    x, s = _nilpotent_and_form(datum, family.kind)
+    # unknowns: the n*n entries of Y, flattened row-major; one equation per
+    # entry of XY - YX and, for so and sp, of SY + Y^T S
+    eqs = defaultdict(lambda: defaultdict(int))
+    for (i, k), v in x.items():
         for j in range(n):
-            def commutator(row, i=i, j=j):
-                # (XY - YX)_{ij} = sum_k X_ik Y_kj - Y_ik X_kj
-                for k in range(n):
-                    row[k * n + j] += x[i][k]
-                    row[i * n + k] -= x[k][j]
-            add_equation(commutator)
-    if s is not None:
-        for i in range(n):
-            for j in range(n):
-                def isometry(row, i=i, j=j):
-                    # (S Y + Y^T S)_{ij} = sum_k S_ik Y_kj + Y_ki S_kj
-                    for k in range(n):
-                        row[k * n + j] += s[i][k]
-                        row[i + k * n] += s[k][j]
-                add_equation(isometry)
-    centralizer = _nullity(rows, n * n)
-    if family.kind == "sl":
-        # commutant inside gl_n; dropping to sl_n removes one torus direction
-        # from both g and the centralizer, so the orbit dimension is unchanged
-        return n * n - centralizer
-    return family.dim - centralizer
+            eqs["XY-YX", i, j][k * n + j] += v    # X_ik Y_kj
+            eqs["XY-YX", j, k][j * n + i] -= v    # Y_ji X_ik
+    for (i, k), v in s.items():
+        for j in range(n):
+            eqs["SY+YtS", i, j][k * n + j] += v   # S_ik Y_kj
+            eqs["SY+YtS", j, k][i * n + j] += v   # Y_ij S_ik
+    rank = _rank(eqs.values())
+    # sl: the commutant is taken in gl_n; dropping to sl_n removes one torus
+    # direction from both g and the centralizer, so the dimension is the rank
+    return rank if family.kind == "sl" else family.dim - (n * n - rank)
 
 
 # -- pairs of partitions (sp6 / so12 parametrization) -------------------------

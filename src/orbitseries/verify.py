@@ -325,11 +325,12 @@ def check_characters(a_values: Sequence[int] = A_VALUES) -> list[CheckResult]:
             total = halves[0] + halves[-1]   # single formula stands for both
             tag = f"{rec.row}:{rec.label} [pair sum] a={a}"
             out.extend(_degree_value_checks(tag, rec, a, total))
-        if rec.row == "f4":
+        if rec.row == "f4" and 1 in a_values:
             out.extend(_a1_character_records(rec))
         out.extend(_named_degree_checks(rec, a_values))
         out.extend(_pair_equality_checks(rec, a_values))
-    out.extend(_epsilon_pair_record())
+    if 8 in a_values:
+        out.extend(_epsilon_pair_record())
     return out
 
 
@@ -413,6 +414,8 @@ def _pair_equality_checks(rec: db.SeriesRecord, a_values) -> list[CheckResult]:
                         f"e6:{rec.label} pair equality at first member (a={a0})",
                         e1 == e2, str(e1)[:50] + "...", str(e2)[:50] + "...",
                         "the unique character is the sum of the two equal halves"))
+    if 1 not in a_values:
+        return out
     # formal a=1 comparison, recorded: the printed remark attaches the
     # coincidence to the first member, not to a literal a=1 evaluation
     try:

@@ -233,3 +233,11 @@ class TestUsage:
 
     def test_bad_flag_value(self, capsys):
         assert main(["points", "f4", "g", "--a", "3"]) == 2
+
+    @pytest.mark.parametrize("argv", [["verify", "--suite", "dims", "--json"],
+                                      ["export", "--format", "csv", "--out"]],
+                             ids=["verify-json", "export-out"])
+    def test_unwritable_output_path(self, capsys, tmp_path, argv):
+        code, _, err = run(capsys, *argv, str(tmp_path / "missing" / "r.out"))
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err

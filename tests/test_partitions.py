@@ -89,13 +89,24 @@ class TestDimensions:
         assert centralizer_oracle(partition(3, 1, 1, 1, 1), Family("so", 7)) == \
             orbit_dim_classical(partition(3, 1, 1, 1, 1), Family("so", 7))
 
-    @pytest.mark.parametrize("kind,n", [("sl", n) for n in range(1, 7)] +
-                             [("so", n) for n in range(2, 7)] +
-                             [("sp", n) for n in (2, 4, 6)])
+    @pytest.mark.parametrize("kind,n", [("sl", n) for n in range(1, 13)] +
+                             [("so", n) for n in range(2, 13)] +
+                             [("sp", n) for n in range(2, 13, 2)])
     def test_oracle_matches_closed_form(self, kind, n):
         fam = Family(kind, n)
         for p in valid_partitions(fam):
             assert centralizer_oracle(p, fam) == orbit_dim_classical(p, fam)
+
+    def test_oracle_double_sl_cell(self):
+        fam = Family("2sl", 5)
+        pair = (partition(3, 2), partition(2, 1, 1, 1))
+        assert centralizer_oracle(pair, fam) == orbit_dim_classical(pair, fam) == 24
+
+    @pytest.mark.parametrize("kind", ["sl", "so", "2sl"])
+    def test_oracle_refuses_matrix_size_13(self, kind):
+        p = Partition((1,) * 13)
+        with pytest.raises(InvalidPartitionError, match="<= 12"):
+            centralizer_oracle((p, p) if kind == "2sl" else p, Family(kind, 13))
 
 
 class TestPairs:

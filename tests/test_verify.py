@@ -115,9 +115,18 @@ class TestARange:
         named = {r.subject: set(re.findall(r"a=(\d+)", r.subject)) for r in asserted}
         assert {s: n for s, n in named.items() if n != {str(a)}} == {}
 
+    @pytest.mark.parametrize("a", [1, 2, 4, 8])
+    def test_recorded_checks_name_only_the_chosen_a(self, a):
+        report = run_all(VerifyConfig(("characters",), (a,)))
+        recorded = [r.subject for r in report.results if r.status == RECORDED]
+        named = {s: set(re.findall(r"a=(\d+)", s)) for s in recorded}
+        assert {s: n for s, n in named.items() if n - {str(a)}} == {}
+        eps = [s for s in recorded if "eps pair sum" in s]
+        assert len(eps) == (a == 8)
+
     def test_a1_asserts_only_the_f4_degrees(self):
         report = run_all(VerifyConfig(("pointcounts", "characters"), (1,)))
-        assert report.counts == {PASS: 15, FAIL: 0, RECORDED: 38}
+        assert report.counts == {PASS: 15, FAIL: 0, RECORDED: 37}
         asserted = [r.subject for r in report.results if r.status == PASS]
         assert all(s.startswith("f4:") and s.endswith("a=1 degree") for s in asserted)
 
