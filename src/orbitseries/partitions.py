@@ -8,6 +8,7 @@ generalized magic-square propagation maps move partitions between cells.
 from __future__ import annotations
 
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +34,10 @@ class Partition:
     parts: tuple[int, ...]
 
     def __init__(self, parts: Iterable[int]):
-        p = tuple(sorted((int(x) for x in parts), reverse=True))
+        try:
+            p = tuple(sorted(map(operator.index, parts), reverse=True))
+        except TypeError:
+            raise ValueError("parts must be integers") from None
         if any(x <= 0 for x in p):
             raise ValueError("parts must be positive")
         object.__setattr__(self, "parts", p)
@@ -45,15 +49,6 @@ class Partition:
     def multiplicity(self, i: int) -> int:
         """r_i, the number of parts equal to i."""
         return sum(1 for x in self.parts if x == i)
-
-    def transpose(self) -> "Partition":
-        if not self.parts:
-            return self
-        return Partition(tuple(sum(1 for x in self.parts if x >= i)
-                               for i in range(1, self.parts[0] + 1)))
-
-    def transpose_parts(self) -> tuple[int, ...]:
-        return self.transpose().parts if self.parts else ()
 
     def odd_part_count(self) -> int:
         """Number of odd parts counted with multiplicity."""
@@ -132,6 +127,12 @@ class Family:
         return self.kind == "so" and all(x % 2 == 0 for x in p.parts)
 
 
+def _transpose_square_sum(p: Partition) -> int:
+    """Σ_j λ'_j² read off the parts as Σ_i (2i-1)λ_i = |λ| + 2n(λ), largest
+    part first (Macdonald, *Symmetric Functions and Hall Polynomials*, I (1.6))."""
+    return sum((2 * i + 1) * x for i, x in enumerate(p.parts))
+
+
 def orbit_dim_classical(datum, family: Family) -> int:
     """Closed-form orbit dimension; agrees with centralizer_oracle everywhere."""
     family.validate(datum)
@@ -141,7 +142,7 @@ def orbit_dim_classical(datum, family: Family) -> int:
             orbit_dim_classical(b, Family("sl", family.n))
     p: Partition = datum
     n = family.n
-    tsq = sum(x * x for x in p.transpose_parts())
+    tsq = _transpose_square_sum(p)
     if family.kind == "sl":
         return n * n - tsq
     odd = p.odd_part_count()
@@ -277,66 +278,58 @@ def pair_to_partition(pp: PartitionPair, total: int) -> Partition:
 MAGIC_VALUES = (1, 2, 4)
 
 
+# cell (a <= b) -> (family kind, matrix size as a multiple of n)
+_MAGIC_CELLS = {(1, 1): ("so", 1), (1, 2): ("sl", 1), (1, 4): ("sp", 2),
+                (2, 2): ("2sl", 1), (2, 4): ("sl", 2), (4, 4): ("so", 4)}
+
+
 def magic_family(a: int, b: int, n: int) -> Family:
     """The classical algebra in cell (a, b) of the generalized magic square."""
-    cell = frozenset((a, b)) if a != b else frozenset((a,))
-    if a not in MAGIC_VALUES or b not in MAGIC_VALUES:
-        raise NotAdjacentCellsError("cell coordinates must lie in {1,2,4}")
-    if a == 1 and b == 1:
-        return Family("so", n)
-    if cell == frozenset((1, 2)):
-        return Family("sl", n)
-    if cell == frozenset((1, 4)):
-        return Family("sp", 2 * n)
-    if a == 2 and b == 2:
-        return Family("2sl", n)
-    if cell == frozenset((2, 4)):
-        return Family("sl", 2 * n)
-    return Family("so", 4 * n)
+    try:
+        kind, factor = _MAGIC_CELLS[min(a, b), max(a, b)]
+    except KeyError:
+        raise NotAdjacentCellsError("cell coordinates must lie in {1,2,4}") from None
+    return Family(kind, factor * n)
 
 
 def _step(datum, src: Family, dst: Family):
-    key = (src.kind, src.n, dst.kind, dst.n)
-    n = src.n
-    if key == ("so", n, "sl", n) or key == ("sp", n, "sl", n):
-        return datum
-    if key == ("sl", n, "sp", 2 * n) or key == ("sl", n, "so", 2 * n):
-        return datum.repeat_twice()
-    if key == ("sl", n, "2sl", n):
-        return (datum, datum)
-    if key == ("2sl", n, "sl", 2 * n):
+    """One step right or down between adjacent cells; the cells fix the sizes."""
+    if src.kind == "2sl":
         a, b = datum
         return Partition(a.parts + b.parts)
-    raise NotAdjacentCellsError(f"no propagation step {src.tag} -> {dst.tag}")
+    if dst.kind == "2sl":
+        return (datum, datum)
+    if dst.kind == "sl":   # from so_n or sp_2n
+        return datum
+    return datum.repeat_twice()   # sl_n to sp_2n, sl_2n to so_4n
 
 
 def propagate(datum, from_cell: tuple[int, int], to_cell: tuple[int, int], n: int):
-    """Move an orbit datum one step right or down in the magic square."""
+    """Move an orbit datum of the from_cell algebra one step right or down in
+    the magic square; from_cell == to_cell returns it unchanged."""
     (a1, b1), (a2, b2) = from_cell, to_cell
-    right = (b1 == b2 and _next(a1) == a2)
-    down = (a1 == a2 and _next(b1) == b2)
-    if from_cell == to_cell:
-        return datum
-    if not (right or down):
+    src, dst = magic_family(a1, b1, n), magic_family(a2, b2, n)
+    if (a2, b2) not in ((a1, b1), (2 * a1, b1), (a1, 2 * b1)):
         raise NotAdjacentCellsError(f"{from_cell} -> {to_cell} is not one step")
-    return _step(datum, magic_family(a1, b1, n), magic_family(a2, b2, n))
-
-
-def _next(v: int) -> int | None:
-    return {1: 2, 2: 4}.get(v)
+    src.validate(datum)
+    return datum if (a1, b1) == (a2, b2) else _step(datum, src, dst)
 
 
 def propagate_from_so(p: Partition, cell: tuple[int, int], n: int):
-    """Carry an so_n partition to any cell; all chart paths agree."""
-    Family("so", n).validate(p)
+    """Carry an so_n partition to any cell, doubling a before b; all chart
+    paths agree."""
+    fam = Family("so", n)
+    fam.validate(p)
     a, b = cell
-    path = [(1, 1)]
-    while path[-1] != cell:
-        ca, cb = path[-1]
-        path.append((_next(ca), cb) if ca < a else (ca, _next(cb)))
-    datum = p
-    for src, dst in zip(path, path[1:]):
-        datum = propagate(datum, src, dst, n)
+    magic_family(a, b, n)   # a cell outside the square would never be reached
+    ca, cb, datum = 1, 1, p
+    while (ca, cb) != (a, b):
+        if ca < a:
+            ca *= 2
+        else:
+            cb *= 2
+        nxt = magic_family(ca, cb, n)
+        datum, fam = _step(datum, fam, nxt), nxt
     return datum
 
 
@@ -344,11 +337,9 @@ def magic_dim_formula(p: Partition, a: int, b: int) -> int:
     """The bilinear dimension of the cell-(a,b) orbit grown from an so_n datum."""
     n = p.size
     Family("so", n).validate(p)
-    tsq = sum(x * x for x in p.transpose_parts())
-    odd = p.odd_part_count()
-    val = Fraction(a * b, 2) * (n * n - tsq - n + odd) + (a + b - 2) * (n - odd)
-    assert val.denominator == 1
-    return int(val)
+    tsq, odd = _transpose_square_sum(p), p.odd_part_count()
+    # n² - tsq - n + odd is even, since tsq ≡ |λ| = n ≡ odd (mod 2)
+    return a * b * (n * n - tsq - n + odd) // 2 + (a + b - 2) * (n - odd)
 
 
 def example2_formula(n: int, a: int, b: int) -> int:

@@ -544,43 +544,33 @@ def _magic_square_checks() -> list[CheckResult]:
     out = []
     cells = [(a, b) for a in (1, 2, 4) for b in (1, 2, 4)]
     total = 0
-    failures = []
+    failures, mism, bad = [], [], []
     for n in range(4, MAGIC_MAX_N + 1):
         for p in pt.valid_partitions(pt.Family("so", n)):
+            data, want = {}, {}
             for cell in cells:
-                datum = pt.propagate_from_so(p, cell, n)
-                fam = pt.magic_family(*cell, n)
-                got = pt.orbit_dim_classical(datum, fam)
-                want = pt.magic_dim_formula(p, *cell)
+                data[cell] = pt.propagate_from_so(p, cell, n)
+                want[cell] = pt.magic_dim_formula(p, *cell)
+                got = pt.orbit_dim_classical(data[cell], pt.magic_family(*cell, n))
                 total += 1
-                if got != want:
-                    failures.append((n, p.parts, cell, got, want))
+                if got != want[cell]:
+                    failures.append((n, p.parts, cell, got, want[cell]))
+            # path independence: sp_2n reached through (2,1) and through
+            # (1,2); sl_2n reached through sp_2n and through 2sl_n
+            if data[4, 1] != data[1, 4] or \
+                    pt.propagate(data[4, 1], (4, 1), (4, 2), n) != \
+                    pt.propagate(data[2, 2], (2, 2), (2, 4), n):
+                mism.append((n, p.parts))
+            # row restriction is affine in a for fixed b
+            for b in (1, 2, 4):
+                if _affine_through([(a, want[a, b]) for a in (1, 2, 4)]) is None:
+                    bad.append((n, p.parts, b))
     out.append(_res("universal", f"magic square bilinear formula (n<={MAGIC_MAX_N})",
                     not failures, f"{total} cases checked",
                     "propagated dims equal the closed form",
                     str(failures[:3]) if failures else ""))
-    # path independence across the chart
-    mism = []
-    for n in range(4, MAGIC_MAX_N + 1):
-        for p in pt.valid_partitions(pt.Family("so", n)):
-            via_sp = pt.propagate(pt.propagate(p, (1, 1), (2, 1), n), (2, 1), (4, 1), n)
-            via_sp2 = pt.propagate(pt.propagate(p, (1, 1), (1, 2), n), (1, 2), (1, 4), n)
-            a_path = pt.propagate(via_sp, (4, 1), (4, 2), n)
-            b_path = pt.propagate(
-                pt.propagate(pt.propagate(p, (1, 1), (2, 1), n), (2, 1), (2, 2), n),
-                (2, 2), (2, 4), n)
-            if via_sp != via_sp2 or a_path != b_path:
-                mism.append((n, p.parts))
     out.append(_res("universal", "magic square path independence", not mism,
                     "all chart paths agree", "agree", str(mism[:3])))
-    # row restriction is affine in a for fixed b
-    bad = []
-    for n in range(4, MAGIC_MAX_N + 1):
-        for p in pt.valid_partitions(pt.Family("so", n)):
-            for b in (1, 2, 4):
-                points = [(a, pt.magic_dim_formula(p, a, b)) for a in (1, 2, 4)]
-                if _affine_through(points) is None:
-                    bad.append((n, p.parts, b))
     out.append(_res("universal", "magic square rows linear in a", not bad,
                     "fixed-b restrictions affine", "affine", str(bad[:3])))
     # example 2 closed form

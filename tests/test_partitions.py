@@ -11,7 +11,8 @@ from orbitseries.partitions import (EMPTY, Family, InvalidPartitionError,
                                     magic_family, orbit_dim_classical,
                                     pair_to_partition, printed_extension_slope,
                                     partition, propagate, propagate_from_so,
-                                    regular_so_partition, valid_partitions)
+                                    regular_so_partition, valid_partitions,
+                                    _transpose_square_sum)
 
 parts_strategy = st.lists(st.integers(1, 7), min_size=0, max_size=7)
 
@@ -19,27 +20,23 @@ parts_strategy = st.lists(st.integers(1, 7), min_size=0, max_size=7)
 class TestPartition:
     @given(parts_strategy)
     @settings(max_examples=80, deadline=None)
-    def test_transpose_involution(self, parts):
-        if not parts:
-            return
+    def test_transpose_square_sum_from_parts(self, parts):
+        # sum (2i-1) lambda_i over the parts equals sum lambda'_j^2, with
+        # lambda'_j = #{i : lambda_i >= j} counted here column by column
         p = Partition(parts)
-        assert p.transpose().transpose() == p
-
-    @given(parts_strategy)
-    @settings(max_examples=80, deadline=None)
-    def test_transpose_part_counts_multiplicities(self, parts):
-        if not parts:
-            return
-        p = Partition(parts)
-        lam_hat = p.transpose_parts()
-        for i in range(1, len(lam_hat) + 1):
-            assert lam_hat[i - 1] == sum(p.multiplicity(j)
-                                         for j in range(i, max(p.parts) + 1))
+        columns = [sum(1 for x in parts if x >= j)
+                   for j in range(1, max(parts, default=0) + 1)]
+        assert _transpose_square_sum(p) == sum(c * c for c in columns)
 
     def test_sorted_and_positive(self):
         assert Partition((1, 3, 2)).parts == (3, 2, 1)
         with pytest.raises(ValueError):
             Partition((2, 0))
+
+    @pytest.mark.parametrize("parts", [(2.5, 1), ("3", 1), (None,)])
+    def test_non_integral_parts_rejected(self, parts):
+        with pytest.raises(ValueError, match="integers"):
+            Partition(parts)
 
 
 class TestValidity:
@@ -150,6 +147,22 @@ class TestMagicSquare:
             propagate(p, (1, 1), (4, 1), 3)
         with pytest.raises(NotAdjacentCellsError):
             magic_family(3, 1, 5)
+
+    def test_identity_step_checks_the_cell(self):
+        with pytest.raises(NotAdjacentCellsError):
+            propagate(partition(2, 1), (3, 3), (3, 3), 3)
+        with pytest.raises(NotAdjacentCellsError):
+            propagate_from_so(partition(3), (3, 1), 3)
+
+    @pytest.mark.parametrize("datum,from_cell,to_cell", [
+        (partition(5), (1, 1), (2, 1)),            # not a partition of 3
+        (partition(2, 1), (1, 1), (1, 2)),         # even part 2 once in so_3
+        (partition(2, 1), (4, 1), (4, 1)),         # sp_6 needs size 6
+        (partition(2, 1), (2, 2), (2, 4)),         # 2sl needs a pair
+    ])
+    def test_datum_validated_against_source_cell(self, datum, from_cell, to_cell):
+        with pytest.raises(InvalidPartitionError):
+            propagate(datum, from_cell, to_cell, 3)
 
     def test_formula_specializes_to_so_and_sl(self):
         for n in range(4, 9):
