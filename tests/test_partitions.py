@@ -17,16 +17,39 @@ from orbitseries.partitions import (EMPTY, Family, InvalidPartitionError,
 parts_strategy = st.lists(st.integers(1, 7), min_size=0, max_size=7)
 
 
+def _columns(parts):
+    """lambda'_j = #{i : lambda_i >= j} for j = 1 .. largest part."""
+    return [sum(1 for x in parts if x >= j)
+            for j in range(1, max(parts, default=0) + 1)]
+
+
 class TestPartition:
     @given(parts_strategy)
     @settings(max_examples=80, deadline=None)
     def test_transpose_square_sum_from_parts(self, parts):
         # sum (2i-1) lambda_i over the parts equals sum lambda'_j^2, with
-        # lambda'_j = #{i : lambda_i >= j} counted here column by column
+        # lambda'_j counted here column by column
         p = Partition(parts)
-        columns = [sum(1 for x in parts if x >= j)
-                   for j in range(1, max(parts, default=0) + 1)]
-        assert _transpose_square_sum(p) == sum(c * c for c in columns)
+        assert _transpose_square_sum(p) == sum(c * c for c in _columns(parts))
+
+    @given(parts_strategy)
+    @settings(max_examples=80, deadline=None)
+    def test_transpose_involution(self, parts):
+        # the column counts form the transpose, whose columns give back p;
+        # applied to the transpose the identity reads sum lambda_i^2
+        p = Partition(parts)
+        t = Partition(_columns(parts))
+        assert Partition(_columns(t.parts)) == p
+        assert _transpose_square_sum(t) == sum(x * x for x in parts)
+
+    @given(parts_strategy)
+    @settings(max_examples=80, deadline=None)
+    def test_transpose_part_counts_multiplicities(self, parts):
+        p = Partition(parts)
+        lam_hat = _columns(p.parts)
+        for i in range(1, len(lam_hat) + 1):
+            assert lam_hat[i - 1] == sum(p.multiplicity(j)
+                                         for j in range(i, max(p.parts) + 1))
 
     def test_sorted_and_positive(self):
         assert Partition((1, 3, 2)).parts == (3, 2, 1)
