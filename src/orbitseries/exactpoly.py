@@ -1,9 +1,12 @@
 """Exact Laurent-polynomial arithmetic in t = q^(1/4).
 
-All coefficients are rational (``fractions.Fraction``); there is no floating
-point anywhere in this package.  The quarter-power lattice is the coarsest one
-on which every exponent we ever evaluate (half- and quarter-integer powers of
-q, for parameter values a in {1, 2, 4, 8}) stays integral in t.
+A polynomial is one rational content times t^low times integer coefficients
+with gcd 1 and a positive leading entry.  Products, sums, division and
+evaluation (Horner's rule) run on those integers, and a ``Fraction`` is built
+only for the content and for a returned value; there is no floating point
+anywhere in this package.  The quarter-power lattice is the coarsest one on
+which every exponent we ever evaluate (half- and quarter-integer powers of q,
+for parameter values a in {1, 2, 4, 8}) stays integral in t.
 
 Product expressions reduce through their cyclotomic normal form: at fixed a
 every factor q^e -+ 1 is a signed monomial times a product of cyclotomic
@@ -20,6 +23,7 @@ no such form.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,7 +50,13 @@ class FractionalPowerError(ValueError):
 
 
 def _frac(x: Rat) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """x as a Fraction; anything but an int or a Fraction is refused, so no
+    float's binary expansion can enter an exact value."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"exact arithmetic takes an int or a Fraction, not {type(x).__name__}")
 
 
 def _t_power(e: Rat) -> int:
@@ -108,41 +118,49 @@ class LinExp:
 class QLaurent:
     """Laurent polynomial in t = q^(1/4) with rational coefficients.
 
-    Stored as a map from integer t-power to nonzero Fraction.  A power of q
+    Stored in one canonical integer form, ``content * t^low * sum c[i] t^i``:
+    ``content`` is a nonzero Fraction and ``c`` a tuple of integers with gcd
+    1, nonzero ends and a positive last entry; zero is content 0 with
+    ``c = ()``.  Equal polynomials therefore have equal fields.  A power of q
     with exponent e corresponds to t-power 4e.  Instances are immutable.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("content", "low", "c")
 
-    def __init__(self, coeffs: Mapping[int, Rat] | Iterable[tuple[int, Rat]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        d: dict[int, Fraction] = {}
-        for p, c in items:
-            c = _frac(c)
-            if c:
-                d[int(p)] = d.get(int(p), Fraction(0)) + c
-                if not d[int(p)]:
-                    del d[int(p)]
-        self._coeffs = d
+    def __init__(self, coeffs: Mapping[int, Rat]):
+        terms = {operator.index(p): _frac(v) for p, v in coeffs.items()}
+        den = math.lcm(*(v.denominator for v in terms.values()))
+        low = min(terms, default=0)
+        c = [0] * (max(terms, default=0) - low + 1)
+        for p, v in terms.items():
+            c[p - low] = v.numerator * (den // v.denominator)
+        self.content, self.low, self.c = _normal(Fraction(1, den), low, c)
+
+    @classmethod
+    def _of(cls, content: Fraction, low: int, c: tuple[int, ...]) -> "QLaurent":
+        """The polynomial with these fields, which must already be canonical."""
+        p = object.__new__(cls)
+        p.content, p.low, p.c = content, low, c
+        return p
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero() -> "QLaurent":
-        return QLaurent()
+        return QLaurent._of(Fraction(0), 0, ())
 
     @staticmethod
     def one() -> "QLaurent":
-        return QLaurent({0: 1})
+        return QLaurent._of(Fraction(1), 0, (1,))
 
     @staticmethod
     def constant(c: Rat) -> "QLaurent":
-        return QLaurent({0: c})
+        return _canonical(_frac(c), 0, (1,))
 
     @staticmethod
     def q_power(e: Rat) -> "QLaurent":
         """The monomial q^e; e must lie on the quarter lattice."""
-        return QLaurent({_t_power(e): 1})
+        return QLaurent._of(Fraction(1), _t_power(e), (1,))
 
     @staticmethod
     def from_q_terms(terms: Mapping[Rat, Rat]) -> "QLaurent":
@@ -152,27 +170,27 @@ class QLaurent:
 
     @property
     def coeffs(self) -> dict[int, Fraction]:
-        return dict(self._coeffs)
+        return {self.low + i: self.content * v for i, v in enumerate(self.c) if v}
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self.c
 
     def is_q_polynomial(self) -> bool:
         """True iff every monomial is a nonnegative integer power of q."""
-        return all(p >= 0 and p % 4 == 0 for p in self._coeffs)
+        return self.low >= 0 and self.is_laurent_in_q()
 
     def is_laurent_in_q(self) -> bool:
-        return all(p % 4 == 0 for p in self._coeffs)
+        return self.low % 4 == 0 and not any(any(self.c[r::4]) for r in (1, 2, 3))
 
     def t_degree(self) -> int:
-        if not self._coeffs:
+        if not self.c:
             raise ValueError("degree of the zero polynomial")
-        return max(self._coeffs)
+        return self.low + len(self.c) - 1
 
     def t_low_degree(self) -> int:
-        if not self._coeffs:
+        if not self.c:
             raise ValueError("degree of the zero polynomial")
-        return min(self._coeffs)
+        return self.low
 
     def degree_in_q(self) -> Fraction:
         return Fraction(self.t_degree(), 4)
@@ -180,33 +198,35 @@ class QLaurent:
     def low_degree_in_q(self) -> Fraction:
         return Fraction(self.t_low_degree(), 4)
 
-    def leading_coeff(self) -> Fraction:
-        return self._coeffs[self.t_degree()]
-
     # -- ring operations ---------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QLaurent):
-            return self._coeffs == other._coeffs
+            return (self.content, self.low, self.c) == (other.content, other.low, other.c)
         if isinstance(other, (int, Fraction)):
             return self == QLaurent.constant(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
+        return hash((self.content, self.low, self.c))
 
     def __add__(self, other: "QLaurent | Rat") -> "QLaurent":
         if not isinstance(other, QLaurent):
             other = QLaurent.constant(other)
-        out = dict(self._coeffs)
-        for p, c in other._coeffs.items():
-            out[p] = out.get(p, Fraction(0)) + c
-        return QLaurent(out)
+        # over the common denominator of the two contents
+        den = math.lcm(self.content.denominator, other.content.denominator)
+        low = min(self.low, other.low)
+        out = [0] * (max(self.low + len(self.c), other.low + len(other.c)) - low)
+        for p in (self, other):
+            k = p.content.numerator * (den // p.content.denominator)
+            for i, v in enumerate(p.c, p.low - low):
+                out[i] += k * v
+        return _canonical(Fraction(1, den), low, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QLaurent":
-        return QLaurent({p: -c for p, c in self._coeffs.items()})
+        return QLaurent._of(-self.content, self.low, self.c)
 
     def __sub__(self, other: "QLaurent | Rat") -> "QLaurent":
         return self + (-other if isinstance(other, QLaurent) else QLaurent.constant(-_frac(other)))
@@ -216,31 +236,25 @@ class QLaurent:
 
     def __mul__(self, other: "QLaurent | Rat") -> "QLaurent":
         if not isinstance(other, QLaurent):
-            c = _frac(other)
-            return QLaurent({p: v * c for p, v in self._coeffs.items()})
-        out: dict[int, Fraction] = {}
-        for p1, c1 in self._coeffs.items():
-            for p2, c2 in other._coeffs.items():
-                p = p1 + p2
-                out[p] = out.get(p, Fraction(0)) + c1 * c2
-        return QLaurent(out)
+            return _canonical(self.content * _frac(other), self.low, self.c)
+        if not (self.c and other.c):
+            return QLaurent.zero()
+        # Gauss's lemma: the product of primitive polynomials is primitive
+        return QLaurent._of(self.content * other.content, self.low + other.low,
+                            tuple(_mul(self.c, other.c)))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "QLaurent":
         if n < 0:
             raise ValueError("negative powers are not closed in the Laurent ring")
-        result = QLaurent.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        out = QLaurent.one()
+        for _ in range(n):
+            out = out * self
+        return out
 
     def shift_t(self, k: int) -> "QLaurent":
-        return QLaurent({p + k: c for p, c in self._coeffs.items()})
+        return QLaurent._of(self.content, self.low + k, self.c) if self.c else self
 
     # -- evaluation and printing -------------------------------------------
 
@@ -249,24 +263,33 @@ class QLaurent:
 
         Works directly when all powers are integral in q; otherwise requires
         q to be a perfect fourth power of a rational so that t is rational.
+        Horner's rule evaluates the integer part P at x = n/d as
+        d^deg P(n/d) in integers, where x is q when every t-power is a
+        multiple of 4 and t otherwise; one Fraction is built for the value.
         """
         q = _frac(q)
         if q <= 0:
             raise ValueError("evaluation point must be positive")
         if self.is_laurent_in_q():
-            return sum((c * q ** (p // 4) for p, c in self._coeffs.items()), Fraction(0))
-        t = _exact_fourth_root(q)
-        if t is None:
-            raise FractionalPowerError(
-                f"fractional q-powers present and {q} is not a rational fourth power")
-        return sum((c * t ** p for p, c in self._coeffs.items()), Fraction(0))
+            x, step = q, 4
+        else:
+            n, d = (math.isqrt(math.isqrt(m)) for m in (q.numerator, q.denominator))
+            if (n ** 4, d ** 4) != (q.numerator, q.denominator):
+                raise FractionalPowerError(
+                    f"fractional q-powers present and {q} is not a rational fourth power")
+            x, step = Fraction(n, d), 1
+        skip = -self.low % step    # terms off the x-lattice are zero
+        n, d = x.numerator, x.denominator
+        acc, scale = 0, 1
+        for v in reversed(self.c[skip::step]):
+            acc, scale = acc * n + v * scale, scale * d
+        return self.content * Fraction(acc * d, scale) * x ** ((self.low + skip) // step)
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        if not self.c:
             return "0"
         parts = []
-        for p in sorted(self._coeffs, reverse=True):
-            c = self._coeffs[p]
+        for p, c in sorted(self.coeffs.items(), reverse=True):
             e = Fraction(p, 4)
             if e == 0:
                 term = str(c)
@@ -289,27 +312,36 @@ class QLaurent:
 
     def to_triples(self) -> list[tuple[int, int, int]]:
         """Sorted (t-power, numerator, denominator) triples for JSON export."""
-        return [(p, self._coeffs[p].numerator, self._coeffs[p].denominator)
-                for p in sorted(self._coeffs)]
+        return [(p, c.numerator, c.denominator) for p, c in sorted(self.coeffs.items())]
 
     @staticmethod
     def from_triples(triples: Iterable[tuple[int, int, int]]) -> "QLaurent":
         return QLaurent({p: Fraction(n, d) for p, n, d in triples})
 
 
-def _exact_fourth_root(q: Fraction) -> Fraction | None:
-    num = _integer_fourth_root(q.numerator)
-    den = _integer_fourth_root(q.denominator)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
+def _normal(content: Fraction, low: int,
+            c: Sequence[int]) -> tuple[Fraction, int, tuple[int, ...]]:
+    """The canonical fields of content * t^low * sum c[i] t^i."""
+    nonzero = [i for i, v in enumerate(c) if v]
+    if not (nonzero and content):
+        return Fraction(0), 0, ()
+    c = c[nonzero[0]:nonzero[-1] + 1]
+    g = math.gcd(*c) if c[-1] > 0 else -math.gcd(*c)
+    return content * g, low + nonzero[0], tuple(v // g for v in c)
 
 
-def _integer_fourth_root(m: int) -> int | None:
-    if m < 0:
-        return None
-    r = math.isqrt(math.isqrt(m))   # floor of the real fourth root
-    return r if r ** 4 == m else None
+def _canonical(content: Fraction, low: int, c: Sequence[int]) -> QLaurent:
+    return QLaurent._of(*_normal(content, low, c))
+
+
+def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of integer coefficient lists, constant term first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for j, v in enumerate(b):
+        if v:
+            for i, u in enumerate(a, j):
+                out[i] += u * v
+    return out
 
 
 def cyclo_factor(e: Rat, sign: int = 1) -> QLaurent:
@@ -322,6 +354,23 @@ def cyclo_factor(e: Rat, sign: int = 1) -> QLaurent:
 # -- exact division and gcd --------------------------------------------------
 
 
+def _divmod(p: Sequence[int], m: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """Pseudo-division of integer coefficient lists, constant term first:
+    (quo, rem, s) with s * p = quo * m + rem, rem shorter than m and s the
+    power of m's leading entry that makes every step exact (1 if m is monic)."""
+    n, lead = len(m) - 1, m[-1]
+    quo = [0] * max(len(p) - n, 0)
+    s = lead ** len(quo)
+    rem = [s * v for v in p]
+    terms = [(j, v) for j, v in enumerate(m[:-1]) if v]
+    for i in range(len(quo) - 1, -1, -1):
+        c = quo[i] = rem[i + n] // lead
+        if c:
+            for j, v in terms:
+                rem[i + j] -= c * v
+    return quo, rem[:n], s
+
+
 def exact_div(n: QLaurent, d: QLaurent) -> QLaurent:
     """Quotient n/d when d divides n exactly in the Laurent ring.
 
@@ -331,42 +380,21 @@ def exact_div(n: QLaurent, d: QLaurent) -> QLaurent:
         raise ZeroDivisionError("division by the zero polynomial")
     if n.is_zero():
         return QLaurent.zero()
-    # Shift both to honest polynomials in t; Laurent units are monomials.
-    # Dividing by the monic rescaling of d leaves the same remainder.
-    den = _dense(d)
-    lead = den[-1]
-    quo, rem = _divmod_monic(_dense(n), [c / lead for c in den])
+    # Laurent units are monomials, so only the integer parts divide
+    quo, rem, s = _divmod(n.c, d.c)
     if any(rem):
-        raise NotDivisibleError(_laurent(rem))
-    return _laurent([c / lead for c in quo], n.t_low_degree() - d.t_low_degree())
-
-
-def _dense(p: QLaurent) -> list[Fraction]:
-    """Coefficients of p / t^(lowest power), constant term first; [] for zero."""
-    if p.is_zero():
-        return []
-    low = p.t_low_degree()
-    out = [Fraction(0)] * (p.t_degree() - low + 1)
-    for e, c in p._coeffs.items():
-        out[e - low] = c
-    return out
-
-
-def _laurent(coeffs: Iterable[Rat], shift: int = 0) -> QLaurent:
-    """The inverse of ``_dense``: sum of coeffs[i] t^(i + shift)."""
-    return QLaurent({i + shift: c for i, c in enumerate(coeffs) if c})
+        raise NotDivisibleError(_canonical(n.content / s, 0, rem))
+    return _canonical(n.content / (d.content * s), n.low - d.low, quo)
 
 
 def poly_gcd(x: QLaurent, y: QLaurent) -> QLaurent:
-    """Monic gcd in Q[t], with Laurent inputs normalized by unit monomials."""
-    a, b = _dense(x), _dense(y)
+    """Monic gcd in Q[t], with Laurent inputs normalized by unit monomials:
+    Euclid on the integer parts, each remainder made canonical (dividing out
+    a power of t keeps the gcd, as no integer part is divisible by t)."""
+    a, b = x.c, y.c
     while b:
-        b = [c / b[-1] for c in b]
-        _, r = _divmod_monic(a, b)
-        while r and not r[-1]:
-            r.pop()
-        a, b = b, r
-    return _laurent([c / a[-1] for c in a]) if a else QLaurent.zero()
+        a, b = b, _normal(1, 0, _divmod(a, b)[1])[2]
+    return QLaurent._of(Fraction(1, a[-1]), 0, a) if a else QLaurent.zero()
 
 
 def reduce_pair(num: QLaurent, den: QLaurent) -> tuple[QLaurent, QLaurent]:
@@ -380,14 +408,10 @@ def reduce_pair(num: QLaurent, den: QLaurent) -> tuple[QLaurent, QLaurent]:
     if num.is_zero():
         return num, QLaurent.one()
     g = poly_gcd(num, den)
-    num = exact_div(num, g)
-    den = exact_div(den, g)
+    num, den = exact_div(num, g), exact_div(den, g)
     # normalize: denominator monic with t_low_degree 0
-    unit = den.t_low_degree()
-    num = num.shift_t(-unit)
-    den = den.shift_t(-unit)
-    lead = den.leading_coeff()
-    return num * (1 / lead), den * (1 / lead)
+    lead = den.content * den.c[-1]
+    return num.shift_t(-den.low) * (1 / lead), den.shift_t(-den.low) * (1 / lead)
 
 
 # -- cyclotomic normal form --------------------------------------------------
@@ -400,7 +424,7 @@ def cyclotomic(d: int) -> tuple[int, ...]:
     """
     poly = [-1] + [0] * (d - 1) + [1]
     for e in _binomial_phis(d, False)[:-1]:
-        poly, _ = _divmod_monic(poly, cyclotomic(e))
+        poly = _divmod(poly, cyclotomic(e))[0]
     return tuple(poly)
 
 
@@ -413,33 +437,14 @@ def _binomial_phis(n: int, plus: bool) -> tuple[int, ...]:
     return tuple(d for d in range(1, n + 1) if n % d == 0)
 
 
-def _divmod_monic(p: list, m: Sequence[Rat]) -> tuple[list, list]:
-    """Long division of p by the monic m; coefficient lists, constant term first."""
-    rem = list(p)
-    n = len(m) - 1
-    terms = [(j, v) for j, v in enumerate(m) if v]
-    quo = [0] * max(len(rem) - n, 0)
-    for i in range(len(quo) - 1, -1, -1):
-        c = rem[i + n]
-        if c:
-            quo[i] = c
-            for j, v in terms:
-                rem[i + j] -= c * v
-    return quo, rem[:n]
-
-
-def _phi_product(powers: Iterable[tuple[int, int]]) -> list[int]:
-    """Integer coefficients of prod Phi_d(t)^m over (d, m) with m > 0."""
+def _phi_product(powers: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """Integer coefficients of prod Phi_d(t)^m over (d, m) with m > 0: monic,
+    hence primitive, with constant term +-1."""
     out = [1]
     for d, m in powers:
-        terms = [(j, c) for j, c in enumerate(cyclotomic(d)) if c]
         for _ in range(m):
-            prod = [0] * (len(out) + terms[-1][0])
-            for j, c in terms:
-                for i, v in enumerate(out, j):
-                    prod[i] += c * v
-            out = prod
-    return out
+            out = _mul(out, cyclotomic(d))
+    return tuple(out)
 
 
 class PhiForm(NamedTuple):
@@ -462,22 +467,20 @@ class PhiForm(NamedTuple):
             return QLaurent.zero(), QLaurent.one()
         num = _phi_product((d, m) for d, m in self.phis if m > 0)
         den = _phi_product((d, -m) for d, m in self.phis if m < 0)
-        c, k = self.constant, self.shift
-        return (QLaurent({p + k: c * v for p, v in enumerate(num) if v}),
-                QLaurent({p: v for p, v in enumerate(den) if v}))
+        return (QLaurent._of(_frac(self.constant), self.shift, num),
+                QLaurent._of(Fraction(1), 0, den))
 
 
 @lru_cache(maxsize=None)
 def _factor_cyclotomic(value: QLaurent) -> PhiForm:
     """Trial division by Phi_d for every d with phi(d) <= deg (such d satisfy
-    d <= 2 deg^2); raises unless the nonzero value is c * t^k * prod Phi_d."""
-    rest = _dense(value)
-    constant = rest[-1]
-    rest = [c / constant for c in rest]
+    d <= 2 deg^2); raises unless the nonzero value is c * t^k * prod Phi_d.
+    Such a product is monic, so it is the integer part and c the content."""
+    rest = list(value.c)
     mults: dict[int, int] = {}
     d, bound = 1, 2 * (len(rest) - 1) ** 2
     while len(rest) > 1 and d <= bound:
-        quo, rem = _divmod_monic(rest, cyclotomic(d))
+        quo, rem, _ = _divmod(rest, cyclotomic(d))
         if quo and not any(rem):
             rest = quo
             mults[d] = mults.get(d, 0) + 1
@@ -485,7 +488,7 @@ def _factor_cyclotomic(value: QLaurent) -> PhiForm:
             d += 1
     if len(rest) > 1:
         raise ValueError(f"{value} is not a product of cyclotomic polynomials in t")
-    return PhiForm(constant, value.t_low_degree(), tuple(sorted(mults.items())))
+    return PhiForm(value.content, value.low, tuple(sorted(mults.items())))
 
 
 # -- product expressions -----------------------------------------------------
@@ -688,7 +691,7 @@ def L(s: LinExp | Rat | str) -> LinExp:
     """Parse exponents written the way the tables print them: '3a/2+2', 'a/4', '11a+8'."""
     if isinstance(s, LinExp):
         return s
-    if isinstance(s, (int, Fraction)):
+    if not isinstance(s, str):
         return LinExp(s)
     c0 = Fraction(0)
     c1 = Fraction(0)
@@ -730,16 +733,3 @@ def pexpr(constant: Rat = 1, prefactor: LinExp | Rat | str = 0, num=(), den=(),
         _factors(num_plus, 1, -1) + _factors(den_plus, -1, -1) + \
         tuple((Literal(v), -1) for v in literal_den)
     return ProductExpr(_frac(constant), L(prefactor), factors)
-
-
-def random_qlaurent(rng, max_terms: int = 6, power_range: int = 12,
-                    coeff_range: int = 9) -> QLaurent:
-    """Random sample for ring-law property tests."""
-    n = rng.randint(0, max_terms)
-    terms = {}
-    for _ in range(n):
-        p = rng.randint(-power_range, power_range)
-        c = Fraction(rng.randint(-coeff_range, coeff_range),
-                     rng.randint(1, coeff_range))
-        terms[p] = c
-    return QLaurent(terms)

@@ -48,7 +48,7 @@ class Partition:
 
     def multiplicity(self, i: int) -> int:
         """r_i, the number of parts equal to i."""
-        return sum(1 for x in self.parts if x == i)
+        return self.parts.count(i)
 
     def odd_part_count(self) -> int:
         """Number of odd parts counted with multiplicity."""
@@ -111,16 +111,14 @@ class Family:
         if p.size != self.n:
             raise InvalidPartitionError(
                 f"partition of {p.size} is not a partition of {self.n}")
-        if self.kind == "so":
+        if self.kind in ("so", "sp"):
+            # so needs even multiplicities of its even parts, sp of its odd parts
+            parity = int(self.kind == "sp")
             for i in set(p.parts):
-                if i % 2 == 0 and p.multiplicity(i) % 2:
+                if i % 2 == parity and p.multiplicity(i) % 2:
                     raise InvalidPartitionError(
-                        f"{p} invalid for so_{self.n}: even part {i} with odd multiplicity")
-        elif self.kind == "sp":
-            for i in set(p.parts):
-                if i % 2 and p.multiplicity(i) % 2:
-                    raise InvalidPartitionError(
-                        f"{p} invalid for sp_{self.n}: odd part {i} with odd multiplicity")
+                        f"{p} invalid for {self.kind}_{self.n}: "
+                        f"{('even', 'odd')[parity]} part {i} with odd multiplicity")
 
     def is_very_even(self, p: Partition) -> bool:
         """All parts even: in so_n this labels two orbits of equal dimension."""
@@ -283,12 +281,16 @@ _MAGIC_CELLS = {(1, 1): ("so", 1), (1, 2): ("sl", 1), (1, 4): ("sp", 2),
                 (2, 2): ("2sl", 1), (2, 4): ("sl", 2), (4, 4): ("so", 4)}
 
 
-def magic_family(a: int, b: int, n: int) -> Family:
-    """The classical algebra in cell (a, b) of the generalized magic square."""
+def _magic_cell(a: int, b: int) -> tuple[str, int]:
     try:
-        kind, factor = _MAGIC_CELLS[min(a, b), max(a, b)]
+        return _MAGIC_CELLS[min(a, b), max(a, b)]
     except KeyError:
         raise NotAdjacentCellsError("cell coordinates must lie in {1,2,4}") from None
+
+
+def magic_family(a: int, b: int, n: int) -> Family:
+    """The classical algebra in cell (a, b) of the generalized magic square."""
+    kind, factor = _magic_cell(a, b)
     return Family(kind, factor * n)
 
 
@@ -336,6 +338,7 @@ def propagate_from_so(p: Partition, cell: tuple[int, int], n: int):
 def magic_dim_formula(p: Partition, a: int, b: int) -> int:
     """The bilinear dimension of the cell-(a,b) orbit grown from an so_n datum."""
     n = p.size
+    _magic_cell(a, b)   # refuses a cell outside the square
     Family("so", n).validate(p)
     tsq, odd = _transpose_square_sum(p), p.odd_part_count()
     # n² - tsq - n + odd is even, since tsq ≡ |λ| = n ≡ odd (mod 2)

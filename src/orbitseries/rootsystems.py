@@ -137,8 +137,8 @@ def _cartan_matrix(alg: AlgebraType) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, m))
 
 
-def _squared_lengths(cartan) -> tuple[Fraction, ...]:
-    """(alpha_i, alpha_i) with long roots of length 2.
+def _squared_lengths(cartan) -> tuple[int, ...]:
+    """(alpha_i, alpha_i) with short roots of length 1: the integers 1, 2, 3.
 
     Symmetry of the form gives A_ij (alpha_j, alpha_j) = A_ji (alpha_i, alpha_i)
     along every bond of the connected diagram.
@@ -152,8 +152,8 @@ def _squared_lengths(cartan) -> tuple[Fraction, ...]:
             if sq[j] is None and cartan[i][j]:
                 sq[j] = sq[i] * cartan[j][i] / cartan[i][j]
                 todo.append(j)
-    top = max(sq)
-    return tuple(2 * x / top for x in sq)
+    short = min(sq)
+    return tuple(int(x / short) for x in sq)
 
 
 def _positive_roots(cartan) -> list[tuple[int, ...]]:
@@ -186,9 +186,10 @@ class RootSystem:
     """Roots, Cartan data and the invariant form of one simple algebra.
 
     Roots are integer tuples in simple-root coordinates, so the simple roots
-    are the unit vectors.  The invariant form is read off the Cartan matrix
-    and scaled so long roots have squared length 2; instances are immutable
-    and cached per type.
+    are the unit vectors.  The invariant form is read off the Cartan matrix,
+    scaled to integers: ``_form[i][j] = A_ij (alpha_j, alpha_j)`` is twice
+    (alpha_i, alpha_j) with short roots of squared length 1.  Instances are
+    immutable and cached per type.
     """
 
     def __init__(self, alg: AlgebraType):
@@ -196,7 +197,7 @@ class RootSystem:
         self.rank = n = alg.rank
         self.cartan_matrix = _cartan_matrix(alg)
         sq = _squared_lengths(self.cartan_matrix)
-        self._form = tuple(tuple(self.cartan_matrix[i][j] * sq[j] / 2 for j in range(n))
+        self._form = tuple(tuple(self.cartan_matrix[i][j] * sq[j] for j in range(n))
                            for i in range(n))
         self.simple_roots = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         self.positive_roots = tuple(_positive_roots(self.cartan_matrix))
@@ -204,22 +205,24 @@ class RootSystem:
         if self.N != alg.num_positive_roots:
             raise AssertionError(f"{alg}: built {self.N} positive roots")
         self.highest_root = self.positive_roots[-1]
-        self.rho = tuple(Fraction(sum(c), 2) for c in zip(*self.positive_roots))
+        self._two_rho = tuple(map(sum, zip(*self.positive_roots)))
+        self.rho = tuple(Fraction(x, 2) for x in self._two_rho)
         self.invariant_degrees = alg.invariant_degrees
 
-    def _dot(self, u, v) -> Fraction:
+    def _dot(self, u, v):
         return sum(x * f * y for x, row in zip(u, self._form) for f, y in zip(row, v))
 
     def pair_coroot(self, lam, root) -> Fraction:
         """<lam, root^vee> = 2(lam,root)/(root,root); scale independent."""
-        return 2 * self._dot(lam, root) / self._dot(root, root)
+        return Fraction(2 * self._dot(lam, root), self._dot(root, root))
 
     @property
     def dimension(self) -> int:
         return self.rank + 2 * self.N
 
     def dual_coxeter(self) -> int:
-        return 1 + _i(self.pair_coroot(self.rho, self.highest_root))
+        """1 + <rho, theta^vee>, read off the integer vector 2 rho."""
+        return 1 + _i(self.pair_coroot(self._two_rho, self.highest_root)) // 2
 
     def adjoint_marks(self) -> tuple[int, ...]:
         """Fundamental-weight coordinates of the highest root."""

@@ -1,20 +1,33 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitseries.exactpoly import (Cyclo, FractionalPowerError, LinExp,
                                    Literal, NotDivisibleError, PhiForm,
                                    ProductExpr, QLaurent, ZeroExponentError,
                                    cyclo_factor, cyclotomic, exact_div,
-                                   pexpr, poly_gcd, random_qlaurent,
-                                   reduce_pair)
+                                   pexpr, poly_gcd, reduce_pair)
 
 
 def qpoly(terms):
     return QLaurent.from_q_terms({F(k): F(v) for k, v in terms.items()})
+
+
+def random_qlaurent(rng, max_terms: int = 6, power_range: int = 12,
+                    coeff_range: int = 9) -> QLaurent:
+    """Random sample for ring-law property tests."""
+    n = rng.randint(0, max_terms)
+    terms = {}
+    for _ in range(n):
+        p = rng.randint(-power_range, power_range)
+        c = F(rng.randint(-coeff_range, coeff_range),
+              rng.randint(1, coeff_range))
+        terms[p] = c
+    return QLaurent(terms)
 
 
 coeffs = st.dictionaries(st.integers(-10, 10),
@@ -327,3 +340,92 @@ class TestPhiForm:
             pexpr(1, 0, den=[1]).eval_at(0, 1)
         with pytest.raises(ValueError, match="positive"):
             pexpr(1, 0, num=[1]).eval_at(0, 0)
+
+
+def fields(p):
+    return p.content, p.low, p.c
+
+
+# positive rationals t, so that q = t^4 is a rational fourth power
+fourth_roots = st.fractions(min_value=F(1, 6), max_value=6, max_denominator=6).filter(
+    lambda t: t > 0)
+
+
+class TestIntegerForm:
+    @given(coeffs)
+    @settings(max_examples=80, deadline=None)
+    def test_fields_are_canonical(self, c):
+        p = QLaurent(c)
+        assert all(isinstance(v, F) for v in p.coeffs.values())
+        if p.is_zero():
+            assert fields(p) == (0, 0, ())
+            return
+        assert p.content != 0 and p.c[0] != 0 and p.c[-1] > 0
+        assert math.gcd(*p.c) == 1
+        assert p.coeffs == {k: v for k, v in c.items() if v}
+
+    @given(coeffs, fourth_roots)
+    @example({-7: F(1, 2), 3: F(-2)}, F(3, 2))
+    @settings(max_examples=80, deadline=None)
+    def test_eval_at_a_fourth_power_is_the_sum_of_terms(self, c, t):
+        # q = 16 and 81/16 among others; t-powers of every residue mod 4
+        p = QLaurent(c)
+        want = sum((v * t ** k for k, v in p.coeffs.items()), F(0))
+        assert p.eval_at(t ** 4) == want
+
+    @given(coeffs, st.integers(1, 10 ** 6))
+    @example({-3: F(5, 2), 0: F(-1), 2: F(1, 3)}, 2)
+    @settings(max_examples=80, deadline=None)
+    def test_eval_at_an_integer_q_is_the_sum_of_terms(self, c, q):
+        # whole powers of q only, negative ones included
+        p = QLaurent({4 * k: v for k, v in c.items()})
+        want = sum((v * F(q) ** (k // 4) for k, v in p.coeffs.items()), F(0))
+        assert p.eval_at(q) == want
+
+    def test_one_form_from_every_route(self):
+        # 3/2 t^-2 (t^4 - 1) = 3/2 t^2 - 3/2 t^-2
+        routes = [
+            QLaurent({2: F(3, 2), -2: F(-3, 2), 0: 0}),
+            QLaurent({-2: F(3, 2)}) * t_poly([-1, 0, 1]) * t_poly([1, 0, 1]),
+            QLaurent({2: F(1, 2), 0: 5}) + QLaurent({2: 1, -2: F(-3, 2)}) +
+            QLaurent.constant(-5),
+            QLaurent({6: F(-3, 7), 2: F(3, 7)}).shift_t(-4) * F(-7, 2),
+        ]
+        for p in routes:
+            assert fields(p) == (F(3, 2), -2, (-1, 0, 0, 0, 1))
+            assert hash(p) == hash(routes[0])
+
+    @pytest.mark.parametrize("e,a", [
+        (pexpr(F(3, 2), F(-1, 2), num=[1, 3], den=[F(1, 2)], num_plus=[F(1, 4)]), 0),
+        (pexpr(F(-5, 6), "a/4", num=["a", 2], den=[1, 1], den_plus=[F(1, 2)]), 2),
+        (pexpr(2, -3, num=[F(-1, 2)], den=[-2, 3]), 0),
+    ])
+    def test_phi_form_pair_is_the_division_route_field_by_field(self, e, a):
+        got, want = e.reduced(a), reduce_pair(*e.expand(a))
+        for p, w in zip(got, want):
+            assert fields(p) == fields(w) and hash(p) == hash(w)
+
+    @pytest.mark.parametrize("bad", [0.1, "1/2"])
+    def test_floats_and_strings_are_refused(self, bad):
+        with pytest.raises(TypeError):
+            QLaurent({0: bad})
+        with pytest.raises(TypeError):
+            LinExp(bad, 1)
+        with pytest.raises(TypeError):
+            LinExp(1, bad)
+        with pytest.raises(TypeError):
+            QLaurent.one().eval_at(bad)
+        with pytest.raises(TypeError):
+            ProductExpr(bad)
+        with pytest.raises(TypeError):
+            pexpr(bad)
+        with pytest.raises(TypeError):
+            pexpr(1, 0, num=[1]).eval_at(0, bad)
+
+    def test_float_exponents_are_refused(self):
+        with pytest.raises(TypeError):
+            QLaurent({F(1, 2): 1})   # int() would truncate it to t^0
+        with pytest.raises(TypeError):
+            pexpr(1, 0.5)
+        with pytest.raises(TypeError):
+            QLaurent.q_power(0.25)

@@ -211,6 +211,14 @@ class TestMagicSquare:
             for a, b in ((1, 1), (2, 4), (4, 4)):
                 assert magic_dim_formula(p, a, b) == example2_formula(n, a, b)
 
+    @pytest.mark.parametrize("a,b", [(3, 1), (8, 8)])
+    def test_formula_refuses_cells_outside_the_square(self, a, b):
+        # magic_family and propagate refuse the same cells
+        with pytest.raises(NotAdjacentCellsError):
+            magic_dim_formula(partition(3, 1, 1), a, b)
+        with pytest.raises(NotAdjacentCellsError):
+            magic_family(a, b, 5)
+
     def test_example1_disagrees(self):
         # printed closed form for the regular orbit does not match the
         # bilinear route even at a = b = 1
