@@ -14,7 +14,11 @@ polynomials Phi_d(t), so an expression is c * t^k * prod Phi_d(t)^(m_d), the
 notation of Carter, *Finite Groups of Lie Type* (1985), section 13.9, and of
 CHEVIE's ``CycPol`` (Geck-Hiss-Luebeck-Malle-Pfeiffer 1996).  Cancelling
 common factors is then subtraction of the multiplicities m_d, and only the
-reduced result is multiplied out, over the integers.  The division route
+reduced result is multiplied out, over the integers.  Every product runs
+through one kernel, ``_mul``, by Kronecker substitution (Kronecker 1882;
+Harvey, J. Symbolic Comput. 44, 2009): the factors are packed at X = 2^b,
+with b whole bytes and 2^(b-1) > prod max(||f_i||_1, 1), multiplied as big
+ints and read back as signed base-2^b digits.  The division route
 (``expand``, ``poly_gcd``, ``exact_div``, ``reduce_pair``) stays as the
 independent oracle the tests compare against, and reduces sums, which have
 no such form.
@@ -241,7 +245,7 @@ class QLaurent:
             return QLaurent.zero()
         # Gauss's lemma: the product of primitive polynomials is primitive
         return QLaurent._of(self.content * other.content, self.low + other.low,
-                            tuple(_mul(self.c, other.c)))
+                            _mul(self.c, other.c))
 
     __rmul__ = __mul__
 
@@ -334,14 +338,29 @@ def _canonical(content: Fraction, low: int, c: Sequence[int]) -> QLaurent:
     return QLaurent._of(*_normal(content, low, c))
 
 
-def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Product of integer coefficient lists, constant term first."""
-    out = [0] * (len(a) + len(b) - 1)
-    for j, v in enumerate(b):
-        if v:
-            for i, u in enumerate(a, j):
-                out[i] += u * v
-    return out
+def _mul(*polys: Sequence[int]) -> tuple[int, ...]:
+    """Product of nonempty integer coefficient lists, constant term first, by
+    Kronecker substitution: each list is packed into one int at X = 2^b, the
+    ints are multiplied, and the product is read back as base-2^b digits.
+
+    No coefficient of the product or of a factor exceeds B = prod
+    max(||f_i||_1, 1) in absolute value, so with b a whole number of bytes and
+    2^(b-1) > B every coefficient plus 2^(b-1) is one digit in [0, 2^b).
+    Adding the offset sum 2^(b-1) X^i turns signed coefficients into such
+    digits without a carry, and the offset is built by repeating bytes."""
+    width = math.prod(max(sum(map(abs, f)), 1) for f in polys).bit_length() // 8 + 1
+    half = 1 << (8 * width - 1)
+    digit = half.to_bytes(width, "little")
+
+    def pack(f: Sequence[int]) -> int:
+        raw = b"".join((v + half).to_bytes(width, "little") for v in f)
+        return int.from_bytes(raw, "little") - int.from_bytes(digit * len(f), "little")
+
+    n = sum(len(f) - 1 for f in polys) + 1
+    value = math.prod(map(pack, polys)) + int.from_bytes(digit * n, "little")
+    raw = value.to_bytes(n * width, "little")
+    return tuple(int.from_bytes(raw[i:i + width], "little") - half
+                 for i in range(0, n * width, width))
 
 
 def cyclo_factor(e: Rat, sign: int = 1) -> QLaurent:
@@ -437,14 +456,11 @@ def _binomial_phis(n: int, plus: bool) -> tuple[int, ...]:
     return tuple(d for d in range(1, n + 1) if n % d == 0)
 
 
-def _phi_product(powers: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+@lru_cache(maxsize=None)
+def _phi_product(powers: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     """Integer coefficients of prod Phi_d(t)^m over (d, m) with m > 0: monic,
     hence primitive, with constant term +-1."""
-    out = [1]
-    for d, m in powers:
-        for _ in range(m):
-            out = _mul(out, cyclotomic(d))
-    return tuple(out)
+    return _mul(*(cyclotomic(d) for d, m in powers for _ in range(m)))
 
 
 class PhiForm(NamedTuple):
@@ -465,8 +481,8 @@ class PhiForm(NamedTuple):
         constant term: the unique pair ``reduce_pair`` also returns."""
         if self.constant == 0:
             return QLaurent.zero(), QLaurent.one()
-        num = _phi_product((d, m) for d, m in self.phis if m > 0)
-        den = _phi_product((d, -m) for d, m in self.phis if m < 0)
+        num = _phi_product(tuple((d, m) for d, m in self.phis if m > 0))
+        den = _phi_product(tuple((d, -m) for d, m in self.phis if m < 0))
         return (QLaurent._of(_frac(self.constant), self.shift, num),
                 QLaurent._of(Fraction(1), 0, den))
 
@@ -515,6 +531,7 @@ class Cyclo:
         """deg(q^e -+ 1) = e when e > 0, else 0 (the Laurent factor bottoms out)."""
         return max(self.exponent_at(a), Fraction(0))
 
+    @lru_cache(maxsize=None)
     def phi_form(self, a: Rat) -> PhiForm:
         """t^E - 1 = prod over d | E of Phi_d and t^E + 1 = prod over d | 2E,
         d not dividing E, of Phi_d, for E = 4e > 0; a negative E contributes

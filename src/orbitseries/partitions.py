@@ -12,6 +12,7 @@ import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 
@@ -104,8 +105,9 @@ class Family:
         if self.kind == "2sl":
             if not (isinstance(datum, tuple) and len(datum) == 2):
                 raise InvalidPartitionError("2sl expects an ordered pair of partitions")
+            sl = Family("sl", self.n)
             for p in datum:
-                Family("sl", self.n).validate(p)
+                sl.validate(p)
             return
         p: Partition = datum
         if p.size != self.n:
@@ -136,8 +138,8 @@ def orbit_dim_classical(datum, family: Family) -> int:
     family.validate(datum)
     if family.kind == "2sl":
         a, b = datum
-        return orbit_dim_classical(a, Family("sl", family.n)) + \
-            orbit_dim_classical(b, Family("sl", family.n))
+        sl = Family("sl", family.n)
+        return orbit_dim_classical(a, sl) + orbit_dim_classical(b, sl)
     p: Partition = datum
     n = family.n
     tsq = _transpose_square_sum(p)
@@ -288,6 +290,7 @@ def _magic_cell(a: int, b: int) -> tuple[str, int]:
         raise NotAdjacentCellsError("cell coordinates must lie in {1,2,4}") from None
 
 
+@lru_cache(maxsize=None)
 def magic_family(a: int, b: int, n: int) -> Family:
     """The classical algebra in cell (a, b) of the generalized magic square."""
     kind, factor = _magic_cell(a, b)

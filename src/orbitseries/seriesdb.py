@@ -32,7 +32,9 @@ __all__ = [
 
 
 class UnknownSeriesError(KeyError):
-    pass
+    """A lookup found no such series, member or diagram."""
+
+    __str__ = Exception.__str__   # KeyError's would quote the message
 
 
 # -- reductive stabilizer specifications --------------------------------------

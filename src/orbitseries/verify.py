@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from . import partitions as pt
@@ -61,6 +62,7 @@ def _rec(suite, subject, lhs, rhs, note="") -> CheckResult:
     return CheckResult(suite, subject, RECORDED, str(lhs), str(rhs), note)
 
 
+@lru_cache(maxsize=None)
 def _order_int(spec: db.ReductiveSpec, q: int) -> int:
     val = db.group_order(spec).eval_at(0, q)
     assert val.denominator == 1
@@ -240,10 +242,10 @@ def _expected_quotient(rec: db.SeriesRecord, m: db.Member) -> ProductExpr:
 
 
 def _constant_ratio(expr: ProductExpr, a) -> Fraction | None:
-    num, den = expr.reduced(a)
-    if den == QLaurent.one() and list(num.coeffs) == [0]:
-        return num.coeffs[0]
-    return None
+    """The value of expr at a when it is a nonzero constant, read off its
+    cyclotomic normal form; None otherwise."""
+    f = expr.phi_form(a)
+    return f.constant if f.constant and not f.shift and not f.phis else None
 
 
 def check_pointcounts(a_values: Sequence[int] = A_VALUES) -> list[CheckResult]:

@@ -57,6 +57,15 @@ class TestDiagram:
         assert out.strip() == "1 0 1 2"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("show", "f4", "nope"), "no series 'nope' in row 'f4'"),
+    (("points", "e6", "g", "--a", "2"), "no series 'g' in row 'e6'"),
+    (("diagram", "f4", "nope", "--algebra", "e7"), "no series 'nope' in row 'f4'"),
+], ids=["show", "points", "diagram"])
+def test_lookup_error_is_one_unquoted_line(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 class TestGrading:
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "grading", "f4", "gQ", "--algebra", "e7",

@@ -8,8 +8,9 @@ import pytest
 
 from orbitseries import seriesdb as db
 from orbitseries.exactpoly import (Cyclo, QLaurent, ZeroExponentError,
-                                   reduce_pair)
-from orbitseries.verify import _char_expr
+                                   _phi_product, pexpr, reduce_pair)
+from orbitseries.verify import (_char_expr, _constant_ratio, _expected_quotient,
+                                _order_int)
 
 
 def _registry_cases():
@@ -106,3 +107,42 @@ def test_eval_at_equals_division_route_values():
             continue
         for q in (2, 3):
             assert expr.eval_at(a, q) == num.eval_at(q) / den.eval_at(q), (str(expr), a, q)
+
+
+# -- the cached leaves against their uncached forms ----------------------------
+
+
+def test_cached_phi_forms_equal_uncached():
+    for expr, a in _reducible(CASES):
+        for factor, _ in expr.factors:
+            if isinstance(factor, Cyclo):
+                assert factor.phi_form(a) == Cyclo.phi_form.__wrapped__(factor, a)
+        phis = expr.phi_form(a).phis
+        for key in (tuple((d, m) for d, m in phis if m > 0),
+                    tuple((d, -m) for d, m in phis if m < 0)):
+            assert _phi_product(key) == _phi_product.__wrapped__(key)
+
+
+def test_cached_group_orders_equal_uncached():
+    specs = {m.ambient for rec in db.all_series() for m in rec.members}
+    for spec in specs:
+        for q in (2, 3, 5):
+            want = db.group_order(spec).eval_at(0, q)
+            assert want.denominator == 1 and _order_int(spec, q) == want
+
+
+def test_constant_ratio_equals_the_reduced_pair():
+    quotients = [(rec.point_count / _expected_quotient(rec, m), m.a)
+                 for rec in db.series_by_row("f4") + db.series_by_row("e6")
+                 for m in rec.members if m.a != 1]
+    assert len(quotients) == 60
+    # and a zero, two constants, and values with a power of q or not constant
+    others = [(pexpr(0, 1), 2), (pexpr(3, 1), 2), (pexpr(1, 0, num=[2]), 2),
+              (pexpr(Fraction(1, 2), 0, num=[2], den=[1], num_plus=[1]), 2),
+              (pexpr(Fraction(1, 2), 0, num=[2], den=[1], den_plus=[1]), 2),
+              (pexpr(-3, 0, num=[Fraction(1, 2)], den=[Fraction(1, 2)]), 2),
+              (pexpr(-1, "a/4", num=["a/4"], den=[1]), 4)]
+    for expr, a in quotients + others:
+        num, den = expr.reduced(a)
+        constant = den == QLaurent.one() and list(num.coeffs) == [0]
+        assert _constant_ratio(expr, a) == (num.coeffs[0] if constant else None)

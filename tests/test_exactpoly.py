@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from orbitseries.exactpoly import (Cyclo, FractionalPowerError, LinExp,
                                    Literal, NotDivisibleError, PhiForm,
                                    ProductExpr, QLaurent, ZeroExponentError,
-                                   cyclo_factor, cyclotomic, exact_div,
-                                   pexpr, poly_gcd, reduce_pair)
+                                   _mul, _phi_product, cyclo_factor,
+                                   cyclotomic, exact_div, pexpr, poly_gcd,
+                                   reduce_pair)
 
 
 def qpoly(terms):
@@ -340,6 +341,48 @@ class TestPhiForm:
             pexpr(1, 0, den=[1]).eval_at(0, 1)
         with pytest.raises(ValueError, match="positive"):
             pexpr(1, 0, num=[1]).eval_at(0, 0)
+
+
+def schoolbook(*polys):
+    """The product of integer coefficient lists by plain convolution."""
+    out = [1]
+    for f in polys:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, u in enumerate(out):
+            for j, v in enumerate(f):
+                prod[i + j] += u * v
+        out = prod
+    return tuple(out)
+
+
+# small entries give cancellation, large ones need many bytes per digit
+int_lists = st.lists(st.one_of(st.integers(-3, 3), st.integers(-2 ** 80, 2 ** 80)),
+                     min_size=1, max_size=8)
+
+
+class TestKroneckerProduct:
+    @given(st.lists(int_lists, min_size=1, max_size=5))
+    @example([[-1], [2 ** 64 + 1, 0, -(2 ** 70)], [1, -1], [0, 5]])
+    @example([[-(2 ** 65)], [3]])
+    @example([[0], [2 ** 90, -1]])
+    @settings(max_examples=150, deadline=None)
+    def test_equals_schoolbook_convolution(self, polys):
+        assert _mul(*polys) == schoolbook(*polys)
+
+    def test_signed_digits_at_the_bound(self):
+        # monomials attain the bound B = prod ||f_i||_1, and a B of 8k bits
+        # needs a byte more for the sign: 255 * 257 = 2^16 - 1 takes 3 bytes
+        assert _mul((255,), (257,)) == (65535,)
+        assert _mul((-255,), (0, 257)) == (0, -65535)
+        f = (-128, 127)
+        assert _mul(f, f) == schoolbook(f, f) == (16384, -32512, 16129)
+        assert _mul((1,) * 300, (1, -1)) == (1,) + (0,) * 299 + (-1,)
+
+    def test_products_of_cyclotomics(self):
+        assert _phi_product(()) == (1,) == _mul()
+        powers = ((1, 2), (3, 1), (105, 2))
+        assert _phi_product(powers) == schoolbook(
+            *(cyclotomic(d) for d, m in powers for _ in range(m)))
 
 
 def fields(p):
