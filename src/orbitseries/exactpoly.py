@@ -14,14 +14,18 @@ polynomials Phi_d(t), so an expression is c * t^k * prod Phi_d(t)^(m_d), the
 notation of Carter, *Finite Groups of Lie Type* (1985), section 13.9, and of
 CHEVIE's ``CycPol`` (Geck-Hiss-Luebeck-Malle-Pfeiffer 1996).  Cancelling
 common factors is then subtraction of the multiplicities m_d, and only the
-reduced result is multiplied out, over the integers.  Every product runs
-through one kernel, ``_mul``, by Kronecker substitution (Kronecker 1882;
-Harvey, J. Symbolic Comput. 44, 2009): the factors are packed at X = 2^b,
-with b whole bytes and 2^(b-1) > prod max(||f_i||_1, 1), multiplied as big
-ints and read back as signed base-2^b digits.  The division route
-(``expand``, ``poly_gcd``, ``exact_div``, ``reduce_pair``) stays as the
-independent oracle the tests compare against, and reduces sums, which have
-no such form.
+reduced result is multiplied out, over the integers and without a general
+multiplication: by Moebius inversion prod Phi_d^(m_d) = prod (t^n - 1)^(E_n)
+with E_n = sum over n | d of mu(d/n) m_d, so ``_phi_product`` shifts and
+subtracts once per factor t^n - 1 with E_n > 0, then divides by each one with
+E_n < 0 in n strided prefix sums.  ``cyclotomic(d)`` is the same kernel at a
+single Phi_d.  General products (``QLaurent.__mul__``) run through ``_mul``,
+by Kronecker substitution (Kronecker 1882; Harvey, J. Symbolic Comput. 44,
+2009): the factors are packed at X = 2^b, with b whole bytes and 2^(b-1) >
+prod max(||f_i||_1, 1), multiplied as big ints and read back as signed
+base-2^b digits.  The division route (``expand``, ``poly_gcd``,
+``exact_div``, ``reduce_pair``) stays as the independent oracle the tests
+compare against, and reduces sums, which have no such form.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -88,6 +93,19 @@ class LinExp:
 
     def __call__(self, a: Rat) -> Fraction:
         return self.c0 + self.c1 * _frac(a)
+
+    def t_power(self, a: Rat) -> int:
+        """The t-power 4 * self(a), in integer arithmetic for any rational a;
+        raises ValueError off the quarter lattice, as ``_t_power`` does."""
+        if not isinstance(a, int):
+            a = _frac(a)
+        c0, c1 = self.c0, self.c1
+        num = 4 * (c0.numerator * c1.denominator * a.denominator +
+                   c1.numerator * c0.denominator * a.numerator)
+        big_e, rem = divmod(num, c0.denominator * c1.denominator * a.denominator)
+        if rem:
+            raise ValueError(f"exponent {self(a)} not on the quarter-integer lattice")
+        return big_e
 
     def __add__(self, other: "LinExp | Rat") -> "LinExp":
         if isinstance(other, LinExp):
@@ -435,16 +453,9 @@ def reduce_pair(num: QLaurent, den: QLaurent) -> tuple[QLaurent, QLaurent]:
 
 # -- cyclotomic normal form --------------------------------------------------
 
-@lru_cache(maxsize=None)
 def cyclotomic(d: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_d(t), constant term first.
-
-    Derived on first use from t^d - 1 = prod over e | d of Phi_e(t).
-    """
-    poly = [-1] + [0] * (d - 1) + [1]
-    for e in _binomial_phis(d, False)[:-1]:
-        poly = _divmod(poly, cyclotomic(e))[0]
-    return tuple(poly)
+    """Integer coefficients of Phi_d(t), constant term first."""
+    return _phi_product(((d, 1),))
 
 
 @lru_cache(maxsize=None)
@@ -457,10 +468,42 @@ def _binomial_phis(n: int, plus: bool) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def _moebius_binomials(d: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (n, mu(d/n)) with mu(d/n) nonzero, so that Phi_d(t) = prod
+    (t^n - 1)^mu(d/n): n runs over d divided by squarefree divisors of d."""
+    primes = [p for p in range(2, d + 1)
+              if d % p == 0 and all(p % r for r in range(2, math.isqrt(p) + 1))]
+    return tuple((d // math.prod(s), (-1) ** k)
+                 for k in range(len(primes) + 1) for s in combinations(primes, k))
+
+
+@lru_cache(maxsize=None)
 def _phi_product(powers: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     """Integer coefficients of prod Phi_d(t)^m over (d, m) with m > 0: monic,
-    hence primitive, with constant term +-1."""
-    return _mul(*(cyclotomic(d) for d, m in powers for _ in range(m)))
+    hence primitive, with constant term +-1.
+
+    The product is +-prod (1 - t^n)^(E_n) with E_n = sum of mu(d/n) m over
+    n | d.  Multiplying by 1 - t^n is one shift-and-subtract; dividing by it
+    is a prefix sum along each residue class mod n, and the top n sums are
+    the remainder, which must vanish.  Both run on the factor's own
+    coefficients, so no bound on their size is needed."""
+    exps: dict[int, int] = {}
+    for d, m in powers:
+        for n, mu in _moebius_binomials(d):
+            exps[n] = exps.get(n, 0) + mu * m
+    poly = [1]
+    for n, e in exps.items():
+        for _ in range(e):
+            poly = list(map(operator.sub, poly + [0] * n, [0] * n + poly))
+    for n, e in exps.items():
+        for _ in range(-e):
+            # p = quo * (1 - t^n) gives quo_i = p_i + quo_(i-n)
+            for r in range(n):
+                poly[r::n] = accumulate(poly[r::n])
+            if any(poly[-n:]):
+                raise ArithmeticError(f"t^{n} - 1 does not divide the product")
+            del poly[-n:]
+    return tuple(poly) if poly[-1] > 0 else tuple(map(operator.neg, poly))
 
 
 class PhiForm(NamedTuple):
@@ -521,8 +564,11 @@ class Cyclo:
         """The exponent e at a; raises when the factor is q^0 - 1 = 0."""
         e = self.exponent(a)
         if self.sign == 1 and e == 0:
-            raise ZeroExponentError(f"factor q^({self.exponent}) - 1 vanishes at a={a}")
+            raise self._vanishes(a)
         return e
+
+    def _vanishes(self, a: Rat) -> ZeroExponentError:
+        return ZeroExponentError(f"factor q^({self.exponent}) - 1 vanishes at a={a}")
 
     def value_at(self, a: Rat) -> QLaurent:
         return cyclo_factor(self.exponent_at(a), self.sign)
@@ -531,18 +577,9 @@ class Cyclo:
         """deg(q^e -+ 1) = e when e > 0, else 0 (the Laurent factor bottoms out)."""
         return max(self.exponent_at(a), Fraction(0))
 
-    @lru_cache(maxsize=None)
     def phi_form(self, a: Rat) -> PhiForm:
-        """t^E - 1 = prod over d | E of Phi_d and t^E + 1 = prod over d | 2E,
-        d not dividing E, of Phi_d, for E = 4e > 0; a negative E contributes
-        the monomial t^E and, for the minus sign, the sign -1."""
-        big_e = _t_power(self.exponent_at(a))
-        if big_e == 0:
-            return PhiForm(Fraction(2))
-        phis = tuple((d, 1) for d in _binomial_phis(abs(big_e), self.sign == -1))
-        if big_e > 0:
-            return PhiForm(Fraction(1), 0, phis)
-        return PhiForm(Fraction(-self.sign), big_e, phis)
+        """The factor alone, by the rule in ``ProductExpr.phi_form``."""
+        return ProductExpr(factors=((self, 1),)).phi_form(a)
 
     def __str__(self) -> str:
         op = "-" if self.sign == 1 else "+"
@@ -631,16 +668,35 @@ class ProductExpr:
         return num, den
 
     def phi_form(self, a: Rat) -> PhiForm:
-        """Cyclotomic normal form at parameter a; common factors cancel here."""
+        """Cyclotomic normal form at parameter a; common factors cancel here.
+
+        For E = 4e > 0, t^E - 1 is the product of Phi_d over d | E and t^E + 1
+        that over d | 2E not dividing E; a negative E adds the monomial t^E
+        and, for the minus sign, the sign -1, and q^0 + 1 is the constant 2.
+        Only those rare factors touch the rational constant."""
         constant = self.constant
-        shift = _t_power(self.prefactor_exponent(a))
+        shift = self.prefactor_exponent.t_power(a)
         mults: dict[int, int] = {}
         for factor, mult in self.factors:
-            f = factor.phi_form(a)
-            constant *= f.constant ** mult
-            shift += f.shift * mult
-            for d, m in f.phis:
-                mults[d] = mults.get(d, 0) + m * mult
+            if not isinstance(factor, Cyclo):
+                f = factor.phi_form(a)
+                constant *= f.constant ** mult
+                shift += f.shift * mult
+                for d, m in f.phis:
+                    mults[d] = mults.get(d, 0) + m * mult
+                continue
+            big_e = factor.exponent.t_power(a)
+            if big_e == 0:
+                if factor.sign == 1:
+                    raise factor._vanishes(a)
+                constant *= Fraction(2) ** mult
+                continue
+            if big_e < 0:
+                shift += big_e * mult
+                if factor.sign == 1 and mult % 2:
+                    constant = -constant
+            for d in _binomial_phis(abs(big_e), factor.sign == -1):
+                mults[d] = mults.get(d, 0) + mult
         if constant == 0:
             return PhiForm(constant)
         return PhiForm(constant, shift, tuple(sorted((d, m) for d, m in mults.items() if m)))
@@ -710,6 +766,13 @@ def L(s: LinExp | Rat | str) -> LinExp:
         return s
     if not isinstance(s, str):
         return LinExp(s)
+    return _parse_exponent(s)
+
+
+@lru_cache(maxsize=None)
+def _parse_exponent(s: str) -> LinExp:
+    """``L`` on a string; memoized, as the registry repeats its exponents and
+    a LinExp is immutable."""
     c0 = Fraction(0)
     c1 = Fraction(0)
     for term in re.findall(r"[+-]?[^+-]+", s.replace(" ", "")):

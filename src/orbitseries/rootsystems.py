@@ -230,7 +230,9 @@ class RootSystem:
 
 
 def _i(x: Fraction) -> int:
-    assert x.denominator == 1, x
+    """x as an int; raises if x is not integral (a check that ``-O`` keeps)."""
+    if x.denominator != 1:
+        raise ArithmeticError(f"{x} is not an integer")
     return int(x)
 
 
@@ -288,14 +290,20 @@ class WeightedDiagram:
 
 
 def grading_dims(wd: WeightedDiagram) -> dict[int, int]:
-    """Dimensions of the eigenspaces of ad H, keyed by eigenvalue."""
+    """Dimensions of the eigenspaces of ad H, keyed by eigenvalue; a new dict
+    on every call, which the caller may change."""
+    return dict(_grading_dims(wd))
+
+
+@lru_cache(maxsize=None)
+def _grading_dims(wd: WeightedDiagram) -> tuple[tuple[int, int], ...]:
     rs = build_root_system(wd.algebra)
     dims: dict[int, int] = {0: rs.rank}
     for root in rs.positive_roots:
         v = sum(c * l for c, l in zip(root, wd.labels))
         dims[v] = dims.get(v, 0) + 1
         dims[-v] = dims.get(-v, 0) + 1
-    return dict(sorted(dims.items()))
+    return tuple(sorted(dims.items()))
 
 
 def orbit_dim_from_diagram(wd: WeightedDiagram) -> int:

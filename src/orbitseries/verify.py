@@ -65,7 +65,8 @@ def _rec(suite, subject, lhs, rhs, note="") -> CheckResult:
 @lru_cache(maxsize=None)
 def _order_int(spec: db.ReductiveSpec, q: int) -> int:
     val = db.group_order(spec).eval_at(0, q)
-    assert val.denominator == 1
+    if val.denominator != 1:
+        raise ArithmeticError(f"|{spec}(F_{q})| = {val} is not an integer")
     return int(val)
 
 

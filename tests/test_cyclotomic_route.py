@@ -8,7 +8,7 @@ import pytest
 
 from orbitseries import seriesdb as db
 from orbitseries.exactpoly import (Cyclo, QLaurent, ZeroExponentError,
-                                   _phi_product, pexpr, reduce_pair)
+                                   _phi_product, _t_power, pexpr, reduce_pair)
 from orbitseries.verify import (_char_expr, _constant_ratio, _expected_quotient,
                                 _order_int)
 
@@ -49,6 +49,22 @@ def test_registry_coverage():
     degenerate = [(e, a) for e, a in CASES if (e, a) not in reducible]
     # only formal a = 1 evaluations of character formulas degenerate
     assert degenerate and all(a == 1 for _, a in degenerate)
+
+
+def test_integer_t_powers_equal_the_fraction_route():
+    exponents = {e for expr, _ in CASES for e in [expr.prefactor_exponent] +
+                 [f.exponent for f, _ in expr.factors if isinstance(f, Cyclo)]}
+    assert len(exponents) > 100
+    for e in exponents:
+        for a in (1, 2, 4, 8, Fraction(1, 2), Fraction(-7, 3)):
+            try:
+                want = _t_power(e(a))
+            except ValueError as err:
+                with pytest.raises(ValueError) as got:
+                    e.t_power(a)
+                assert str(got.value) == str(err)
+                continue
+            assert e.t_power(a) == want and type(e.t_power(a)) is int, (str(e), a)
 
 
 def test_cyclotomic_route_equals_division_route():
@@ -116,7 +132,9 @@ def test_cached_phi_forms_equal_uncached():
     for expr, a in _reducible(CASES):
         for factor, _ in expr.factors:
             if isinstance(factor, Cyclo):
-                assert factor.phi_form(a) == Cyclo.phi_form.__wrapped__(factor, a)
+                # each factor's normal form multiplies back out to q^e -+ 1
+                num, den = factor.phi_form(a).pair()
+                assert den == QLaurent.one() and num == factor.value_at(a)
         phis = expr.phi_form(a).phis
         for key in (tuple((d, m) for d, m in phis if m > 0),
                     tuple((d, -m) for d, m in phis if m < 0)):

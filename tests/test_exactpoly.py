@@ -10,7 +10,7 @@ from orbitseries.exactpoly import (Cyclo, FractionalPowerError, LinExp,
                                    Literal, NotDivisibleError, PhiForm,
                                    ProductExpr, QLaurent, ZeroExponentError,
                                    _mul, _phi_product, cyclo_factor,
-                                   cyclotomic, exact_div, pexpr, poly_gcd,
+                                   cyclotomic, exact_div, L, pexpr, poly_gcd,
                                    reduce_pair)
 
 
@@ -53,6 +53,18 @@ class TestLinExp:
         for e in (LinExp(2, F(5, 4)), LinExp(-2, F(5, 4)), LinExp(0, F(1, 4))):
             for a in (1, 2, 4, 8):
                 assert (4 * e(a)).denominator == 1
+
+    def test_t_power_off_the_quarter_lattice_raises(self):
+        assert LinExp(F(-3, 4), F(3, 2)).t_power(F(1, 2)) == 0
+        assert LinExp(F(1, 3), F(2, 3)).t_power(F(-1, 2)) == 0
+        with pytest.raises(ValueError, match="exponent 1/8 not on the quarter-integer lattice"):
+            LinExp(0, F(1, 4)).t_power(F(1, 2))
+        with pytest.raises(TypeError):
+            LinExp(0, 1).t_power(0.5)
+
+    def test_parsed_strings_are_shared(self):
+        assert L("3a/2+2") is L("3a/2+2") == LinExp(2, F(3, 2))
+        assert L(" a/4 - 1") == LinExp(-1, F(1, 4))
 
 
 class TestQLaurentRing:
@@ -383,6 +395,30 @@ class TestKroneckerProduct:
         powers = ((1, 2), (3, 1), (105, 2))
         assert _phi_product(powers) == schoolbook(
             *(cyclotomic(d) for d, m in powers for _ in range(m)))
+
+    @given(st.lists(st.tuples(st.integers(1, 120), st.integers(1, 3)),
+                    max_size=6, unique_by=lambda p: p[0]).map(sorted))
+    @example([])
+    @example([(1, 3), (2, 3), (4, 1)])
+    @example([(105, 2), (120, 1)])
+    @settings(max_examples=120, deadline=None)
+    def test_binomial_kernel_equals_kronecker_product(self, powers):
+        powers = tuple(powers)
+        want = _mul(*(cyclotomic(d) for d, m in powers for _ in range(m)))
+        assert _phi_product.__wrapped__(powers) == want
+
+    def test_kernel_refuses_a_quotient_that_is_not_a_polynomial(self):
+        # 1 / Phi_1 and Phi_2 / Phi_1: some t^n - 1 leaves a remainder
+        for powers in (((1, -1),), ((1, -1), (2, 1))):
+            with pytest.raises(ArithmeticError, match="does not divide"):
+                _phi_product.__wrapped__(powers)
+
+    def test_cyclotomic_polynomials_equal_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        for d in range(1, 301):
+            want = sympy.Poly(sympy.cyclotomic_poly(d, t), t).all_coeffs()
+            assert cyclotomic(d) == tuple(int(c) for c in reversed(want)), d
 
 
 def fields(p):

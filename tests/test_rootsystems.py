@@ -1,10 +1,12 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitseries.rootsystems import (AdjointNotFundamentalError, AlgebraType,
                                      UnsupportedRankError, WeightedDiagram,
-                                     algebra, desing_dims,
+                                     _i, algebra, desing_dims,
                                      grading_dims, minimal_orbit_diagram,
                                      orbit_dim_from_diagram, root_system,
                                      series_weight_to_diagram, sigma1_diagram,
@@ -128,6 +130,14 @@ class TestGradings:
         base, fiber = desing_dims(wd)
         assert base >= fiber >= 0
 
+    def test_returned_dict_is_the_callers_own(self):
+        wd = series_weight_to_diagram(0, 0, 0, 1, "e7")
+        first = grading_dims(wd)
+        want = dict(first)
+        first[1] = -1
+        first.clear()
+        assert grading_dims(wd) == want and grading_dims(wd) is not grading_dims(wd)
+
     def test_gq_series_on_e7(self):
         wd = series_weight_to_diagram(0, 0, 0, 1, "e7")
         g = grading_dims(wd)
@@ -208,3 +218,10 @@ class TestUniversalOrbits:
         assert sigma3_diagram(rs).labels == (2, 0, 2)
         rs = root_system("f4")
         assert sigma3_diagram(rs).labels == (2, 0, 0, 0)
+
+
+def test_non_integer_pairing_raises():
+    # an explicit raise, where an assert under -O would let int() truncate 7/2 to 3
+    with pytest.raises(ArithmeticError, match="7/2 is not an integer"):
+        _i(Fraction(7, 2))
+    assert _i(Fraction(-6, 2)) == -3

@@ -1,14 +1,25 @@
 import hashlib
+import os
 import re
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import orbitseries
+from orbitseries import seriesdb as db
 from orbitseries import verify
-from orbitseries.exactpoly import ProductExpr
+from orbitseries.exactpoly import ProductExpr, pexpr
 from orbitseries.seriesdb import lookup
 from orbitseries.verify import (FAIL, PASS, RECORDED, VerifyConfig, check_dims,
                                 check_gradings, check_pointcounts,
                                 check_characters, check_universal, run_all)
+
+
+# the output contract: the full report is byte-identical across changes
+REPORT_SHA256 = "9cc217dadf041c4a24f9b08e2f45a998777adafe7984385eff8ed28791a3aa1c"
 
 
 def _failures(results):
@@ -80,9 +91,26 @@ class TestReport:
         assert report.exit_code == 0
         assert report.counts[PASS] > 800
         assert report.counts[RECORDED] > 50
-        # the output contract: the full report is byte-identical across changes
-        assert hashlib.sha256(report.as_json().encode()).hexdigest() == \
-            "9cc217dadf041c4a24f9b08e2f45a998777adafe7984385eff8ed28791a3aa1c"
+        assert hashlib.sha256(report.as_json().encode()).hexdigest() == REPORT_SHA256
+
+    def test_full_run_under_python_O(self):
+        # -O strips every assert (the "assert False" shows it is in force),
+        # so a check that rested on one would change the report
+        code = ("import hashlib; from orbitseries.verify import run_all; "
+                "assert False; "
+                "print(hashlib.sha256(run_all().as_json().encode()).hexdigest())")
+        src = str(Path(orbitseries.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=300, check=True)
+        assert out.stdout.strip() == REPORT_SHA256
+
+    def test_order_int_refuses_a_fraction(self, monkeypatch):
+        spec = next(m.ambient for rec in db.all_series() for m in rec.members)
+        monkeypatch.setattr(db, "group_order", lambda _: pexpr(Fraction(7, 2)))
+        with pytest.raises(ArithmeticError, match="= 7/2 is not an integer"):
+            verify._order_int.__wrapped__(spec, 2)
 
     def test_determinism(self):
         cfg = VerifyConfig(suites=("dims", "gradings"))
