@@ -4,16 +4,15 @@ evaluate point counts, run the verification suites and export the tables."""
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 from fractions import Fraction
 
 from . import rootsystems as rsys
 from . import seriesdb as db
-from . import serialize, verify
 from .exactpoly import QLaurent
+
+# verify, serialize, json, csv and io are imported by the commands that use
+# them: a one-shot lookup should not pay for compiling the verifier.
 
 USAGE_ERROR = 2
 
@@ -68,6 +67,7 @@ def cmd_grading(args) -> int:
     wd = _diagram(args)
     dims = rsys.grading_dims(wd)
     if args.json:
+        import json
         print(json.dumps({str(i): d for i, d in sorted(dims.items())}))
     else:
         for i, d in sorted(dims.items()):
@@ -103,6 +103,7 @@ def cmd_points(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
     default = verify.VerifyConfig()
     report = verify.run_all(verify.VerifyConfig(tuple(args.suite or default.suites),
                                                 tuple(args.a or default.a_values)))
@@ -114,10 +115,14 @@ def cmd_verify(args) -> int:
 
 
 def _export_json() -> str:
+    import json
+    from . import serialize
     return json.dumps(serialize.registry_to_json(), indent=2, sort_keys=True)
 
 
 def _export_csv() -> str:
+    import csv
+    import io
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["row", "label", "dim", "rad", "a", "ambient", "carter", "h",

@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
@@ -76,30 +75,36 @@ def _t_power(e: Rat) -> int:
     return int(t)
 
 
-@dataclass(frozen=True)
-class LinExp:
+class _LinExp(NamedTuple):
+    c0: Fraction
+    c1: Fraction
+
+
+class LinExp(_LinExp):
     """Affine function c0 + c1*a of the series parameter a.
 
     Denominators of c0 and c1 divide 4 for every exponent used in this
     package, so evaluations at integer a land on the quarter lattice.
     """
 
-    c0: Fraction
-    c1: Fraction = Fraction(0)
+    __slots__ = ()
 
-    def __init__(self, c0: Rat, c1: Rat = 0):
-        object.__setattr__(self, "c0", _frac(c0))
-        object.__setattr__(self, "c1", _frac(c1))
+    def __new__(cls, c0: Rat, c1: Rat = 0):
+        return tuple.__new__(cls, (_frac(c0), _frac(c1)))
 
     def __call__(self, a: Rat) -> Fraction:
-        return self.c0 + self.c1 * _frac(a)
+        c0, c1 = self
+        if isinstance(a, int):
+            return Fraction(c0.numerator * c1.denominator + c1.numerator * c0.denominator * a,
+                            c0.denominator * c1.denominator)
+        return c0 + c1 * _frac(a)
 
     def t_power(self, a: Rat) -> int:
         """The t-power 4 * self(a), in integer arithmetic for any rational a;
         raises ValueError off the quarter lattice, as ``_t_power`` does."""
         if not isinstance(a, int):
             a = _frac(a)
-        c0, c1 = self.c0, self.c1
+        c0, c1 = self
         num = 4 * (c0.numerator * c1.denominator * a.denominator +
                    c1.numerator * c0.denominator * a.numerator)
         big_e, rem = divmod(num, c0.denominator * c1.denominator * a.denominator)
@@ -510,9 +515,7 @@ class PhiForm(NamedTuple):
     """constant * t^shift * prod of Phi_d(t)^m over the pairs (d, m) in phis.
 
     ``phis`` is sorted by d and holds no zero multiplicity, so two forms are
-    equal exactly when the rational functions they stand for are.  A named
-    tuple rather than a dataclass: it is built on every reduction, and its
-    class costs less to create at import.
+    equal exactly when the rational functions they stand for are.
     """
 
     constant: Fraction
@@ -553,8 +556,7 @@ def _factor_cyclotomic(value: QLaurent) -> PhiForm:
 # -- product expressions -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cyclo:
+class Cyclo(NamedTuple):
     """Factor q^e - 1 (sign +1) or q^e + 1 (sign -1), exponent affine in a."""
 
     exponent: LinExp
@@ -573,10 +575,6 @@ class Cyclo:
     def value_at(self, a: Rat) -> QLaurent:
         return cyclo_factor(self.exponent_at(a), self.sign)
 
-    def degree_in_q(self, a: Rat) -> Fraction:
-        """deg(q^e -+ 1) = e when e > 0, else 0 (the Laurent factor bottoms out)."""
-        return max(self.exponent_at(a), Fraction(0))
-
     def phi_form(self, a: Rat) -> PhiForm:
         """The factor alone, by the rule in ``ProductExpr.phi_form``."""
         return ProductExpr(factors=((self, 1),)).phi_form(a)
@@ -586,17 +584,13 @@ class Cyclo:
         return f"(q^({self.exponent}){op}1)"
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(NamedTuple):
     """An explicit polynomial factor, for shapes like q^2 - q + 1."""
 
     value: QLaurent
 
     def value_at(self, a: Rat) -> QLaurent:
         return self.value
-
-    def degree_in_q(self, a: Rat) -> Fraction:
-        return self.value.degree_in_q()
 
     def phi_form(self, a: Rat) -> PhiForm:
         """By trial division; a literal that is not cyclotomic raises ValueError."""
@@ -611,8 +605,13 @@ class Literal:
 Factor = Union[Cyclo, Literal]
 
 
-@dataclass(frozen=True)
-class ProductExpr:
+class _ProductExpr(NamedTuple):
+    constant: Fraction
+    prefactor_exponent: LinExp
+    factors: tuple[tuple[Factor, int], ...]
+
+
+class ProductExpr(_ProductExpr):
     """constant * q^prefactor * product of factors raised to integer powers.
 
     This is the shared wire format for point counts, group orders and
@@ -620,15 +619,15 @@ class ProductExpr:
     every evaluation is exact.
     """
 
-    constant: Fraction = Fraction(1)
-    prefactor_exponent: LinExp = LinExp(0)
-    factors: tuple[tuple[Factor, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "constant", _frac(self.constant))
-        for _, m in self.factors:
+    def __new__(cls, constant: Rat = 1, prefactor_exponent: LinExp = LinExp(0),
+                factors: tuple[tuple[Factor, int], ...] = ()):
+        constant = _frac(constant)
+        for _, m in factors:
             if m == 0:
                 raise ValueError("factor multiplicity must be nonzero")
+        return tuple.__new__(cls, (constant, prefactor_exponent, factors))
 
     def __mul__(self, other: "ProductExpr") -> "ProductExpr":
         return ProductExpr(self.constant * other.constant,
@@ -715,9 +714,20 @@ class ProductExpr:
         return num
 
     def degree_in_q(self, a: Rat) -> Fraction:
-        """Exact q-degree of the reduced value at parameter a."""
-        return self.prefactor_exponent(a) + sum(
-            (f.degree_in_q(a) * mult for f, mult in self.factors), Fraction(0))
+        """Exact q-degree of the reduced value at parameter a, summed as
+        t-powers: deg(q^e -+ 1) is e when e > 0, else 0 (the Laurent factor
+        bottoms out), and a literal has its own degree."""
+        total = self.prefactor_exponent.t_power(a)
+        for factor, mult in self.factors:
+            if not isinstance(factor, Cyclo):
+                total += factor.value.t_degree() * mult
+                continue
+            big_e = factor.exponent.t_power(a)
+            if big_e == 0 and factor.sign == 1:
+                raise factor._vanishes(a)
+            if big_e > 0:
+                total += big_e * mult
+        return Fraction(total, 4)
 
     def eval_at(self, a: Rat, q: Rat) -> Fraction:
         """Exact value at a positive rational q, factor by factor, unexpanded.
@@ -795,7 +805,7 @@ def _factors(entries, mult_sign: int, sign: int) -> tuple[tuple[Factor, int], ..
     out = []
     for entry in entries:
         mult = 1
-        if isinstance(entry, tuple):
+        if type(entry) is tuple:   # not a LinExp, which is a tuple too
             entry, mult = entry
         out.append((Cyclo(L(entry), sign), mult_sign * mult))
     return tuple(out)

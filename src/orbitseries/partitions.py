@@ -10,10 +10,9 @@ from __future__ import annotations
 import math
 import operator
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class InvalidPartitionError(ValueError):
@@ -28,11 +27,31 @@ class NotAdjacentCellsError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Partition:
+class _Frozen:
+    """Immutable fields in ``__slots__``, set once with ``object.__setattr__``.
+
+    The sweeps read these fields in their inner loops, where a slot is
+    faster to read than a named-tuple field.  Each subclass defines equality
+    within its class and hashes as the tuple of its fields.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(" + ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self.__slots__) + ")"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Partition(_Frozen):
     """A weakly decreasing tuple of positive integers."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int]):
         try:
@@ -42,6 +61,14 @@ class Partition:
         if any(x <= 0 for x in p):
             raise ValueError("parts must be positive")
         object.__setattr__(self, "parts", p)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
     @property
     def size(self) -> int:
@@ -69,18 +96,29 @@ def partition(*parts: int) -> Partition:
     return Partition(parts)
 
 
-@dataclass(frozen=True)
-class Family:
-    """One classical family: sl_n, so_n, sp_2n, or the doubled 2sl_n cell."""
+class Family(_Frozen):
+    """One classical family: sl_n, so_n, sp_2n, or the doubled 2sl_n cell.
 
-    kind: str  # "sl" | "so" | "sp" | "2sl"
-    n: int     # matrix size (for sp the full even size 2n)
+    ``kind`` is "sl", "so", "sp" or "2sl"; ``n`` is the matrix size (for sp
+    the full even size 2n)."""
 
-    def __post_init__(self):
-        if self.kind not in ("sl", "so", "sp", "2sl"):
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.kind == "sp" and self.n % 2:
+    __slots__ = ("kind", "n")
+
+    def __init__(self, kind: str, n: int):
+        if kind not in ("sl", "so", "sp", "2sl"):
+            raise ValueError(f"unknown family kind {kind!r}")
+        if kind == "sp" and n % 2:
             raise ValueError("sp requires even matrix size")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.kind == other.kind and self.n == other.n
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.n))
 
     @property
     def dim(self) -> int:
@@ -103,7 +141,8 @@ class Family:
 
     def validate(self, datum) -> None:
         if self.kind == "2sl":
-            if not (isinstance(datum, tuple) and len(datum) == 2):
+            # a plain tuple: a PartitionPair is a tuple too, of other data
+            if not (type(datum) is tuple and len(datum) == 2):
                 raise InvalidPartitionError("2sl expects an ordered pair of partitions")
             sl = Family("sl", self.n)
             for p in datum:
@@ -242,17 +281,21 @@ def centralizer_oracle(datum, family: Family) -> int:
 # -- pairs of partitions (sp6 / so12 parametrization) -------------------------
 
 
-@dataclass(frozen=True)
-class PartitionPair:
-    """(alpha, beta) with beta having distinct parts."""
-
+class _PartitionPair(NamedTuple):
     alpha: Partition
     beta: Partition
 
-    def __post_init__(self):
-        b = self.beta.parts
+
+class PartitionPair(_PartitionPair):
+    """(alpha, beta) with beta having distinct parts."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha: Partition, beta: Partition):
+        b = beta.parts
         if len(set(b)) != len(b):
             raise ValueError("beta must have distinct parts")
+        return tuple.__new__(cls, (alpha, beta))
 
     def __str__(self) -> str:
         a = ",".join(map(str, self.alpha.parts)) or "-"

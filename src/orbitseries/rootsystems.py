@@ -11,9 +11,9 @@ over these roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 _EXCEPTIONAL_RANKS = {"G": 2, "F": 4}
 _E_RANKS = (6, 7, 8)
@@ -36,15 +36,18 @@ class AdjointNotFundamentalError(ValueError):
     """The adjoint representation of this algebra is not fundamental."""
 
 
-@dataclass(frozen=True)
-class AlgebraType:
-    """A simple Lie algebra type: family in A..G plus rank."""
-
+class _AlgebraType(NamedTuple):
     family: str
     rank: int
 
-    def __post_init__(self):
-        fam, n = self.family, self.rank
+
+class AlgebraType(_AlgebraType):
+    """A simple Lie algebra type: family in A..G plus rank."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, rank: int):
+        fam, n = family, rank
         if fam not in "ABCDEFG":
             raise UnsupportedRankError(f"unknown family {fam!r}")
         if fam == "E" and n not in _E_RANKS:
@@ -55,6 +58,7 @@ class AlgebraType:
             raise UnsupportedRankError(f"{fam}{n} outside supported range")
         if fam == "B" and n < 2 or fam == "C" and n < 2 or fam == "D" and n < 3:
             raise UnsupportedRankError(f"{fam}{n} is not treated as a distinct type")
+        return tuple.__new__(cls, (family, rank))
 
     @property
     def name(self) -> str:
@@ -248,22 +252,26 @@ def root_system(name: str) -> RootSystem:
 # -- weighted Dynkin diagrams ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightedDiagram:
+class _WeightedDiagram(NamedTuple):
+    algebra: AlgebraType
+    labels: tuple[int, ...]
+
+
+class WeightedDiagram(_WeightedDiagram):
     """Nonnegative integer labels on the simple roots, Bourbaki order.
 
     The labels are the values alpha_i(H) of the semisimple element H of an
     sl2-triple; they determine the nilpotent orbit.
     """
 
-    algebra: AlgebraType
-    labels: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.labels) != self.algebra.rank:
+    def __new__(cls, algebra: AlgebraType, labels: tuple[int, ...]):
+        if len(labels) != algebra.rank:
             raise ValueError("one label per simple root required")
-        if any(x < 0 for x in self.labels):
+        if any(x < 0 for x in labels):
             raise ValueError("labels must be nonnegative")
+        return tuple.__new__(cls, (algebra, labels))
 
     def is_even(self) -> bool:
         return all(x % 2 == 0 for x in self.labels)

@@ -16,9 +16,9 @@ printed form; the verify suite reports every such correction.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .exactpoly import L, LinExp, ProductExpr, QLaurent, pexpr
 from .partitions import EMPTY, Family, Partition, PartitionPair, pair_to_partition
@@ -40,8 +40,7 @@ class UnknownSeriesError(KeyError):
 # -- reductive stabilizer specifications --------------------------------------
 
 
-@dataclass(frozen=True)
-class ReductiveSpec:
+class ReductiveSpec(NamedTuple):
     """Product of simple factors and a central torus."""
 
     factors: tuple[AlgebraType, ...] = ()
@@ -105,8 +104,7 @@ EXCEPTIONAL_AMBIENTS = {1: "f4", 2: "e6", 4: "e7", 8: "e8"}
 # -- members and character formulas -------------------------------------------
 
 
-@dataclass(frozen=True)
-class Member:
+class Member(NamedTuple):
     """One algebra in a series: ambient, orbit label and stabilizer data.
 
     ``datum`` is the classical parametrization as the tables print it: a
@@ -127,8 +125,7 @@ class Member:
         return self.datum
 
 
-@dataclass(frozen=True)
-class CharacterFormula:
+class CharacterFormula(NamedTuple):
     """One degree expression: q^(N - shift(a)) times the body.
 
     ``body`` carries the constant and the cyclotomic factors, with prefactor
@@ -145,8 +142,7 @@ class CharacterFormula:
         return ProductExpr(1, LinExp(n_positive_roots) - self.shift) * self.body
 
 
-@dataclass(frozen=True)
-class NamedDegree:
+class NamedDegree(NamedTuple):
     """A named character this series hits, with its printed invariants."""
 
     a: int
@@ -157,8 +153,7 @@ class NamedDegree:
     display: ProductExpr | None = None   # explicit printed degree, when given
 
 
-@dataclass(frozen=True)
-class SeriesRecord:
+class SeriesRecord(NamedTuple):
     row: str
     label: str
     dim: LinExp                          # dim O_a

@@ -12,10 +12,9 @@ oracles.  A recorded entry is not a failure; a failed assertion is.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import partitions as pt
 from . import rootsystems as rsys
@@ -40,8 +39,7 @@ MAGIC_MAX_N = 10
 EXAMPLE2_MAX_N = 12
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     suite: str
     subject: str
     status: str
@@ -620,15 +618,13 @@ def check_errata() -> list[CheckResult]:
 # -- orchestration --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
+class VerifyConfig(NamedTuple):
     suites: tuple[str, ...] = ("dims", "gradings", "pointcounts", "characters",
                                "universal", "errata")
     a_values: tuple[int, ...] = A_VALUES
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     results: tuple[CheckResult, ...]
 
     @property

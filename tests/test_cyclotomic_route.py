@@ -1,6 +1,6 @@
 """Differential tests: the cyclotomic normal-form route against the division
-route (expand, then gcd and exact division) and against sympy.cancel, on
-every (expression, a) the registry yields."""
+route (expand, then gcd and exact division) and against sympy's polynomial
+gcd over the integers, on every (expression, a) the registry yields."""
 
 from fractions import Fraction
 
@@ -67,6 +67,46 @@ def test_integer_t_powers_equal_the_fraction_route():
             assert e.t_power(a) == want and type(e.t_power(a)) is int, (str(e), a)
 
 
+def _by_fractions(e, a):
+    return e.c0 + e.c1 * Fraction(a)
+
+
+def test_degree_in_q_equals_the_fraction_route():
+    for expr in dict.fromkeys(expr for expr, _ in CASES):
+        for a in (0, 1, 2, 4, 8):
+            want = _by_fractions(expr.prefactor_exponent, a)
+            vanishing = None
+            for factor, mult in expr.factors:
+                if not isinstance(factor, Cyclo):
+                    want += factor.value.degree_in_q() * mult
+                    continue
+                e = _by_fractions(factor.exponent, a)
+                if factor.sign == 1 and e == 0:
+                    vanishing = f"factor q^({factor.exponent}) - 1 vanishes at a={a}"
+                    break
+                want += max(e, Fraction(0)) * mult
+            if vanishing:
+                with pytest.raises(ZeroExponentError) as got:
+                    expr.degree_in_q(a)
+                assert str(got.value) == vanishing
+                continue
+            got = expr.degree_in_q(a)
+            assert got == want and type(got) is Fraction, (str(expr), a)
+
+
+def test_linexp_values_equal_the_fraction_route():
+    exponents = {e for expr, _ in CASES for e in [expr.prefactor_exponent] +
+                 [f.exponent for f, _ in expr.factors if isinstance(f, Cyclo)]}
+    for rec in db.all_series():
+        exponents |= {rec.dim, rec.rad} | {c for _, c in rec.grading_claims}
+        exponents |= {c.shift for c in rec.characters}
+    assert len(exponents) > 150
+    for e in exponents:
+        for a in (0, 1, 2, 4, 8, Fraction(-2, 3)):
+            got = e(a)
+            assert got == _by_fractions(e, a) and type(got) is Fraction, (str(e), a)
+
+
 def test_cyclotomic_route_equals_division_route():
     for expr, a in CASES:
         try:
@@ -82,37 +122,58 @@ def test_cyclotomic_route_equals_division_route():
 
 
 def test_cyclotomic_route_equals_sympy_cancel():
+    # the cancellation sympy.cancel would do, as integer Polys: multiply out
+    # both sides, divide each by their gcd, make the denominator monic
     sympy = pytest.importorskip("sympy")
     t = sympy.Symbol("t")
 
-    def rational(c):
-        return sympy.Rational(c.numerator, c.denominator)
+    def t_power(e):
+        big_e = 4 * e
+        assert big_e.denominator == 1, f"exponent {e} is off the quarter lattice"
+        return int(big_e)
 
-    def laurent(p):
-        return sum(rational(c) * t ** k for k, c in p.coeffs.items())
+    def poly(coeffs):   # lowest power first, integers only
+        return sympy.Poly(coeffs[::-1], t, domain=sympy.ZZ)
 
-    def to_sympy(expr, a):
-        out = rational(expr.constant) * t ** int(4 * expr.prefactor_exponent(a))
-        for factor, mult in expr.factors:
-            if isinstance(factor, Cyclo):
-                base = t ** int(4 * factor.exponent(a)) - factor.sign
-            else:
-                base = laurent(factor.value)
-            out *= base ** mult
-        return out
+    def shifted_poly(factor, a):
+        """(s, p) with factor = t^s * p(t), p an integer polynomial with
+        nonzero constant term."""
+        if isinstance(factor, Cyclo):
+            big_e = t_power(factor.exponent(a))
+            if big_e == 0:
+                return 0, poly([1 - factor.sign])
+            if big_e > 0:   # t^E - sign
+                return 0, poly([-factor.sign] + [0] * (big_e - 1) + [1])
+            # t^E - sign = t^E * (1 - sign * t^-E)
+            return big_e, poly([1] + [0] * (-big_e - 1) + [-factor.sign])
+        coeffs = factor.value.coeffs
+        for c in coeffs.values():
+            assert c.denominator == 1, f"literal coefficient {c} is not an integer"
+        low, high = min(coeffs), max(coeffs)
+        return low, poly([int(coeffs.get(k, 0)) for k in range(low, high + 1)])
 
-    def to_qlaurent(poly, shift, scale):
-        return QLaurent({k - shift: Fraction(int(c.p), int(c.q)) / scale
-                         for (k,), c in poly.terms()})
+    def to_qlaurent(p, shift, scale):
+        deg = p.degree()
+        return QLaurent({shift + deg - i: scale * int(c)
+                         for i, c in enumerate(p.all_coeffs()) if c})
 
     for expr, a in _reducible(CASES):
-        n, d = sympy.fraction(sympy.cancel(to_sympy(expr, a)))
-        n, d = sympy.Poly(n, t), sympy.Poly(d, t)
-        # move the t-power of d into a Laurent numerator and make d monic
-        low = min(k for (k,), _ in d.terms())
-        lead = d.LC()
-        scale = Fraction(int(lead.p), int(lead.q))
-        want = to_qlaurent(n, low, scale), to_qlaurent(d, low, scale)
+        shift = t_power(expr.prefactor_exponent(a))
+        num, den = poly([1]), poly([1])
+        for factor, mult in expr.factors:
+            s, p = shifted_poly(factor, a)
+            shift += s * mult
+            if mult > 0:
+                num *= p ** mult
+            else:
+                den *= p ** -mult
+        g = num.gcd(den)
+        num, den = num.exquo(g), den.exquo(g)
+        # both have nonzero constant terms, so the t-power stays in the
+        # numerator; scale to the monic denominator
+        lead = int(den.LC())
+        want = (to_qlaurent(num, shift, expr.constant / lead),
+                to_qlaurent(den, 0, Fraction(1, lead)))
         assert expr.reduced(a) == want, (str(expr), a)
 
 

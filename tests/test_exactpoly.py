@@ -47,6 +47,8 @@ class TestLinExp:
         assert (8 - e) == LinExp(5, -1)
         assert -e == LinExp(-3, -1)
         assert e * 2 == LinExp(6, 2)
+        # a LinExp is a tuple, but 2 * e and 1 + e are still affine arithmetic
+        assert 2 * e == LinExp(6, 2) and 1 + e == LinExp(4, 1)
 
     def test_quarter_lattice(self):
         # every exponent evaluated at a in {2,4,8} lands on quarter-integers
