@@ -92,22 +92,24 @@ class LinExp(_LinExp):
     def __new__(cls, c0: Rat, c1: Rat = 0):
         return tuple.__new__(cls, (_frac(c0), _frac(c1)))
 
-    def __call__(self, a: Rat) -> Fraction:
+    def _ratio(self, a: Rat) -> tuple[int, int]:
+        """self(a) as an integer numerator and a positive denominator, for
+        any rational a (an int has a numerator and a denominator too)."""
+        if not isinstance(a, int):
+            a = _frac(a)
         c0, c1 = self
-        if isinstance(a, int):
-            return Fraction(c0.numerator * c1.denominator + c1.numerator * c0.denominator * a,
-                            c0.denominator * c1.denominator)
-        return c0 + c1 * _frac(a)
+        return (c0.numerator * c1.denominator * a.denominator +
+                c1.numerator * c0.denominator * a.numerator,
+                c0.denominator * c1.denominator * a.denominator)
+
+    def __call__(self, a: Rat) -> Fraction:
+        return Fraction(*self._ratio(a))
 
     def t_power(self, a: Rat) -> int:
         """The t-power 4 * self(a), in integer arithmetic for any rational a;
         raises ValueError off the quarter lattice, as ``_t_power`` does."""
-        if not isinstance(a, int):
-            a = _frac(a)
-        c0, c1 = self
-        num = 4 * (c0.numerator * c1.denominator * a.denominator +
-                   c1.numerator * c0.denominator * a.numerator)
-        big_e, rem = divmod(num, c0.denominator * c1.denominator * a.denominator)
+        num, den = self._ratio(a)
+        big_e, rem = divmod(4 * num, den)
         if rem:
             raise ValueError(f"exponent {self(a)} not on the quarter-integer lattice")
         return big_e

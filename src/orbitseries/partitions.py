@@ -12,7 +12,7 @@ import operator
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class InvalidPartitionError(ValueError):
@@ -30,9 +30,10 @@ class NotAdjacentCellsError(ValueError):
 class _Frozen:
     """Immutable fields in ``__slots__``, set once with ``object.__setattr__``.
 
-    The sweeps read these fields in their inner loops, where a slot is
-    faster to read than a named-tuple field.  Each subclass defines equality
-    within its class and hashes as the tuple of its fields.
+    The sweeps read the fields of Partition and Family in their inner loops,
+    where a slot is faster to read than a named-tuple field.  Each subclass
+    defines equality within its class, so no record equals a plain tuple,
+    and hashes as the tuple of its fields.
     """
 
     __slots__ = ()
@@ -46,6 +47,10 @@ class _Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which validates
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
 
 
 class Partition(_Frozen):
@@ -141,8 +146,7 @@ class Family(_Frozen):
 
     def validate(self, datum) -> None:
         if self.kind == "2sl":
-            # a plain tuple: a PartitionPair is a tuple too, of other data
-            if not (type(datum) is tuple and len(datum) == 2):
+            if not (isinstance(datum, tuple) and len(datum) == 2):
                 raise InvalidPartitionError("2sl expects an ordered pair of partitions")
             sl = Family("sl", self.n)
             for p in datum:
@@ -281,21 +285,25 @@ def centralizer_oracle(datum, family: Family) -> int:
 # -- pairs of partitions (sp6 / so12 parametrization) -------------------------
 
 
-class _PartitionPair(NamedTuple):
-    alpha: Partition
-    beta: Partition
-
-
-class PartitionPair(_PartitionPair):
+class PartitionPair(_Frozen):
     """(alpha, beta) with beta having distinct parts."""
 
-    __slots__ = ()
+    __slots__ = ("alpha", "beta")
 
-    def __new__(cls, alpha: Partition, beta: Partition):
+    def __init__(self, alpha: Partition, beta: Partition):
         b = beta.parts
         if len(set(b)) != len(b):
             raise ValueError("beta must have distinct parts")
-        return tuple.__new__(cls, (alpha, beta))
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.alpha == other.alpha and self.beta == other.beta
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.alpha, self.beta))
 
     def __str__(self) -> str:
         a = ",".join(map(str, self.alpha.parts)) or "-"

@@ -1,6 +1,9 @@
 """The package's record classes behave as frozen dataclasses did: immutable,
 equal within a class and hashed as the tuple of their fields, with the same
-repr, constructor keywords and constructor errors."""
+repr, constructor keywords and constructor errors, and copy and pickle."""
+
+import copy
+import pickle
 
 import pytest
 
@@ -65,6 +68,21 @@ def test_equal_and_hashed_as_the_field_tuple(fields, x, other):
         assert y == x and not y != x and y is not x
         assert hash(y) == hash(x) == hash(values)
     assert x != other and hash(other) == hash(tuple(getattr(other, n) for n in fields))
+
+
+@pytest.mark.parametrize("fields, x, other", RECORDS, ids=IDS)
+def test_copied_and_pickled_equal(fields, x, other):
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(y) is type(x) and y == x and hash(y) == hash(x)
+        assert all(getattr(y, name) == getattr(x, name) for name in fields)
+
+
+def test_slots_records_are_not_their_field_tuple():
+    alpha, beta = Partition((1,)), Partition((3,))
+    pair = PartitionPair(alpha, beta)
+    assert pair != (alpha, beta) and not pair == (alpha, beta)
+    assert len({pair: 0, (alpha, beta): 1}) == 2
+    assert Partition((3, 1)) != ((3, 1),) and Family("so", 8) != ("so", 8)
 
 
 def test_repr_is_the_dataclass_text():
