@@ -38,6 +38,8 @@ from functools import lru_cache
 from itertools import accumulate, combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
+from ._records import Validated
+
 Rat = Union[int, Fraction]
 
 
@@ -80,7 +82,7 @@ class _LinExp(NamedTuple):
     c1: Fraction
 
 
-class LinExp(_LinExp):
+class LinExp(Validated, _LinExp):
     """Affine function c0 + c1*a of the series parameter a.
 
     Denominators of c0 and c1 divide 4 for every exponent used in this
@@ -613,7 +615,7 @@ class _ProductExpr(NamedTuple):
     factors: tuple[tuple[Factor, int], ...]
 
 
-class ProductExpr(_ProductExpr):
+class ProductExpr(Validated, _ProductExpr):
     """constant * q^prefactor * product of factors raised to integer powers.
 
     This is the shared wire format for point counts, group orders and

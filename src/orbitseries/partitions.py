@@ -12,6 +12,7 @@ import operator
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 
@@ -32,15 +33,18 @@ class _Frozen:
 
     The sweeps read the fields of Partition and Family in their inner loops,
     where a slot is faster to read than a named-tuple field.  Each subclass
-    defines equality within its class, so no record equals a plain tuple,
-    and hashes as the tuple of its fields.
+    names its fields in ``_fields``, defines equality within its class, so
+    no record equals a plain tuple, and hashes as the tuple of its fields.
+    ``__slots__`` may add derived values to the fields; repr, copy and
+    pickle see only the fields.
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(" + ", ".join(
-            f"{f}={getattr(self, f)!r}" for f in self.__slots__) + ")"
+            f"{f}={getattr(self, f)!r}" for f in self._fields) + ")"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -50,22 +54,46 @@ class _Frozen:
 
     def __reduce__(self):
         # copy and pickle rebuild through the constructor, which validates
-        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
 class Partition(_Frozen):
-    """A weakly decreasing tuple of positive integers."""
+    """A weakly decreasing tuple of positive integers.
 
-    __slots__ = ("parts",)
+    The sweeps ask one partition for the same numbers in every validate and
+    every closed form, so it computes them once, when it is built: ``_size``;
+    ``_tsq`` = Σ_j λ'_j², read off the parts as Σ_i (2i-1)λ_i = |λ| + 2n(λ),
+    largest part first (Macdonald, *Symmetric Functions and Hall
+    Polynomials*, I (1.6)); ``_odd``, the number of odd parts; and
+    ``_odd_mult[r]``, whether some part of parity r occurs an odd number of
+    times.
+    """
+
+    _fields = ("parts",)
+    __slots__ = _fields + ("_size", "_tsq", "_odd", "_odd_mult")
 
     def __init__(self, parts: Iterable[int]):
         try:
             p = tuple(sorted(map(operator.index, parts), reverse=True))
         except TypeError:
             raise ValueError("parts must be integers") from None
-        if any(x <= 0 for x in p):
+        if p and p[-1] <= 0:
             raise ValueError("parts must be positive")
-        object.__setattr__(self, "parts", p)
+        odd, odd_mult = 0, [False, False]
+        for d in set(p):
+            m = p.count(d)
+            odd += m * (d % 2)
+            odd_mult[d % 2] |= m % 2 == 1
+        self._set(p, sum(p), sum(map(operator.mul, range(1, 2 * len(p), 2), p)),
+                  odd, tuple(odd_mult))
+
+    def _set(self, parts, size, tsq, odd, odd_mult) -> None:
+        put = object.__setattr__
+        put(self, "parts", parts)
+        put(self, "_size", size)
+        put(self, "_tsq", tsq)
+        put(self, "_odd", odd)
+        put(self, "_odd_mult", odd_mult)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -75,20 +103,19 @@ class Partition(_Frozen):
     def __hash__(self) -> int:
         return hash((self.parts,))
 
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
     def multiplicity(self, i: int) -> int:
         """r_i, the number of parts equal to i."""
         return self.parts.count(i)
 
-    def odd_part_count(self) -> int:
-        """Number of odd parts counted with multiplicity."""
-        return sum(1 for x in self.parts if x % 2)
-
     def repeat_twice(self) -> "Partition":
-        return Partition(tuple(x for x in self.parts for _ in range(2)))
+        """Each part twice.  No sort is needed, and the invariants follow
+        from this partition's: each column of the diagram doubles, so Σλ'²
+        quadruples, and every multiplicity is even."""
+        p = self.parts
+        twice = Partition.__new__(Partition)
+        twice._set(tuple(chain.from_iterable(zip(p, p))), 2 * self._size,
+                   4 * self._tsq, 2 * self._odd, (False, False))
+        return twice
 
     def extend(self, ones: int) -> "Partition":
         return Partition(self.parts + (1,) * ones)
@@ -107,7 +134,7 @@ class Family(_Frozen):
     ``kind`` is "sl", "so", "sp" or "2sl"; ``n`` is the matrix size (for sp
     the full even size 2n)."""
 
-    __slots__ = ("kind", "n")
+    __slots__ = _fields = ("kind", "n")
 
     def __init__(self, kind: str, n: int):
         if kind not in ("sl", "so", "sp", "2sl"):
@@ -145,53 +172,45 @@ class Family(_Frozen):
         return f"{self.kind}_{self.n}"
 
     def validate(self, datum) -> None:
+        """Raise InvalidPartitionError unless datum is an orbit datum of this
+        family: a partition of n (for 2sl an ordered pair of them) whose
+        even (so) or odd (sp) parts occur an even number of times."""
         if self.kind == "2sl":
             if not (isinstance(datum, tuple) and len(datum) == 2):
                 raise InvalidPartitionError("2sl expects an ordered pair of partitions")
-            sl = Family("sl", self.n)
-            for p in datum:
-                sl.validate(p)
-            return
-        p: Partition = datum
-        if p.size != self.n:
-            raise InvalidPartitionError(
-                f"partition of {p.size} is not a partition of {self.n}")
-        if self.kind in ("so", "sp"):
-            # so needs even multiplicities of its even parts, sp of its odd parts
+        else:
+            datum = (datum,)
+        for p in datum:
+            if p._size != self.n:
+                raise InvalidPartitionError(
+                    f"partition of {p._size} is not a partition of {self.n}")
+        if self.kind in ("so", "sp"):   # p is the datum's one partition
             parity = int(self.kind == "sp")
-            for i in set(p.parts):
-                if i % 2 == parity and p.multiplicity(i) % 2:
-                    raise InvalidPartitionError(
-                        f"{p} invalid for {self.kind}_{self.n}: "
-                        f"{('even', 'odd')[parity]} part {i} with odd multiplicity")
+            if p._odd_mult[parity]:
+                # the message names the first offending part in set order
+                i = next(i for i in set(p.parts)
+                         if i % 2 == parity and p.multiplicity(i) % 2)
+                raise InvalidPartitionError(
+                    f"{p} invalid for {self.kind}_{self.n}: "
+                    f"{('even', 'odd')[parity]} part {i} with odd multiplicity")
 
     def is_very_even(self, p: Partition) -> bool:
         """All parts even: in so_n this labels two orbits of equal dimension."""
-        return self.kind == "so" and all(x % 2 == 0 for x in p.parts)
-
-
-def _transpose_square_sum(p: Partition) -> int:
-    """Σ_j λ'_j² read off the parts as Σ_i (2i-1)λ_i = |λ| + 2n(λ), largest
-    part first (Macdonald, *Symmetric Functions and Hall Polynomials*, I (1.6))."""
-    return sum((2 * i + 1) * x for i, x in enumerate(p.parts))
+        return self.kind == "so" and not p._odd
 
 
 def orbit_dim_classical(datum, family: Family) -> int:
     """Closed-form orbit dimension; agrees with centralizer_oracle everywhere."""
     family.validate(datum)
-    if family.kind == "2sl":
-        a, b = datum
-        sl = Family("sl", family.n)
-        return orbit_dim_classical(a, sl) + orbit_dim_classical(b, sl)
-    p: Partition = datum
     n = family.n
-    tsq = _transpose_square_sum(p)
+    if family.kind == "2sl":   # two sl_n orbits
+        a, b = datum
+        return 2 * n * n - a._tsq - b._tsq
     if family.kind == "sl":
-        return n * n - tsq
-    odd = p.odd_part_count()
+        return n * n - datum._tsq
     if family.kind == "so":
-        return (n * n - tsq - n + odd) // 2
-    return (n * n + n - tsq - odd) // 2
+        return (n * n - datum._tsq - n + datum._odd) // 2
+    return (n * n + n - datum._tsq - datum._odd) // 2
 
 
 # -- independent centralizer oracle ------------------------------------------
@@ -288,7 +307,7 @@ def centralizer_oracle(datum, family: Family) -> int:
 class PartitionPair(_Frozen):
     """(alpha, beta) with beta having distinct parts."""
 
-    __slots__ = ("alpha", "beta")
+    __slots__ = _fields = ("alpha", "beta")
 
     def __init__(self, alpha: Partition, beta: Partition):
         b = beta.parts
@@ -316,12 +335,10 @@ EMPTY = Partition(())
 
 def pair_to_partition(pp: PartitionPair, total: int) -> Partition:
     """Elementary divisors: each alpha part twice plus each beta part doubled."""
-    if 2 * pp.alpha.size + 2 * pp.beta.size != total:
-        raise SizeMismatchError(
-            f"pair {pp} has size {2 * pp.alpha.size + 2 * pp.beta.size}, wanted {total}")
-    parts = tuple(x for x in pp.alpha.parts for _ in range(2)) + \
-        tuple(2 * x for x in pp.beta.parts)
-    return Partition(parts)
+    size = 2 * pp.alpha._size + 2 * pp.beta._size
+    if size != total:
+        raise SizeMismatchError(f"pair {pp} has size {size}, wanted {total}")
+    return Partition(pp.alpha.repeat_twice().parts + tuple(2 * x for x in pp.beta.parts))
 
 
 # -- the generalized magic square ---------------------------------------------
@@ -352,7 +369,7 @@ def _step(datum, src: Family, dst: Family):
     """One step right or down between adjacent cells; the cells fix the sizes."""
     if src.kind == "2sl":
         a, b = datum
-        return Partition(a.parts + b.parts)
+        return a.repeat_twice() if a == b else Partition(a.parts + b.parts)
     if dst.kind == "2sl":
         return (datum, datum)
     if dst.kind == "sl":   # from so_n or sp_2n
@@ -374,7 +391,7 @@ def propagate(datum, from_cell: tuple[int, int], to_cell: tuple[int, int], n: in
 def propagate_from_so(p: Partition, cell: tuple[int, int], n: int):
     """Carry an so_n partition to any cell, doubling a before b; all chart
     paths agree."""
-    fam = Family("so", n)
+    fam = magic_family(1, 1, n)
     fam.validate(p)
     a, b = cell
     magic_family(a, b, n)   # a cell outside the square would never be reached
@@ -391,10 +408,10 @@ def propagate_from_so(p: Partition, cell: tuple[int, int], n: int):
 
 def magic_dim_formula(p: Partition, a: int, b: int) -> int:
     """The bilinear dimension of the cell-(a,b) orbit grown from an so_n datum."""
-    n = p.size
+    n = p._size
     _magic_cell(a, b)   # refuses a cell outside the square
-    Family("so", n).validate(p)
-    tsq, odd = _transpose_square_sum(p), p.odd_part_count()
+    magic_family(1, 1, n).validate(p)
+    tsq, odd = p._tsq, p._odd
     # n² - tsq - n + odd is even, since tsq ≡ |λ| = n ≡ odd (mod 2)
     return a * b * (n * n - tsq - n + odd) // 2 + (a + b - 2) * (n - odd)
 
@@ -461,9 +478,27 @@ def all_partitions(n: int) -> Iterator[Partition]:
 
 
 def valid_partitions(family: Family) -> Iterator[Partition]:
-    for p in all_partitions(family.n):
-        try:
-            family.validate(p)
-        except InvalidPartitionError:
-            continue
-        yield p
+    """The partitions that ``family.validate`` accepts, in the order of
+    ``all_partitions``: largest part d first, then its multiplicity m, both
+    decreasing.  For so and sp the blocks d^m that the parity rule forbids
+    (even d for so, odd d for sp, with m odd; Collingwood–McGovern §5.1)
+    are skipped, so no inadmissible partition is built.  A 2sl datum is a
+    pair of partitions, so that family yields none."""
+    if family.kind == "2sl":
+        return
+    forbidden = {"sl": None, "so": 0, "sp": 1}[family.kind]
+
+    def gen(remaining: int, largest: int):
+        if remaining == 0:
+            yield ()
+            return
+        for d in range(min(remaining, largest), 0, -1):
+            fewest = 1 if d > 1 else remaining   # no part below 1 fills the rest
+            for m in range(remaining // d, fewest - 1, -1):
+                if m % 2 and d % 2 == forbidden:
+                    continue
+                block = (d,) * m
+                for rest in gen(remaining - d * m, d - 1):
+                    yield block + rest
+    for parts in gen(family.n, family.n):
+        yield Partition(parts)

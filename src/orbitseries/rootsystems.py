@@ -11,9 +11,12 @@ over these roots.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
+
+from ._records import Validated
 
 _EXCEPTIONAL_RANKS = {"G": 2, "F": 4}
 _E_RANKS = (6, 7, 8)
@@ -41,14 +44,14 @@ class _AlgebraType(NamedTuple):
     rank: int
 
 
-class AlgebraType(_AlgebraType):
+class AlgebraType(Validated, _AlgebraType):
     """A simple Lie algebra type: family in A..G plus rank."""
 
     __slots__ = ()
 
     def __new__(cls, family: str, rank: int):
         fam, n = family, rank
-        if fam not in "ABCDEFG":
+        if fam not in ("A", "B", "C", "D", "E", "F", "G"):
             raise UnsupportedRankError(f"unknown family {fam!r}")
         if fam == "E" and n not in _E_RANKS:
             raise UnsupportedRankError(f"E{n} does not exist")
@@ -97,24 +100,25 @@ class AlgebraType(_AlgebraType):
         return self.name
 
 
+_ALGEBRA_NAME = re.compile(r"(spin|sl|so|sp|[a-g])([0-9]+)")
+
+
 def algebra(name: str) -> AlgebraType:
     """Parse names like 'e8', 'F4', 'sl6', 'so12', 'sp6', 'spin7', 'g2'."""
-    s = name.strip().lower()
-    for prefix in ("spin", "sl", "so", "sp"):
-        if s.startswith(prefix):
-            n = int(s[len(prefix):])
-            if prefix == "sl":
-                return AlgebraType("A", n - 1)
-            if prefix == "sp":
-                if n % 2:
-                    raise UnsupportedRankError("sp only defined in even matrix size")
-                return AlgebraType("C", n // 2)
-            # orthogonal: so_n / spin_n share one root system
-            if n % 2:
-                return AlgebraType("B", (n - 1) // 2)
-            return AlgebraType("D", n // 2)
-    fam = s[0].upper()
-    return AlgebraType(fam, int(s[1:]))
+    m = _ALGEBRA_NAME.fullmatch(name.strip().lower())
+    if m is None:
+        raise UnsupportedRankError(f"unknown algebra {name!r}")
+    prefix, n = m[1], int(m[2])
+    if prefix == "sl":
+        return AlgebraType("A", n - 1)
+    if prefix == "sp":
+        if n % 2:
+            raise UnsupportedRankError("sp only defined in even matrix size")
+        return AlgebraType("C", n // 2)
+    if prefix in ("so", "spin"):
+        # so_n and spin_n share one root system
+        return AlgebraType("B", (n - 1) // 2) if n % 2 else AlgebraType("D", n // 2)
+    return AlgebraType(prefix.upper(), n)
 
 
 def _cartan_matrix(alg: AlgebraType) -> tuple[tuple[int, ...], ...]:
@@ -257,7 +261,7 @@ class _WeightedDiagram(NamedTuple):
     labels: tuple[int, ...]
 
 
-class WeightedDiagram(_WeightedDiagram):
+class WeightedDiagram(Validated, _WeightedDiagram):
     """Nonnegative integer labels on the simple roots, Bourbaki order.
 
     The labels are the values alpha_i(H) of the semisimple element H of an

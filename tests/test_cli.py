@@ -66,6 +66,24 @@ def test_lookup_error_is_one_unquoted_line(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, name", [
+    (("diagram", "f4", "g", "--algebra", ""), ""),
+    (("diagram", "f4", "g", "--algebra", " "), " "),
+    (("diagram", "f4", "g", "--algebra", "e"), "e"),
+    (("diagram", "f4", "g", "--algebra", "sl"), "sl"),
+    (("diagram", "f4", "g", "--algebra", "e8x"), "e8x"),
+    (("grading", "f4", "g", "--a", "16"), "16"),   # argparse reads --a as --algebra
+], ids=["empty", "blank", "no-rank", "sl-no-size", "trailing", "rank-only"])
+def test_malformed_algebra_is_one_error_line(capsys, argv, name):
+    assert run(capsys, *argv) == (2, "", f"error: unknown algebra {name!r}\n")
+
+
+def test_algebra_outside_the_exceptional_row(capsys):
+    code, out, err = run(capsys, "grading", "f4", "g", "--algebra", "g2")
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
 class TestGrading:
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "grading", "f4", "gQ", "--algebra", "e7",

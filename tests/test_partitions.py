@@ -11,8 +11,7 @@ from orbitseries.partitions import (EMPTY, Family, InvalidPartitionError,
                                     magic_family, orbit_dim_classical,
                                     pair_to_partition, printed_extension_slope,
                                     partition, propagate, propagate_from_so,
-                                    regular_so_partition, valid_partitions,
-                                    _transpose_square_sum)
+                                    regular_so_partition, valid_partitions)
 
 parts_strategy = st.lists(st.integers(1, 7), min_size=0, max_size=7)
 
@@ -30,7 +29,7 @@ class TestPartition:
         # sum (2i-1) lambda_i over the parts equals sum lambda'_j^2, with
         # lambda'_j counted here column by column
         p = Partition(parts)
-        assert _transpose_square_sum(p) == sum(c * c for c in _columns(parts))
+        assert p._tsq == sum(c * c for c in _columns(parts))
 
     @given(parts_strategy)
     @settings(max_examples=80, deadline=None)
@@ -40,7 +39,7 @@ class TestPartition:
         p = Partition(parts)
         t = Partition(_columns(parts))
         assert Partition(_columns(t.parts)) == p
-        assert _transpose_square_sum(t) == sum(x * x for x in parts)
+        assert t._tsq == sum(x * x for x in parts)
 
     @given(parts_strategy)
     @settings(max_examples=80, deadline=None)
@@ -51,6 +50,20 @@ class TestPartition:
             assert lam_hat[i - 1] == sum(p.multiplicity(j)
                                          for j in range(i, max(p.parts) + 1))
 
+    @given(parts_strategy)
+    @settings(max_examples=80, deadline=None)
+    def test_invariants_equal_a_recomputation(self, parts):
+        p = Partition(parts)
+        assert _invariants(p) == _recomputed(parts)
+
+    @given(parts_strategy)
+    @settings(max_examples=80, deadline=None)
+    def test_repeat_twice_is_the_doubled_partition(self, parts):
+        twice = Partition(parts).repeat_twice()
+        built = Partition(parts + parts)
+        assert twice == built and twice.parts == built.parts
+        assert _invariants(twice) == _invariants(built) == _recomputed(parts + parts)
+
     def test_sorted_and_positive(self):
         assert Partition((1, 3, 2)).parts == (3, 2, 1)
         with pytest.raises(ValueError):
@@ -60,6 +73,34 @@ class TestPartition:
     def test_non_integral_parts_rejected(self, parts):
         with pytest.raises(ValueError, match="integers"):
             Partition(parts)
+
+
+def _invariants(p):
+    return p._size, p._tsq, p._odd, p._odd_mult
+
+
+def _recomputed(parts):
+    """(size, Σλ'², odd parts, (some even part, some odd part) with odd
+    multiplicity), counted from the parts without the Partition's fields."""
+    mults = {d: parts.count(d) for d in parts}
+    return (sum(parts), sum(c * c for c in _columns(parts)),
+            sum(m for d, m in mults.items() if d % 2),
+            tuple(any(d % 2 == parity and m % 2 for d, m in mults.items())
+                  for parity in (0, 1)))
+
+
+def _first_message(p, fam):
+    """The message of the first rule p breaks in fam (None if it breaks none),
+    counted from the parts one distinct part at a time, in set order, without
+    the Partition's fields."""
+    if sum(p.parts) != fam.n:
+        return f"partition of {sum(p.parts)} is not a partition of {fam.n}"
+    parity = int(fam.kind == "sp")
+    for i in set(p.parts):
+        if fam.kind in ("so", "sp") and i % 2 == parity and p.parts.count(i) % 2:
+            return (f"{p} invalid for {fam.kind}_{fam.n}: "
+                    f"{('even', 'odd')[parity]} part {i} with odd multiplicity")
+    return None
 
 
 class TestValidity:
@@ -76,6 +117,33 @@ class TestValidity:
     def test_size_rule(self):
         with pytest.raises(InvalidPartitionError):
             Family("sl", 5).validate(partition(3, 3))
+
+    @pytest.mark.parametrize("kind", ["sl", "so", "sp"])
+    def test_messages_on_every_partition(self, kind):
+        # every partition of n <= 12 against the families of size n - 1 .. n + 1
+        for n in range(13):
+            for p in all_partitions(n):
+                for size in (n - 1, n, n + 1):
+                    if size < 0 or kind == "sp" and size % 2:
+                        continue
+                    fam = Family(kind, size)
+                    want = _first_message(p, fam)
+                    if want is None:
+                        fam.validate(p)
+                        continue
+                    with pytest.raises(InvalidPartitionError) as got:
+                        fam.validate(p)
+                    assert str(got.value) == want
+
+    def test_2sl_messages(self):
+        fam = Family("2sl", 3)
+        for datum in (partition(2, 1), (partition(3),), [partition(3), partition(3)]):
+            with pytest.raises(InvalidPartitionError,
+                               match="^2sl expects an ordered pair of partitions$"):
+                fam.validate(datum)
+        with pytest.raises(InvalidPartitionError,
+                           match="^partition of 4 is not a partition of 3$"):
+            fam.validate((partition(3), partition(2, 2)))
 
     def test_very_even_flag(self):
         fam = Family("so", 8)
@@ -116,6 +184,16 @@ class TestDimensions:
         fam = Family(kind, n)
         for p in valid_partitions(fam):
             assert centralizer_oracle(p, fam) == orbit_dim_classical(p, fam)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_oracle_on_doubled_partitions(self, n):
+        # a second route for the invariants repeat_twice derives: every
+        # multiplicity of a doubled partition is even, so it is admissible
+        # for sp_2n and so_2n
+        for fam in (Family("sp", 2 * n), Family("so", 2 * n)):
+            for p in all_partitions(n):
+                twice = p.repeat_twice()
+                assert centralizer_oracle(twice, fam) == orbit_dim_classical(twice, fam)
 
     def test_oracle_double_sl_cell(self):
         fam = Family("2sl", 5)
@@ -254,3 +332,23 @@ class TestExtension:
 def test_all_partitions_count():
     assert sum(1 for _ in all_partitions(8)) == 22
     assert [p.parts for p in all_partitions(3)] == [(3,), (2, 1), (1, 1, 1)]
+
+
+@pytest.mark.parametrize("kind", ["sl", "so", "sp", "2sl"])
+def test_valid_partitions_are_the_filtered_partitions(kind):
+    """The generated partitions are those all_partitions lists and validate
+    accepts, in the same order."""
+    for n in range(21):
+        if kind == "sp" and n % 2:
+            continue
+        fam = Family(kind, n)
+        want = []
+        for p in all_partitions(n):
+            try:
+                fam.validate(p)
+            except InvalidPartitionError:
+                continue
+            want.append(p)
+        got = list(valid_partitions(fam))
+        assert [p.parts for p in got] == [p.parts for p in want]
+        assert [_invariants(p) for p in got] == [_invariants(p) for p in want]

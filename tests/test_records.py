@@ -4,6 +4,7 @@ repr, constructor keywords and constructor errors, and copy and pickle."""
 
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -98,6 +99,8 @@ def test_repr_is_the_dataclass_text():
     (lambda: Family("xx", 3), ValueError, "unknown family kind 'xx'"),
     (lambda: Family("sp", 3), ValueError, "sp requires even matrix size"),
     (lambda: AlgebraType("E", 5), UnsupportedRankError, "E5 does not exist"),
+    (lambda: AlgebraType("", 3), UnsupportedRankError, "unknown family ''"),
+    (lambda: AlgebraType("AB", 3), UnsupportedRankError, "unknown family 'AB'"),
     (lambda: WeightedDiagram(AlgebraType("G", 2), (1,)), ValueError,
      "one label per simple root required"),
     (lambda: WeightedDiagram(AlgebraType("G", 2), (1, -1)), ValueError,
@@ -110,6 +113,7 @@ def test_repr_is_the_dataclass_text():
     (lambda: ProductExpr(0.5), TypeError,
      "exact arithmetic takes an int or a Fraction, not float"),
 ], ids=["partition-zero", "partition-str", "family-kind", "family-sp", "algebra-E5",
+        "algebra-empty", "algebra-two-letters",
         "diagram-count", "diagram-negative", "pair-beta", "product-mult",
         "linexp-float", "product-float"])
 def test_constructor_errors(build, error, message):
@@ -131,3 +135,51 @@ def test_a_partition_pair_is_not_a_2sl_datum():
     with pytest.raises(InvalidPartitionError):
         Family("2sl", 3).validate(PartitionPair(*sl_pair))
 
+
+# the named-tuple records whose constructor normalises or validates
+VALIDATED = [
+    (LinExp(1, 2), {"c0": 0.5}, TypeError,
+     "exact arithmetic takes an int or a Fraction, not float"),
+    (pexpr(2, "a", num=[1]), {"constant": 0.5}, TypeError,
+     "exact arithmetic takes an int or a Fraction, not float"),
+    (pexpr(2, "a", num=[1]), {"factors": ((Cyclo(LinExp(1)), 0),)}, ValueError,
+     "factor multiplicity must be nonzero"),
+    (AlgebraType("E", 6), {"rank": 5}, UnsupportedRankError, "E5 does not exist"),
+    (WeightedDiagram(AlgebraType("G", 2), (2, 0)), {"labels": (1, -1)}, ValueError,
+     "labels must be nonnegative"),
+]
+VALIDATED_IDS = ["linexp-float", "product-float", "product-mult", "algebra-E5",
+                 "diagram-negative"]
+
+
+@pytest.mark.parametrize("x, bad, error, message", VALIDATED, ids=VALIDATED_IDS)
+def test_replace_and_make_validate(x, bad, error, message):
+    fields = dict(zip(x._fields, x))
+    for build in (lambda: x._replace(**bad),
+                  lambda: type(x)._make({**fields, **bad}.values()),
+                  lambda: type(x)(**{**fields, **bad})):
+        with pytest.raises(error) as got:
+            build()
+        assert type(got.value) is error and str(got.value) == message
+    # valid fields give the record the constructor gives, normalised alike
+    for y in (x._replace(), type(x)._make(iter(x))):
+        assert type(y) is type(x) and y == x
+    assert LinExp(1)._replace(c1=2) == LinExp(1, 2)
+    assert type(LinExp._make((1, 2)).c1) is Fraction
+    with pytest.raises(TypeError, match="Expected 2 arguments, got 1"):
+        LinExp._make((1,))
+
+
+@pytest.mark.parametrize("x", [pexpr(2, "a", num=[1]), AlgebraType("E", 6),
+                               WeightedDiagram(AlgebraType("G", 2), (2, 0))],
+                         ids=["ProductExpr", "AlgebraType", "WeightedDiagram"])
+def test_no_tuple_concatenation_or_repetition(x):
+    ops = [lambda: x + x, lambda: x + (1,), lambda: (1,) + x, lambda: 2 * x]
+    if type(x) is not ProductExpr:   # which defines its own product
+        ops += [lambda: x * 2, lambda: x * x]
+    for op in ops:
+        with pytest.raises(TypeError, match="is a record: it does not concatenate"):
+            op()
+    # arithmetic the records define stays
+    assert LinExp(1) + LinExp(0, 1) == LinExp(1, 1) and 2 * LinExp(1) == LinExp(2)
+    assert pexpr(2) * pexpr(3) == pexpr(6)
