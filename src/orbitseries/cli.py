@@ -162,43 +162,47 @@ def cmd_export(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="orbitseries",
+        prog="orbitseries", allow_abbrev=False,
         description="Series of nilpotent orbits: tables, diagrams and exact "
                     "verification. Series labels are ASCII: g.g3.gQ^2 names "
                     "the orbit with weight exponents (1,0,1,2).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("list", help="series labels and dimension formulas")
+    p = sub.add_parser("list", allow_abbrev=False,
+                       help="series labels and dimension formulas")
     p.add_argument("--row", choices=db.rows())
     p.set_defaults(func=cmd_list)
 
-    p = sub.add_parser("show", help="print one full series record")
+    p = sub.add_parser("show", allow_abbrev=False, help="print one full series record")
     p.add_argument("row", choices=db.rows())
     p.add_argument("label")
     p.set_defaults(func=cmd_show)
 
-    p = sub.add_parser("diagram", help="weighted Dynkin diagram of a member")
+    p = sub.add_parser("diagram", allow_abbrev=False,
+                       help="weighted Dynkin diagram of a member")
     p.add_argument("row", choices=("f4", "e6"))
     p.add_argument("label")
     p.add_argument("--algebra", required=True,
                    help="one of f4, e6, e7, e8")
     p.set_defaults(func=cmd_diagram)
 
-    p = sub.add_parser("grading", help="eigenspace dimensions of the diagram")
+    p = sub.add_parser("grading", allow_abbrev=False,
+                       help="eigenspace dimensions of the diagram")
     p.add_argument("row", choices=("f4", "e6"))
     p.add_argument("label")
     p.add_argument("--algebra", required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_grading)
 
-    p = sub.add_parser("points", help="reduced point-count polynomial or value")
+    p = sub.add_parser("points", allow_abbrev=False,
+                       help="reduced point-count polynomial or value")
     p.add_argument("row", choices=("f4", "e6"))
     p.add_argument("label")
     p.add_argument("--a", required=True, type=int, choices=(1, 2, 4, 8))
     p.add_argument("--q", type=int)
     p.set_defaults(func=cmd_points)
 
-    p = sub.add_parser("verify", help="run the verification suites")
+    p = sub.add_parser("verify", allow_abbrev=False, help="run the verification suites")
     p.add_argument("--suite", action="append",
                    choices=("dims", "gradings", "pointcounts", "characters",
                             "universal", "errata"))
@@ -206,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("export", help="dump the registry")
+    p = sub.add_parser("export", allow_abbrev=False, help="dump the registry")
     p.add_argument("--format", required=True, choices=("json", "csv", "latex"))
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_export)

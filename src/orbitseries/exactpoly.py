@@ -634,6 +634,8 @@ class ProductExpr(Validated, _ProductExpr):
         return tuple.__new__(cls, (constant, prefactor_exponent, factors))
 
     def __mul__(self, other: "ProductExpr") -> "ProductExpr":
+        if not isinstance(other, ProductExpr):
+            return NotImplemented
         return ProductExpr(self.constant * other.constant,
                            self.prefactor_exponent + other.prefactor_exponent,
                            self.factors + other.factors)
@@ -645,7 +647,7 @@ class ProductExpr(Validated, _ProductExpr):
                            tuple((f, -m) for f, m in self.factors))
 
     def __truediv__(self, other: "ProductExpr") -> "ProductExpr":
-        return self * other.inverse()
+        return self * other.inverse() if isinstance(other, ProductExpr) else NotImplemented
 
     def expand(self, a: Rat) -> tuple[QLaurent, QLaurent]:
         """Multiply out at parameter a into an exact (numerator, denominator) pair.

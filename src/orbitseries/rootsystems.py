@@ -4,14 +4,17 @@ Each type is built from its Cartan matrix in Bourbaki numbering (Bourbaki,
 *Lie Groups and Lie Algebras*, ch. VI, Plates I-IX).  Roots are integer tuples
 in simple-root coordinates, grown height by height with root strings
 (Humphreys, *Introduction to Lie Algebras and Representation Theory*, section
-10), and the invariant form comes from the root lengths the Cartan matrix
-determines.  Weighted diagrams, gradings and orbit dimensions are integer sums
-over these roots.
+10), each carrying its pairings with the simple coroots; the invariant form
+comes from the root lengths the Cartan matrix determines.  Weighted diagrams,
+gradings (summed column by column) and orbit dimensions are integer sums over
+these roots.
 """
 
 from __future__ import annotations
 
+import operator
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -149,44 +152,46 @@ def _squared_lengths(cartan) -> tuple[int, ...]:
     """(alpha_i, alpha_i) with short roots of length 1: the integers 1, 2, 3.
 
     Symmetry of the form gives A_ij (alpha_j, alpha_j) = A_ji (alpha_i, alpha_i)
-    along every bond of the connected diagram.
+    along every bond of the connected diagram.  Relative to node 0 a length is
+    1, 2, 3, 1/2 or 1/3, so node 0 starts at 6 and every step divides exactly.
     """
     n = len(cartan)
-    sq: list[Fraction | None] = [Fraction(1)] + [None] * (n - 1)
+    sq = [6] + [0] * (n - 1)
     todo = [0]
     while todo:
         i = todo.pop()
         for j in range(n):
-            if sq[j] is None and cartan[i][j]:
-                sq[j] = sq[i] * cartan[j][i] / cartan[i][j]
+            if not sq[j] and cartan[i][j]:
+                sq[j] = sq[i] * cartan[j][i] // cartan[i][j]
                 todo.append(j)
     short = min(sq)
-    return tuple(int(x / short) for x in sq)
+    return tuple(x // short for x in sq)
 
 
 def _positive_roots(cartan) -> list[tuple[int, ...]]:
     """Positive roots in simple-root coordinates, by height then coordinates.
 
     Root strings (Humphreys, section 10): for a positive root beta that is not
-    alpha_i, beta + alpha_i is a root iff p - <beta, alpha_i^vee> > 0, where p
-    is the largest r with beta - r alpha_i a root.
+    alpha_i, beta + alpha_i is a root iff p_i > <beta, alpha_i^vee>, where p_i
+    is the largest r with beta - r alpha_i a root.  A layer maps each root to
+    its pairings and its p: alpha_i has row i of the Cartan matrix and zeros;
+    beta + alpha_i adds row i to beta's pairings and has p_i = beta's p_i + 1.
     """
     n = len(cartan)
-    layer = sorted(tuple(int(i == j) for j in range(n)) for i in range(n))
-    found = set(layer)
-    roots = list(layer)
+    layer = {tuple(int(i == j) for j in range(n)): (row, [0] * n)
+             for i, row in enumerate(cartan)}
+    roots = sorted(layer)
     while layer:
-        taller = set()
-        for beta in layer:
-            for i in range(n):
-                p = 0
-                while beta[:i] + (beta[i] - p - 1,) + beta[i + 1:] in found:
-                    p += 1
-                if p > sum(b * row[i] for b, row in zip(beta, cartan)):
-                    taller.add(beta[:i] + (beta[i] + 1,) + beta[i + 1:])
-        layer = sorted(taller)
-        found.update(layer)
-        roots.extend(layer)
+        taller = {}
+        for beta, (pairs, p) in layer.items():
+            for i, row in enumerate(cartan):
+                if p[i] > pairs[i]:
+                    up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                    if up not in taller:
+                        taller[up] = (tuple(map(operator.add, pairs, row)), [0] * n)
+                    taller[up][1][i] = p[i] + 1
+        layer = taller
+        roots.extend(sorted(taller))
     return roots
 
 
@@ -213,7 +218,8 @@ class RootSystem:
         if self.N != alg.num_positive_roots:
             raise AssertionError(f"{alg}: built {self.N} positive roots")
         self.highest_root = self.positive_roots[-1]
-        self._two_rho = tuple(map(sum, zip(*self.positive_roots)))
+        self._columns = tuple(zip(*self.positive_roots))   # coordinate i of each root
+        self._two_rho = tuple(map(sum, self._columns))
         self.rho = tuple(Fraction(x, 2) for x in self._two_rho)
         self.invariant_degrees = alg.invariant_degrees
 
@@ -224,24 +230,24 @@ class RootSystem:
         """<lam, root^vee> = 2(lam,root)/(root,root); scale independent."""
         return Fraction(2 * self._dot(lam, root), self._dot(root, root))
 
+    def _pair(self, u, root) -> int:
+        """<u, root^vee> for an integer vector u; raises unless it is an int."""
+        num, den = 2 * self._dot(u, root), self._dot(root, root)
+        if num % den:
+            raise ArithmeticError(f"{Fraction(num, den)} is not an integer")
+        return num // den
+
     @property
     def dimension(self) -> int:
         return self.rank + 2 * self.N
 
     def dual_coxeter(self) -> int:
         """1 + <rho, theta^vee>, read off the integer vector 2 rho."""
-        return 1 + _i(self.pair_coroot(self._two_rho, self.highest_root)) // 2
+        return 1 + self._pair(self._two_rho, self.highest_root) // 2
 
     def adjoint_marks(self) -> tuple[int, ...]:
         """Fundamental-weight coordinates of the highest root."""
-        return tuple(_i(self.pair_coroot(self.highest_root, a)) for a in self.simple_roots)
-
-
-def _i(x: Fraction) -> int:
-    """x as an int; raises if x is not integral (a check that ``-O`` keeps)."""
-    if x.denominator != 1:
-        raise ArithmeticError(f"{x} is not an integer")
-    return int(x)
+        return tuple(self._pair(self.highest_root, a) for a in self.simple_roots)
 
 
 @lru_cache(maxsize=None)
@@ -309,13 +315,15 @@ def grading_dims(wd: WeightedDiagram) -> dict[int, int]:
 
 @lru_cache(maxsize=None)
 def _grading_dims(wd: WeightedDiagram) -> tuple[tuple[int, int], ...]:
-    rs = build_root_system(wd.algebra)
-    dims: dict[int, int] = {0: rs.rank}
-    for root in rs.positive_roots:
-        v = sum(c * l for c, l in zip(root, wd.labels))
-        dims[v] = dims.get(v, 0) + 1
-        dims[-v] = dims.get(-v, 0) + 1
-    return tuple(sorted(dims.items()))
+    rs = build_root_system(wd.algebra)   # <beta, labels>: label i times column i
+    values = (0,) * rs.N
+    for label, column in zip(wd.labels, rs._columns):
+        if label:
+            values = map(operator.add, values, map(label.__mul__, column))
+    counts = Counter(values)
+    zero = rs.rank + 2 * counts.pop(0, 0)   # beta and -beta both have value 0
+    up = sorted(counts.items())
+    return tuple((-v, d) for v, d in reversed(up)) + ((0, zero),) + tuple(up)
 
 
 def orbit_dim_from_diagram(wd: WeightedDiagram) -> int:
@@ -338,7 +346,7 @@ def zero_diagram(alg: AlgebraType) -> WeightedDiagram:
 
 def minimal_orbit_diagram(rs: RootSystem) -> WeightedDiagram:
     """Labels alpha_i(H) for H the coroot of the highest root."""
-    labels = tuple(_i(rs.pair_coroot(a, rs.highest_root)) for a in rs.simple_roots)
+    labels = tuple(rs._pair(a, rs.highest_root) for a in rs.simple_roots)
     return WeightedDiagram(rs.algebra, labels)
 
 

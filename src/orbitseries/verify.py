@@ -6,7 +6,8 @@ point-count and character identities, the universal-orbit corollary formulas,
 the partition-extension slope formulas for the orthogonal and symplectic
 cases, and the regular-orbit closed form are compared and *recorded*, because
 the printed claims either restrict the range or fail against the independent
-oracles.  A recorded entry is not a failure; a failed assertion is.
+oracles.  A recorded entry is not a failure; a failed assertion is.  The JSON
+report is written directly in the indented, key-sorted layout of ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -46,10 +47,6 @@ class CheckResult(NamedTuple):
     lhs: str
     rhs: str
     note: str = ""
-
-    def as_dict(self) -> dict:
-        return {"suite": self.suite, "subject": self.subject, "status": self.status,
-                "lhs": self.lhs, "rhs": self.rhs, "note": self.note}
 
 
 def _res(suite, subject, ok, lhs, rhs, note="") -> CheckResult:
@@ -378,7 +375,7 @@ def _named_degree_checks(rec: db.SeriesRecord, a_values) -> list[CheckResult]:
         if formula.doubled_at == nd.a:
             num = num * 2
         tag = f"{rec.row}:{rec.label} {nd.label} a={nd.a}"
-        dim = sum(num.coeffs.values(), Fraction(0))
+        dim = num.content * sum(num.c)
         out.append(_res("characters", f"{tag} dimension", dim == nd.weyl_dim,
                         dim, nd.weyl_dim, "value of the degree at q=1"))
         low = num.low_degree_in_q()
@@ -654,9 +651,16 @@ class VerificationReport(NamedTuple):
         return "\n".join(lines)
 
     def as_json(self) -> str:
-        payload = {"results": [r.as_dict() for r in self.results],
-                   "summary": self.counts}
-        return json.dumps(payload, indent=2, sort_keys=True)
+        """``json.dumps(payload, indent=2, sort_keys=True)`` of ``{"results":
+        [r._asdict(), ...], "summary": self.counts}``, written in that layout."""
+        item = ('    {\n      "lhs": %s,\n      "note": %s,\n      "rhs": %s,\n'
+                '      "status": %s,\n      "subject": %s,\n      "suite": %s\n    }')
+        results = ",\n".join(item % tuple(map(json.dumps, (
+            r.lhs, r.note, r.rhs, r.status, r.subject, r.suite))) for r in self.results)
+        results = f"[\n{results}\n  ]" if results else "[]"
+        summary = ",\n".join(f"    {json.dumps(k)}: {v}"
+                              for k, v in sorted(self.counts.items()))
+        return f'{{\n  "results": {results},\n  "summary": {{\n{summary}\n  }}\n}}'
 
 
 def run_all(config: VerifyConfig = VerifyConfig()) -> VerificationReport:

@@ -72,7 +72,7 @@ def test_lookup_error_is_one_unquoted_line(capsys, argv, message):
     (("diagram", "f4", "g", "--algebra", "e"), "e"),
     (("diagram", "f4", "g", "--algebra", "sl"), "sl"),
     (("diagram", "f4", "g", "--algebra", "e8x"), "e8x"),
-    (("grading", "f4", "g", "--a", "16"), "16"),   # argparse reads --a as --algebra
+    (("grading", "f4", "g", "--algebra", "16"), "16"),
 ], ids=["empty", "blank", "no-rank", "sl-no-size", "trailing", "rank-only"])
 def test_malformed_algebra_is_one_error_line(capsys, argv, name):
     assert run(capsys, *argv) == (2, "", f"error: unknown algebra {name!r}\n")
@@ -260,6 +260,17 @@ class TestUsage:
 
     def test_bad_flag_value(self, capsys):
         assert main(["points", "f4", "g", "--a", "3"]) == 2
+
+    @pytest.mark.parametrize("argv,message", [
+        (["grading", "f4", "g", "--a", "16"], "the following arguments are required: --algebra"),
+        (["verify", "--suite", "gradings", "--j", "PATH"], "unrecognized arguments: --j"),
+    ], ids=["grading-a", "verify-j"])
+    def test_long_options_are_not_abbreviated(self, capsys, tmp_path, argv, message):
+        # --a is not taken for --algebra, nor --j for --json
+        path = tmp_path / "r.json"
+        code, out, err = run(capsys, *(str(path) if a == "PATH" else a for a in argv))
+        assert code == 2 and out == "" and not path.exists()
+        assert err.startswith("usage: orbitseries") and f"error: {message}" in err
 
     @pytest.mark.parametrize("argv", [["verify", "--suite", "dims", "--json"],
                                       ["export", "--format", "csv", "--out"]],

@@ -183,3 +183,12 @@ def test_no_tuple_concatenation_or_repetition(x):
     # arithmetic the records define stays
     assert LinExp(1) + LinExp(0, 1) == LinExp(1, 1) and 2 * LinExp(1) == LinExp(2)
     assert pexpr(2) * pexpr(3) == pexpr(6)
+
+
+def test_product_expression_times_a_number_is_a_type_error():
+    # a ProductExpr multiplies and divides only by another ProductExpr, in either order
+    x = pexpr(2, "a", num=[1])
+    for op in (lambda: x * 2, lambda: 2 * x, lambda: x / 2, lambda: 2 / x):
+        with pytest.raises(TypeError):
+            op()
+    assert x * pexpr(3) == pexpr(6, "a", num=[1]) and x / x == pexpr(1, 0, num=[1], den=[1])

@@ -1,12 +1,15 @@
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitseries import rootsystems
 from orbitseries.rootsystems import (AdjointNotFundamentalError, AlgebraType,
                                      UnsupportedRankError, WeightedDiagram,
-                                     _i, algebra, desing_dims,
+                                     algebra, build_root_system, desing_dims,
                                      grading_dims, minimal_orbit_diagram,
                                      orbit_dim_from_diagram, root_system,
                                      series_weight_to_diagram, sigma1_diagram,
@@ -221,7 +224,91 @@ class TestUniversalOrbits:
 
 
 def test_non_integer_pairing_raises():
-    # an explicit raise, where an assert under -O would let int() truncate 7/2 to 3
+    # an explicit raise, where an assert under -O would let // truncate 7/2 to 3;
+    # in A1, <u alpha, (k alpha)^vee> = 2u/k
+    rs = root_system("a1")
     with pytest.raises(ArithmeticError, match="7/2 is not an integer"):
-        _i(Fraction(7, 2))
-    assert _i(Fraction(-6, 2)) == -3
+        rs._pair((7,), (4,))
+    assert rs._pair((-6,), (4,)) == -3
+    assert rs.pair_coroot((7,), (4,)) == Fraction(7, 2)
+
+
+# -- a second route: roots as the Weyl orbit of the simple roots ---------------
+
+SUPPORTED_TYPES = ([AlgebraType("A", n) for n in range(1, 13)] +
+                   [AlgebraType(f, n) for f in "BC" for n in range(2, 13)] +
+                   [AlgebraType("D", n) for n in range(3, 13)] +
+                   [AlgebraType("G", 2), AlgebraType("F", 4)] +
+                   [AlgebraType("E", n) for n in (6, 7, 8)])
+
+
+@lru_cache(maxsize=None)
+def _positive_roots_by_reflections(alg):
+    """Close the simple roots under s_i(beta) = beta - <beta, alpha_i^vee> alpha_i,
+    with <beta, alpha_i^vee> = sum_k beta_k A_ki; keep the positive roots,
+    by height then coordinates.  Every root is W-conjugate to a simple one."""
+    cartan = build_root_system(alg).cartan_matrix
+    n = len(cartan)
+    todo = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    roots = set(todo)
+    while todo:
+        beta = todo.pop()
+        for i in range(n):
+            c = sum(b * cartan[k][i] for k, b in enumerate(beta))
+            image = beta[:i] + (beta[i] - c,) + beta[i + 1:]
+            if image not in roots:
+                roots.add(image)
+                todo.append(image)
+    return sorted((r for r in roots if min(r) >= 0), key=lambda r: (sum(r), r))
+
+
+def _grading_by_roots(wd):
+    """dim g(i) as a sum over the roots, one <beta, labels> at a time."""
+    dims = Counter({0: wd.algebra.rank})
+    for beta in _positive_roots_by_reflections(wd.algebra):
+        v = sum(b * l for b, l in zip(beta, wd.labels))
+        dims[v] += 1
+        dims[-v] += 1
+    return dict(dims)
+
+
+def _assert_grading_by_roots(wd):
+    g = grading_dims(wd)
+    assert g == _grading_by_roots(wd), wd
+    assert list(g) == sorted(g)
+
+
+class TestSecondRoute:
+    @pytest.mark.parametrize("alg", SUPPORTED_TYPES, ids=str)
+    def test_positive_roots_are_the_weyl_orbit(self, alg):
+        rs = build_root_system(alg)
+        assert rs.positive_roots == tuple(_positive_roots_by_reflections(alg))
+        assert rs.N == alg.num_positive_roots
+
+    @pytest.mark.parametrize("alg", SUPPORTED_TYPES, ids=str)
+    def test_integer_pairings_match_the_fraction_route(self, alg):
+        rs = build_root_system(alg)
+        theta = rs.highest_root
+        assert rs.adjoint_marks() == tuple(rs.pair_coroot(theta, a) for a in rs.simple_roots)
+        assert minimal_orbit_diagram(rs).labels == tuple(
+            rs.pair_coroot(a, theta) for a in rs.simple_roots)
+        assert rs.dual_coxeter() == 1 + rs.pair_coroot(rs.rho, theta)
+
+    def test_gradings_of_every_diagram_run_all_uses(self, monkeypatch):
+        from orbitseries.verify import run_all
+        seen = set()
+
+        def recording(wd):
+            seen.add(wd)
+            return grading_dims(wd)
+        monkeypatch.setattr(rootsystems, "grading_dims", recording)
+        run_all()
+        assert len(seen) >= 100
+        for wd in seen:
+            _assert_grading_by_roots(wd)
+
+    @given(st.sampled_from(SUPPORTED_TYPES),
+           st.lists(st.integers(0, 4), min_size=12, max_size=12))
+    @settings(max_examples=80, deadline=None)
+    def test_gradings_for_drawn_labels(self, alg, raw):
+        _assert_grading_by_roots(WeightedDiagram(alg, tuple(raw[: alg.rank])))

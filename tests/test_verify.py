@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import re
 import subprocess
@@ -13,9 +14,10 @@ from orbitseries import seriesdb as db
 from orbitseries import verify
 from orbitseries.exactpoly import ProductExpr, pexpr
 from orbitseries.seriesdb import lookup
-from orbitseries.verify import (FAIL, PASS, RECORDED, VerifyConfig, check_dims,
-                                check_gradings, check_pointcounts,
-                                check_characters, check_universal, run_all)
+from orbitseries.verify import (FAIL, PASS, RECORDED, CheckResult, VerificationReport,
+                                VerifyConfig, check_dims, check_gradings,
+                                check_pointcounts, check_characters, check_universal,
+                                run_all)
 
 
 # the output contract: the full report is byte-identical across changes
@@ -105,6 +107,19 @@ class TestReport:
         out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                              capture_output=True, text=True, timeout=300, check=True)
         assert out.stdout.strip() == REPORT_SHA256
+
+    @pytest.mark.parametrize("results", [
+        None,
+        (),
+        (CheckResult("dims", 'a "quoted" \\ path\nnext line', PASS, "é", "x–y"),
+         CheckResult("gradings", "tab\there", FAIL, "\\", '"', "dim g(a,1) – é\n"),
+         CheckResult("errata", "", RECORDED, "", "")),
+    ], ids=["full", "empty", "escapes"])
+    def test_json_is_the_indenting_encoder_output(self, results):
+        report = run_all() if results is None else VerificationReport(results)
+        payload = {"results": [r._asdict() for r in report.results],
+                   "summary": report.counts}
+        assert report.as_json() == json.dumps(payload, indent=2, sort_keys=True)
 
     def test_order_int_refuses_a_fraction(self, monkeypatch):
         spec = next(m.ambient for rec in db.all_series() for m in rec.members)
