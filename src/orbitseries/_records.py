@@ -1,30 +1,53 @@
-"""The base of the named-tuple records whose constructor checks its fields."""
+"""The base of the records whose constructor normalises or validates its fields.
+
+A record that checks its fields is a ``Record``; every other record is a
+plain ``typing.NamedTuple``.  A ``Record`` is not a sequence: with no
+``_make``, ``_replace``, iteration or tuple arithmetic, its constructor is
+the only way to build one.
+"""
 
 from __future__ import annotations
 
+import operator
 
-class Validated:
-    """Put before the ``typing.NamedTuple`` base of a record whose
-    ``__new__`` normalises or validates its fields.
 
-    The named tuple's ``_make``, which its ``_replace`` calls, builds the
-    tuple directly and would skip that work, so here it goes through the
-    constructor.  A record is not a sequence of its fields: tuple
-    concatenation and repetition would return a plain tuple, so ``+`` and
-    ``*`` raise TypeError unless the record defines its own arithmetic.
+class Record:
+    """Immutable fields in ``__slots__``, named in order by ``_fields`` and
+    set once by the constructor with ``object.__setattr__``.
+
+    A record equals only records of its class, hashes as the tuple of its
+    fields, and is copied and pickled through its constructor.  ``__slots__``
+    may add derived values, which repr, equality, hash and pickle ignore.
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
-    @classmethod
-    def _make(cls, iterable):
-        values = tuple(iterable)
-        if len(values) != len(cls._fields):
-            raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(values)}")
-        return cls(*values)
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # one C getter per class, which returns the field itself when there
+        # is one: the sweeps compare partitions in their inner loops
+        cls._key = get = operator.attrgetter(*cls._fields)
+        cls._values = get if len(cls._fields) > 1 else \
+            staticmethod(lambda self: (get(self),))
 
-    def _not_a_sequence(self, other):
-        raise TypeError(f"{type(self).__name__} is a record: it does not "
-                        "concatenate or repeat")
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
 
-    __add__ = __radd__ = __mul__ = __rmul__ = _not_a_sequence
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(" + ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self._fields) + ")"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values(self)

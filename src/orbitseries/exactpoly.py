@@ -19,13 +19,11 @@ multiplication: by Moebius inversion prod Phi_d^(m_d) = prod (t^n - 1)^(E_n)
 with E_n = sum over n | d of mu(d/n) m_d, so ``_phi_product`` shifts and
 subtracts once per factor t^n - 1 with E_n > 0, then divides by each one with
 E_n < 0 in n strided prefix sums.  ``cyclotomic(d)`` is the same kernel at a
-single Phi_d.  General products (``QLaurent.__mul__``) run through ``_mul``,
-by Kronecker substitution (Kronecker 1882; Harvey, J. Symbolic Comput. 44,
-2009): the factors are packed at X = 2^b, with b whole bytes and 2^(b-1) >
-prod max(||f_i||_1, 1), multiplied as big ints and read back as signed
-base-2^b digits.  The division route (``expand``, ``poly_gcd``,
-``exact_div``, ``reduce_pair``) stays as the independent oracle the tests
-compare against, and reduces sums, which have no such form.
+single Phi_d.  General products (``QLaurent.__mul__``) are schoolbook
+products over the nonzero entries of each factor (``_mul``).  The division
+route (``expand``, ``poly_gcd``, ``exact_div``, ``reduce_pair``) stays as
+the independent oracle the tests compare against, and reduces sums, which
+have no such form; ``reduce_to_polynomial`` never takes it.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from functools import lru_cache
 from itertools import accumulate, combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
-from ._records import Validated
+from ._records import Record
 
 Rat = Union[int, Fraction]
 
@@ -77,29 +75,25 @@ def _t_power(e: Rat) -> int:
     return int(t)
 
 
-class _LinExp(NamedTuple):
-    c0: Fraction
-    c1: Fraction
-
-
-class LinExp(Validated, _LinExp):
+class LinExp(Record):
     """Affine function c0 + c1*a of the series parameter a.
 
     Denominators of c0 and c1 divide 4 for every exponent used in this
     package, so evaluations at integer a land on the quarter lattice.
     """
 
-    __slots__ = ()
+    __slots__ = _fields = ("c0", "c1")
 
-    def __new__(cls, c0: Rat, c1: Rat = 0):
-        return tuple.__new__(cls, (_frac(c0), _frac(c1)))
+    def __init__(self, c0: Rat, c1: Rat = 0):
+        object.__setattr__(self, "c0", _frac(c0))
+        object.__setattr__(self, "c1", _frac(c1))
 
     def _ratio(self, a: Rat) -> tuple[int, int]:
         """self(a) as an integer numerator and a positive denominator, for
         any rational a (an int has a numerator and a denominator too)."""
         if not isinstance(a, int):
             a = _frac(a)
-        c0, c1 = self
+        c0, c1 = self.c0, self.c1
         return (c0.numerator * c1.denominator * a.denominator +
                 c1.numerator * c0.denominator * a.numerator,
                 c0.denominator * c1.denominator * a.denominator)
@@ -366,28 +360,19 @@ def _canonical(content: Fraction, low: int, c: Sequence[int]) -> QLaurent:
 
 
 def _mul(*polys: Sequence[int]) -> tuple[int, ...]:
-    """Product of nonempty integer coefficient lists, constant term first, by
-    Kronecker substitution: each list is packed into one int at X = 2^b, the
-    ints are multiplied, and the product is read back as base-2^b digits.
-
-    No coefficient of the product or of a factor exceeds B = prod
-    max(||f_i||_1, 1) in absolute value, so with b a whole number of bytes and
-    2^(b-1) > B every coefficient plus 2^(b-1) is one digit in [0, 2^b).
-    Adding the offset sum 2^(b-1) X^i turns signed coefficients into such
-    digits without a carry, and the offset is built by repeating bytes."""
-    width = math.prod(max(sum(map(abs, f)), 1) for f in polys).bit_length() // 8 + 1
-    half = 1 << (8 * width - 1)
-    digit = half.to_bytes(width, "little")
-
-    def pack(f: Sequence[int]) -> int:
-        raw = b"".join((v + half).to_bytes(width, "little") for v in f)
-        return int.from_bytes(raw, "little") - int.from_bytes(digit * len(f), "little")
-
-    n = sum(len(f) - 1 for f in polys) + 1
-    value = math.prod(map(pack, polys)) + int.from_bytes(digit * n, "little")
-    raw = value.to_bytes(n * width, "little")
-    return tuple(int.from_bytes(raw[i:i + width], "little") - half
-                 for i in range(0, n * width, width))
+    """Product of nonempty integer coefficient lists, constant term first:
+    each nonzero entry v = f[j] of a factor adds v times the product so far,
+    shifted by j.  The factors met here are sparse (powers of q^e -+ 1), so
+    the loop runs over few entries."""
+    out = [1]
+    for f in polys:
+        acc = [0] * (len(out) + len(f) - 1)
+        for j, v in enumerate(f):
+            if v:
+                for i, u in enumerate(out, j):
+                    acc[i] += v * u
+        out = acc
+    return tuple(out)
 
 
 def cyclo_factor(e: Rat, sign: int = 1) -> QLaurent:
@@ -609,13 +594,7 @@ class Literal(NamedTuple):
 Factor = Union[Cyclo, Literal]
 
 
-class _ProductExpr(NamedTuple):
-    constant: Fraction
-    prefactor_exponent: LinExp
-    factors: tuple[tuple[Factor, int], ...]
-
-
-class ProductExpr(Validated, _ProductExpr):
+class ProductExpr(Record):
     """constant * q^prefactor * product of factors raised to integer powers.
 
     This is the shared wire format for point counts, group orders and
@@ -623,15 +602,16 @@ class ProductExpr(Validated, _ProductExpr):
     every evaluation is exact.
     """
 
-    __slots__ = ()
+    __slots__ = _fields = ("constant", "prefactor_exponent", "factors")
 
-    def __new__(cls, constant: Rat = 1, prefactor_exponent: LinExp = LinExp(0),
-                factors: tuple[tuple[Factor, int], ...] = ()):
-        constant = _frac(constant)
+    def __init__(self, constant: Rat = 1, prefactor_exponent: LinExp = LinExp(0),
+                 factors: tuple[tuple[Factor, int], ...] = ()):
+        object.__setattr__(self, "constant", _frac(constant))
         for _, m in factors:
             if m == 0:
                 raise ValueError("factor multiplicity must be nonzero")
-        return tuple.__new__(cls, (constant, prefactor_exponent, factors))
+        object.__setattr__(self, "prefactor_exponent", prefactor_exponent)
+        object.__setattr__(self, "factors", factors)
 
     def __mul__(self, other: "ProductExpr") -> "ProductExpr":
         if not isinstance(other, ProductExpr):
@@ -712,11 +692,12 @@ class ProductExpr(Validated, _ProductExpr):
         return self.phi_form(a).pair()
 
     def reduce_to_polynomial(self, a: Rat) -> QLaurent:
-        """The single reduced value; requires the denominator to divide exactly."""
+        """The single reduced value.  Raises NotDivisibleError when the reduced
+        denominator is not 1, carrying the remainder of the numerator's integer
+        part by that monic denominator, nonzero because the pair is coprime."""
         num, den = self.phi_form(a).pair()
         if den != QLaurent.one():
-            # not a Laurent polynomial: the division route reports the remainder
-            return exact_div(*self.expand(a))
+            raise NotDivisibleError(_canonical(num.content, 0, _divmod(num.c, den.c)[1]))
         return num
 
     def degree_in_q(self, a: Rat) -> Fraction:
@@ -811,7 +792,7 @@ def _factors(entries, mult_sign: int, sign: int) -> tuple[tuple[Factor, int], ..
     out = []
     for entry in entries:
         mult = 1
-        if type(entry) is tuple:   # not a LinExp, which is a tuple too
+        if isinstance(entry, tuple):
             entry, mult = entry
         out.append((Cyclo(L(entry), sign), mult_sign * mult))
     return tuple(out)

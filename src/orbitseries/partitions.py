@@ -15,6 +15,8 @@ from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
+from ._records import Record
+
 
 class InvalidPartitionError(ValueError):
     """The partition violates the validity rule of the requested family."""
@@ -28,36 +30,7 @@ class NotAdjacentCellsError(ValueError):
     pass
 
 
-class _Frozen:
-    """Immutable fields in ``__slots__``, set once with ``object.__setattr__``.
-
-    The sweeps read the fields of Partition and Family in their inner loops,
-    where a slot is faster to read than a named-tuple field.  Each subclass
-    names its fields in ``_fields``, defines equality within its class, so
-    no record equals a plain tuple, and hashes as the tuple of its fields.
-    ``__slots__`` may add derived values to the fields; repr, copy and
-    pickle see only the fields.
-    """
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(" + ", ".join(
-            f"{f}={getattr(self, f)!r}" for f in self._fields) + ")"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor, which validates
-        return type(self), tuple(getattr(self, f) for f in self._fields)
-
-
-class Partition(_Frozen):
+class Partition(Record):
     """A weakly decreasing tuple of positive integers.
 
     The sweeps ask one partition for the same numbers in every validate and
@@ -95,14 +68,6 @@ class Partition(_Frozen):
         put(self, "_odd", odd)
         put(self, "_odd_mult", odd_mult)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.parts,))
-
     def multiplicity(self, i: int) -> int:
         """r_i, the number of parts equal to i."""
         return self.parts.count(i)
@@ -128,7 +93,7 @@ def partition(*parts: int) -> Partition:
     return Partition(parts)
 
 
-class Family(_Frozen):
+class Family(Record):
     """One classical family: sl_n, so_n, sp_2n, or the doubled 2sl_n cell.
 
     ``kind`` is "sl", "so", "sp" or "2sl"; ``n`` is the matrix size (for sp
@@ -143,14 +108,6 @@ class Family(_Frozen):
             raise ValueError("sp requires even matrix size")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "n", n)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.kind == other.kind and self.n == other.n
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.n))
 
     @property
     def dim(self) -> int:
@@ -304,7 +261,7 @@ def centralizer_oracle(datum, family: Family) -> int:
 # -- pairs of partitions (sp6 / so12 parametrization) -------------------------
 
 
-class PartitionPair(_Frozen):
+class PartitionPair(Record):
     """(alpha, beta) with beta having distinct parts."""
 
     __slots__ = _fields = ("alpha", "beta")
@@ -315,14 +272,6 @@ class PartitionPair(_Frozen):
             raise ValueError("beta must have distinct parts")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.alpha == other.alpha and self.beta == other.beta
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.alpha, self.beta))
 
     def __str__(self) -> str:
         a = ",".join(map(str, self.alpha.parts)) or "-"

@@ -17,9 +17,8 @@ import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
-from ._records import Validated
+from ._records import Record
 
 _EXCEPTIONAL_RANKS = {"G": 2, "F": 4}
 _E_RANKS = (6, 7, 8)
@@ -42,17 +41,12 @@ class AdjointNotFundamentalError(ValueError):
     """The adjoint representation of this algebra is not fundamental."""
 
 
-class _AlgebraType(NamedTuple):
-    family: str
-    rank: int
-
-
-class AlgebraType(Validated, _AlgebraType):
+class AlgebraType(Record):
     """A simple Lie algebra type: family in A..G plus rank."""
 
-    __slots__ = ()
+    __slots__ = _fields = ("family", "rank")
 
-    def __new__(cls, family: str, rank: int):
+    def __init__(self, family: str, rank: int):
         fam, n = family, rank
         if fam not in ("A", "B", "C", "D", "E", "F", "G"):
             raise UnsupportedRankError(f"unknown family {fam!r}")
@@ -64,7 +58,8 @@ class AlgebraType(Validated, _AlgebraType):
             raise UnsupportedRankError(f"{fam}{n} outside supported range")
         if fam == "B" and n < 2 or fam == "C" and n < 2 or fam == "D" and n < 3:
             raise UnsupportedRankError(f"{fam}{n} is not treated as a distinct type")
-        return tuple.__new__(cls, (family, rank))
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
 
     @property
     def name(self) -> str:
@@ -262,26 +257,22 @@ def root_system(name: str) -> RootSystem:
 # -- weighted Dynkin diagrams ------------------------------------------------
 
 
-class _WeightedDiagram(NamedTuple):
-    algebra: AlgebraType
-    labels: tuple[int, ...]
-
-
-class WeightedDiagram(Validated, _WeightedDiagram):
+class WeightedDiagram(Record):
     """Nonnegative integer labels on the simple roots, Bourbaki order.
 
     The labels are the values alpha_i(H) of the semisimple element H of an
     sl2-triple; they determine the nilpotent orbit.
     """
 
-    __slots__ = ()
+    __slots__ = _fields = ("algebra", "labels")
 
-    def __new__(cls, algebra: AlgebraType, labels: tuple[int, ...]):
+    def __init__(self, algebra: AlgebraType, labels: tuple[int, ...]):
         if len(labels) != algebra.rank:
             raise ValueError("one label per simple root required")
         if any(x < 0 for x in labels):
             raise ValueError("labels must be nonnegative")
-        return tuple.__new__(cls, (algebra, labels))
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "labels", labels)
 
     def is_even(self) -> bool:
         return all(x % 2 == 0 for x in self.labels)

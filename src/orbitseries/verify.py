@@ -635,9 +635,6 @@ class VerificationReport(NamedTuple):
     def exit_code(self) -> int:
         return 1 if self.counts[FAIL] else 0
 
-    def failures(self) -> list[CheckResult]:
-        return [r for r in self.results if r.status == FAIL]
-
     def as_text(self) -> str:
         lines = []
         width = max(len(r.subject) for r in self.results) if self.results else 0

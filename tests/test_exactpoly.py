@@ -340,6 +340,15 @@ class TestPhiForm:
         assert pexpr(1, 0, num=[6], den=[2]).reduce_to_polynomial(0) == \
             qpoly({4: 1, 2: 1, 0: 1})
 
+    def test_reduce_to_polynomial_never_expands(self, monkeypatch):
+        def expand(self, a):
+            raise AssertionError("the division route was called")
+        monkeypatch.setattr(ProductExpr, "expand", expand)
+        with pytest.raises(NotDivisibleError) as err:
+            pexpr(1, 0, num=[3], den=[2]).reduce_to_polynomial(0)
+        # (q^3 - 1)/(q^2 - 1) = (q^2 + q + 1)/(q + 1), and q^2 + q + 1 = q(q + 1) + 1
+        assert err.value.remainder == QLaurent.one()
+
     def test_eval_at_wants_a_fourth_root_for_any_fractional_factor(self):
         # (q^(1/2) - 1)(q^(1/2) + 1) = q - 1 expands onto whole powers, but
         # evaluation works factor by factor, so q = 2 is refused
