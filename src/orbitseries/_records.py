@@ -12,12 +12,14 @@ import operator
 
 
 class Record:
-    """Immutable fields in ``__slots__``, named in order by ``_fields`` and
-    set once by the constructor with ``object.__setattr__``.
+    """Immutable values in ``__slots__``, set once by the constructor with
+    ``object.__setattr__``; ``_fields`` names the public fields in order.
 
     A record equals only records of its class, hashes as the tuple of its
-    fields, and is copied and pickled through its constructor.  ``__slots__``
-    may add derived values, which repr, equality, hash and pickle ignore.
+    fields, and is copied and pickled through its constructor.  A field is
+    usually a slot, and ``__slots__`` may add derived values, which repr,
+    equality, hash and pickle ignore; a field may also be a property computed
+    from the slots, as ``LinExp``'s ``c0`` and ``c1`` are.
     """
 
     __slots__ = ()

@@ -67,6 +67,11 @@ def _frac(x: Rat) -> Fraction:
     raise TypeError(f"exact arithmetic takes an int or a Fraction, not {type(x).__name__}")
 
 
+def _nd(x: Rat) -> tuple[int, int]:
+    """The numerator and denominator of an int or a Fraction, as ``_frac`` takes them."""
+    return (int(x), 1) if isinstance(x, int) else _frac(x).as_integer_ratio()
+
+
 def _t_power(e: Rat) -> int:
     """The t-power 4e of q^e; e must lie on the quarter lattice."""
     t = 4 * _frac(e)
@@ -78,25 +83,50 @@ def _t_power(e: Rat) -> int:
 class LinExp(Record):
     """Affine function c0 + c1*a of the series parameter a.
 
-    Denominators of c0 and c1 divide 4 for every exponent used in this
-    package, so evaluations at integer a land on the quarter lattice.
+    Held as integers, (n0 + n1*a)/d with d > 0 and gcd(n0, n1, d) = 1, which
+    is canonical; ``c0`` and ``c1`` are Fraction-valued properties.
+    Denominators divide 4 for every exponent used in this package, so
+    evaluations at integer a land on the quarter lattice.
     """
 
-    __slots__ = _fields = ("c0", "c1")
+    __slots__ = ("_n0", "_n1", "_d")
+    _fields = ("c0", "c1")
 
     def __init__(self, c0: Rat, c1: Rat = 0):
-        object.__setattr__(self, "c0", _frac(c0))
-        object.__setattr__(self, "c1", _frac(c1))
+        d = 1
+        if type(c0) is not int or type(c1) is not int:
+            c0, c1 = _frac(c0), _frac(c1)
+            d = math.lcm(c0.denominator, c1.denominator)   # then the gcd is 1
+            c0, c1 = c0.numerator * (d // c0.denominator), c1.numerator * (d // c1.denominator)
+        object.__setattr__(self, "_n0", c0)
+        object.__setattr__(self, "_n1", c1)
+        object.__setattr__(self, "_d", d)
+
+    @staticmethod
+    def _of(n0: int, n1: int, d: int) -> "LinExp":
+        """(n0 + n1*a)/d for any d > 0, brought to lowest terms."""
+        g = math.gcd(n0, n1, d)
+        x = LinExp(n0 // g, n1 // g)   # built with d = 1, then given its own
+        object.__setattr__(x, "_d", d // g)
+        return x
+
+    c0 = property(lambda self: Fraction(self._n0, self._d))
+    c1 = property(lambda self: Fraction(self._n1, self._d))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self._n0, self._n1, self._d) == (other._n0, other._n1, other._d)
+        return NotImplemented
+
+    __hash__ = Record.__hash__
 
     def _ratio(self, a: Rat) -> tuple[int, int]:
         """self(a) as an integer numerator and a positive denominator, for
-        any rational a (an int has a numerator and a denominator too)."""
-        if not isinstance(a, int):
-            a = _frac(a)
-        c0, c1 = self.c0, self.c1
-        return (c0.numerator * c1.denominator * a.denominator +
-                c1.numerator * c0.denominator * a.numerator,
-                c0.denominator * c1.denominator * a.denominator)
+        any rational a."""
+        if isinstance(a, int):
+            return self._n0 + self._n1 * a, self._d
+        n, d = _nd(a)
+        return self._n0 * d + self._n1 * n, self._d * d
 
     def __call__(self, a: Rat) -> Fraction:
         return Fraction(*self._ratio(a))
@@ -112,22 +142,25 @@ class LinExp(Record):
 
     def __add__(self, other: "LinExp | Rat") -> "LinExp":
         if isinstance(other, LinExp):
-            return LinExp(self.c0 + other.c0, self.c1 + other.c1)
-        return LinExp(self.c0 + _frac(other), self.c1)
+            n0, n1, d = other._n0, other._n1, other._d
+        else:
+            (n0, d), n1 = _nd(other), 0
+        return LinExp._of(self._n0 * d + n0 * self._d, self._n1 * d + n1 * self._d, self._d * d)
 
     __radd__ = __add__
 
     def __sub__(self, other: "LinExp | Rat") -> "LinExp":
-        return self + (-other if isinstance(other, LinExp) else -_frac(other))
+        return self + -(other if isinstance(other, (LinExp, int)) else _frac(other))
 
     def __neg__(self) -> "LinExp":
-        return LinExp(-self.c0, -self.c1)
+        return LinExp._of(-self._n0, -self._n1, self._d)
 
     def __rsub__(self, other: Rat) -> "LinExp":
-        return LinExp(_frac(other) - self.c0, -self.c1)
+        return -self + other
 
     def __mul__(self, k: Rat) -> "LinExp":
-        return LinExp(self.c0 * _frac(k), self.c1 * _frac(k))
+        n, d = _nd(k)
+        return LinExp._of(self._n0 * n, self._n1 * n, self._d * d)
 
     __rmul__ = __mul__
 
@@ -292,23 +325,24 @@ class QLaurent:
         d^deg P(n/d) in integers, where x is q when every t-power is a
         multiple of 4 and t otherwise; one Fraction is built for the value.
         """
-        q = _frac(q)
-        if q <= 0:
+        n, d = _nd(q)
+        if n <= 0:
             raise ValueError("evaluation point must be positive")
-        if self.is_laurent_in_q():
-            x, step = q, 4
-        else:
-            n, d = (math.isqrt(math.isqrt(m)) for m in (q.numerator, q.denominator))
-            if (n ** 4, d ** 4) != (q.numerator, q.denominator):
+        step = 4
+        if not self.is_laurent_in_q():
+            r, s = (math.isqrt(math.isqrt(m)) for m in (n, d))
+            if (r ** 4, s ** 4) != (n, d):
                 raise FractionalPowerError(
                     f"fractional q-powers present and {q} is not a rational fourth power")
-            x, step = Fraction(n, d), 1
+            n, d, step = r, s, 1
         skip = -self.low % step    # terms off the x-lattice are zero
-        n, d = x.numerator, x.denominator
         acc, scale = 0, 1
         for v in reversed(self.c[skip::step]):
             acc, scale = acc * n + v * scale, scale * d
-        return self.content * Fraction(acc * d, scale) * x ** ((self.low + skip) // step)
+        num, den = self.content.numerator * acc * d, self.content.denominator * scale
+        k = (self.low + skip) // step
+        n, d, k = (n, d, k) if k >= 0 else (d, n, -k)
+        return Fraction(num * n ** k, den * d ** k)
 
     def __str__(self) -> str:
         if not self.c:
@@ -480,23 +514,31 @@ def _phi_product(powers: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     n | d.  Multiplying by 1 - t^n is one shift-and-subtract; dividing by it
     is a prefix sum along each residue class mod n, and the top n sums are
     the remainder, which must vanish.  Both run on the factor's own
-    coefficients, so no bound on their size is needed."""
+    coefficients, so no bound on their size is needed.  With g the gcd of
+    the n with E_n nonzero, the product is a polynomial in s = t^g: the steps
+    run on the exponents n/g and the result is spread with stride g."""
     exps: dict[int, int] = {}
     for d, m in powers:
         for n, mu in _moebius_binomials(d):
             exps[n] = exps.get(n, 0) + mu * m
+    g = math.gcd(*(n for n, e in exps.items() if e)) or 1
     poly = [1]
     for n, e in exps.items():
         for _ in range(e):
-            poly = list(map(operator.sub, poly + [0] * n, [0] * n + poly))
+            k = n // g
+            poly = list(map(operator.sub, poly + [0] * k, [0] * k + poly))
     for n, e in exps.items():
         for _ in range(-e):
-            # p = quo * (1 - t^n) gives quo_i = p_i + quo_(i-n)
-            for r in range(n):
-                poly[r::n] = accumulate(poly[r::n])
-            if any(poly[-n:]):
+            # p = quo * (1 - s^k) gives quo_i = p_i + quo_(i-k)
+            k = n // g
+            for r in range(k):
+                poly[r::k] = accumulate(poly[r::k])
+            if any(poly[-k:]):
                 raise ArithmeticError(f"t^{n} - 1 does not divide the product")
-            del poly[-n:]
+            del poly[-k:]
+    if g > 1:
+        poly, spread = [0] * (g * len(poly) - g + 1), poly
+        poly[::g] = spread
     return tuple(poly) if poly[-1] > 0 else tuple(map(operator.neg, poly))
 
 
@@ -607,6 +649,7 @@ class ProductExpr(Record):
     def __init__(self, constant: Rat = 1, prefactor_exponent: LinExp = LinExp(0),
                  factors: tuple[tuple[Factor, int], ...] = ()):
         object.__setattr__(self, "constant", _frac(constant))
+        factors = tuple(factors)
         for _, m in factors:
             if m == 0:
                 raise ValueError("factor multiplicity must be nonzero")
@@ -766,26 +809,30 @@ def L(s: LinExp | Rat | str) -> LinExp:
     return _parse_exponent(s)
 
 
+def _number(text: str) -> tuple[int, int]:
+    """A coefficient as the tables print it, '3' or '3/2', as ints."""
+    return (int(text), 1) if text.isdecimal() else Fraction(text).as_integer_ratio()
+
+
 @lru_cache(maxsize=None)
 def _parse_exponent(s: str) -> LinExp:
-    """``L`` on a string; memoized, as the registry repeats its exponents and
-    a LinExp is immutable."""
-    c0 = Fraction(0)
-    c1 = Fraction(0)
+    """``L`` on a string, summed as integers over one denominator; memoized,
+    as the registry repeats its exponents and a LinExp is immutable."""
+    n, d = [0, 0], 1    # the numerators of c0 and c1 over d
     for term in re.findall(r"[+-]?[^+-]+", s.replace(" ", "")):
         sign = -1 if term.startswith("-") else 1
         term = term.lstrip("+-")
-        if "a" in term:
-            head, _, tail = term.partition("a")
-            coeff = Fraction(head) if head else Fraction(1)
-            if tail:
-                if not tail.startswith("/"):
-                    raise ValueError(f"cannot parse term {term!r}")
-                coeff /= Fraction(tail[1:])
-            c1 += sign * coeff
-        else:
-            c0 += sign * Fraction(term)
-    return LinExp(c0, c1)
+        head, a, tail = term.partition("a")
+        if tail and not tail.startswith("/"):
+            raise ValueError(f"cannot parse term {term!r}")
+        p, q = _number(head or "1")
+        r, u = _number(tail[1:]) if tail else (1, 1)    # the divisor r/u
+        if not r:
+            raise ZeroDivisionError(f"division by zero in {term!r}")
+        n = [x * q * r for x in n]
+        n[bool(a)] += sign * p * u * d
+        d *= q * r
+    return LinExp._of(*n, d)
 
 
 def _factors(entries, mult_sign: int, sign: int) -> tuple[tuple[Factor, int], ...]:

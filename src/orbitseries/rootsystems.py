@@ -267,6 +267,7 @@ class WeightedDiagram(Record):
     __slots__ = _fields = ("algebra", "labels")
 
     def __init__(self, algebra: AlgebraType, labels: tuple[int, ...]):
+        labels = tuple(labels)
         if len(labels) != algebra.rank:
             raise ValueError("one label per simple root required")
         if any(x < 0 for x in labels):

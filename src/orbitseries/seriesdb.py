@@ -89,12 +89,17 @@ def reductive(spec: str) -> ReductiveSpec:
 
 def group_order(spec: ReductiveSpec) -> ProductExpr:
     """Order polynomial q^N prod (q^{d_i} - 1) times (q-1)^torus."""
+    return _group_order(tuple(spec.factors), spec.torus_rank)
+
+
+@lru_cache(maxsize=None)    # verify asks again for the same few stabilizers and ambients
+def _group_order(factors: tuple[AlgebraType, ...], torus_rank: int) -> ProductExpr:
     prefactor = LinExp(0)
     degrees: list[int] = []
-    for f in spec.factors:
+    for f in factors:
         prefactor = prefactor + f.num_positive_roots
         degrees.extend(f.invariant_degrees)
-    degrees.extend([1] * spec.torus_rank)
+    degrees.extend([1] * torus_rank)
     return pexpr(1, prefactor, num=degrees)
 
 

@@ -12,9 +12,9 @@ report is written directly in the indented, key-sorted layout of ``json.dumps``.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Sequence
 
 from . import partitions as pt
@@ -649,13 +649,15 @@ class VerificationReport(NamedTuple):
 
     def as_json(self) -> str:
         """``json.dumps(payload, indent=2, sort_keys=True)`` of ``{"results":
-        [r._asdict(), ...], "summary": self.counts}``, written in that layout."""
+        [r._asdict(), ...], "summary": self.counts}``, written in that layout;
+        each string goes through ``encode_basestring_ascii``, the C string
+        encoder that ``json.dumps`` calls for a str under ``ensure_ascii``."""
         item = ('    {\n      "lhs": %s,\n      "note": %s,\n      "rhs": %s,\n'
                 '      "status": %s,\n      "subject": %s,\n      "suite": %s\n    }')
-        results = ",\n".join(item % tuple(map(json.dumps, (
+        results = ",\n".join(item % tuple(map(encode_basestring_ascii, (
             r.lhs, r.note, r.rhs, r.status, r.subject, r.suite))) for r in self.results)
         results = f"[\n{results}\n  ]" if results else "[]"
-        summary = ",\n".join(f"    {json.dumps(k)}: {v}"
+        summary = ",\n".join(f"    {encode_basestring_ascii(k)}: {v}"
                               for k, v in sorted(self.counts.items()))
         return f'{{\n  "results": {results},\n  "summary": {{\n{summary}\n  }}\n}}'
 

@@ -210,6 +210,24 @@ def test_cached_group_orders_equal_uncached():
             assert want.denominator == 1 and _order_int(spec, q) == want
 
 
+def test_memoized_group_orders_equal_unmemoized():
+    specs = {spec for rec in db.all_series() for m in rec.members
+             for spec in (m.ambient, m.h)}
+    assert len(specs) > 30
+    for spec in specs:
+        want = db._group_order.__wrapped__(spec.factors, spec.torus_rank)
+        got = db.group_order(spec)
+        assert got == want and hash(got) == hash(want), spec.name
+        assert db.group_order(spec) is got
+
+
+def test_group_order_of_a_list_built_spec():
+    g2 = db.algebra("g2")
+    got = db.group_order(db.ReductiveSpec([g2, g2], 1))
+    assert got is db.group_order(db.ReductiveSpec((g2, g2), 1, "2g2+T1"))
+    assert got == db.group_order(db.reductive("2g2+T1"))
+
+
 def test_constant_ratio_equals_the_reduced_pair():
     quotients = [(rec.point_count / _expected_quotient(rec, m), m.a)
                  for rec in db.series_by_row("f4") + db.series_by_row("e6")

@@ -1,6 +1,8 @@
 import math
+import pickle
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -67,6 +69,112 @@ class TestLinExp:
     def test_parsed_strings_are_shared(self):
         assert L("3a/2+2") is L("3a/2+2") == LinExp(2, F(3, 2))
         assert L(" a/4 - 1") == LinExp(-1, F(1, 4))
+
+
+# rationals with denominators up to 12, the coefficients of the integer LinExp tests
+rationals = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
+points = st.one_of(st.integers(-9, 9), rationals)
+
+
+def _outcome(f, *args):
+    """f's value, or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except (ValueError, TypeError) as err:
+        return type(err), str(err)
+
+
+def _quarter_power(c0, c1, a):
+    """4 (c0 + c1 a) by Fraction arithmetic, refused off the quarter lattice."""
+    v = c0 + c1 * a
+    if (4 * v).denominator != 1:
+        raise ValueError(f"exponent {v} not on the quarter-integer lattice")
+    return int(4 * v)
+
+
+class TestIntegerLinExp:
+    """LinExp holds (n0 + n1 a)/d in integers; every operation equals the
+    same operation done on its Fraction coefficients."""
+
+    @given(rationals, rationals, rationals, rationals, points)
+    @example(F(1, 2), F(1, 3), F(-1, 2), F(2, 3), F(3, 4))
+    @example(F(1, 4), F(0), F(-1, 4), F(0), 0)
+    @settings(max_examples=300, deadline=None)
+    def test_operations_equal_the_fraction_route(self, c0, c1, k0, k1, a):
+        x, y = LinExp(c0, c1), LinExp(k0, k1)
+        def coeffs(e):
+            return e.c0, e.c1
+        assert coeffs(x) == (c0, c1) and all(type(v) is F for v in coeffs(x))
+        assert coeffs(x + y) == (c0 + k0, c1 + k1) == coeffs(y + x)
+        assert coeffs(x - y) == (c0 - k0, c1 - k1)
+        assert coeffs(-x) == (-c0, -c1)
+        for k in (a, k0, 3, 0):
+            assert coeffs(x + k) == (c0 + k, c1) == coeffs(k + x)
+            assert coeffs(x - k) == (c0 - k, c1) and coeffs(k - x) == (k - c0, -c1)
+            assert coeffs(x * k) == (c0 * k, c1 * k) == coeffs(k * x)
+        got = x(a)
+        assert got == c0 + c1 * a and type(got) is F
+        assert _outcome(x.t_power, a) == _outcome(_quarter_power, c0, c1, a)
+        # the fields are canonical: d > 0 and gcd(n0, n1, d) = 1
+        for e in (x, y, x + y, x - y, -x, x * a):
+            assert e._d > 0 and math.gcd(e._n0, e._n1, e._d) == 1
+
+    @pytest.mark.parametrize("bad", [0.5, "1", LinExp(1)])
+    def test_errors_are_those_of_the_fraction_route(self, bad):
+        x = LinExp(F(1, 2), F(1, 3))
+        ops = [lambda: x * bad, lambda: bad * x, lambda: x(bad), lambda: x.t_power(bad)]
+        if not isinstance(bad, LinExp):
+            ops += [lambda: x + bad, lambda: bad + x, lambda: x - bad, lambda: bad - x]
+        message = f"exact arithmetic takes an int or a Fraction, not {type(bad).__name__}"
+        for op in ops:
+            assert _outcome(op) == (TypeError, message)
+        assert _outcome(x.t_power, 1) == (ValueError,
+                                          "exponent 5/6 not on the quarter-integer lattice")
+
+    def test_equal_functions_have_equal_fields_and_hash(self):
+        want = LinExp(F(1, 2), F(1, 3))
+        routes = [
+            LinExp(F(3, 6), F(2, 6)),
+            L("a/3+1/2"),
+            LinExp(3, 2) * F(1, 6),
+            LinExp(F(1, 2)) + LinExp(0, F(1, 3)),
+            LinExp(1, 1) - LinExp(F(1, 2), F(2, 3)),
+            -LinExp(F(-1, 2), F(-1, 3)),
+            1 - LinExp(F(1, 2), F(-1, 3)),
+        ]
+        for e in routes:
+            assert (e._n0, e._n1, e._d) == (want._n0, want._n1, want._d) == (3, 2, 6)
+            assert e == want and hash(e) == hash(want) == hash((F(1, 2), F(1, 3)))
+        assert (LinExp(5) * 0)._d == 1 and LinExp(5) * 0 == LinExp(0)
+        assert LinExp(F(2, 4), F(6, 4)) == LinExp(F(1, 2), F(3, 2))
+
+    @given(st.lists(st.tuples(st.sampled_from("+-"), st.sampled_from(["a", ""]),
+                              st.integers(0, 30), st.integers(1, 12),
+                              st.sampled_from(["{p}{a}/{q}", "{p}/{q}{a}", "{p}{a}"])),
+                    min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_parsed_exponents_equal_the_fraction_sum(self, terms):
+        text, c = "", {"": F(0), "a": F(0)}
+        for sign, a, p, q, form in terms:
+            text += f" {sign} " + form.format(p=p, q=q, a=a)
+            value = F(p) if form == "{p}{a}" else F(p, q)
+            c[a] += value if sign == "+" else -value
+        e, want = L(text), LinExp(c[""], c["a"])
+        assert (e.c0, e.c1) == (c[""], c["a"]), text
+        assert (e._n0, e._n1, e._d) == (want._n0, want._n1, want._d)
+
+    def test_parse_refusals(self):
+        for text, error in [("3a/0", ZeroDivisionError), ("2ab", ValueError),
+                            ("a/", ValueError), ("x", ValueError)]:
+            with pytest.raises(error):
+                L(text)
+
+    def test_repr_and_pickle(self):
+        e = LinExp(F(1, 2), F(1, 3))
+        assert repr(e) == "LinExp(c0=Fraction(1, 2), c1=Fraction(1, 3))"
+        back = pickle.loads(pickle.dumps(e))
+        assert back == e and hash(back) == hash(e) and repr(back) == repr(e)
+        assert (back._n0, back._n1, back._d) == (3, 2, 6)
 
 
 class TestQLaurentRing:
@@ -430,6 +538,83 @@ class TestKroneckerProduct:
         for d in range(1, 301):
             want = sympy.Poly(sympy.cyclotomic_poly(d, t), t).all_coeffs()
             assert cyclotomic(d) == tuple(int(c) for c in reversed(want)), d
+
+
+def long_division(p, m):
+    """Exact quotient of integer lists (constant term first) by a monic m."""
+    p, quo = list(p), [0] * (len(p) - len(m) + 1)
+    for i in range(len(quo) - 1, -1, -1):
+        quo[i] = p[i + len(m) - 1]
+        for j, v in enumerate(m):
+            p[i + j] -= quo[i] * v
+    assert not any(p), "not divisible"
+    return tuple(quo)
+
+
+@lru_cache(maxsize=None)
+def reference_cyclotomic(d):
+    """Phi_d as (t^d - 1) divided by every Phi_e with e | d, e < d: a route
+    that shares nothing with the binomial kernel."""
+    quo = (-1,) + (0,) * (d - 1) + (1,)
+    for e in range(1, d):
+        if d % e == 0:
+            quo = long_division(quo, reference_cyclotomic(e))
+    return quo
+
+
+def binomial_gcd(powers):
+    """The gcd of the n with a nonzero exponent E_n of t^n - 1 in the product."""
+    exps = {}
+    for d, m in powers:
+        for n in range(1, d + 1):
+            if d % n == 0:
+                k, mu = d // n, 1   # the Moebius function of d/n by trial division
+                for r in range(2, k + 1):
+                    if k % r == 0:
+                        k //= r
+                        mu = 0 if k % r == 0 else -mu
+                exps[n] = exps.get(n, 0) + mu * m
+    return math.gcd(*(n for n, e in exps.items() if e))
+
+
+def _e8_order_phis():
+    from orbitseries import seriesdb as db
+    return db.group_order(db.reductive("e8")).phi_form(0).phis
+
+
+class TestKernelInPowersOfTg:
+    """The kernel runs in s = t^g for g the gcd of the binomial exponents."""
+
+    @pytest.mark.parametrize("powers, g", [
+        (((4, 1),), 2),                      # Phi_4 = 1 + t^2
+        (((8, 1),), 4),                      # Phi_8 = 1 + t^4
+        (((16, 1),), 8),                     # Phi_16 = 1 + t^8
+        (((8, 1), (24, 1)), 12),
+        (((16, 1), (48, 1)), 24),
+        (((4, 2), (8, 1), (12, 3), (24, 1)), 2),
+        (tuple(_e8_order_phis()), 8),        # |E8(q)| as verify multiplies it out
+    ])
+    def test_equals_the_product_of_reference_cyclotomics(self, powers, g):
+        assert binomial_gcd(powers) == g
+        want = schoolbook(*(reference_cyclotomic(d) for d, m in powers for _ in range(m)))
+        assert _phi_product.__wrapped__(powers) == want
+        assert _mul(*(cyclotomic(d) for d, m in powers for _ in range(m))) == want
+        # a polynomial in t^g: every other coefficient vanishes
+        assert not any(v for i, v in enumerate(want) if i % g)
+
+    def test_small_cyclotomics_by_hand(self):
+        assert cyclotomic(4) == (1, 0, 1) and cyclotomic(8) == (1, 0, 0, 0, 1)
+        assert cyclotomic(12) == (1, 0, -1, 0, 1)
+        assert cyclotomic(24) == (1, 0, 0, 0, -1, 0, 0, 0, 1)
+
+    def test_a_refusal_in_powers_of_t_g_names_the_t_power(self):
+        # 1 / Phi_4 = (t^2 - 1) / (t^4 - 1), run with s = t^2
+        with pytest.raises(ArithmeticError) as got:
+            _phi_product.__wrapped__(((4, -1),))
+        assert str(got.value) == "t^4 - 1 does not divide the product"
+        with pytest.raises(ArithmeticError) as got:
+            _phi_product.__wrapped__(((8, 1), (24, -1)))
+        assert str(got.value) == "t^24 - 1 does not divide the product"
 
 
 def fields(p):

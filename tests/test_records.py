@@ -15,7 +15,8 @@ from orbitseries import seriesdb as db
 from orbitseries._records import Record
 from orbitseries.exactpoly import Cyclo, LinExp, Literal, ProductExpr, QLaurent, pexpr
 from orbitseries.partitions import Family, InvalidPartitionError, Partition, PartitionPair
-from orbitseries.rootsystems import AlgebraType, UnsupportedRankError, WeightedDiagram
+from orbitseries.rootsystems import (AlgebraType, UnsupportedRankError, WeightedDiagram,
+                                     grading_dims)
 from orbitseries.verify import CheckResult, VerificationReport, VerifyConfig
 
 _REC = db.lookup("f4", "g")
@@ -131,6 +132,25 @@ def test_a_linexp_entry_is_an_exponent_not_a_pair():
     expr = pexpr(1, 0, num=[LinExp(1, 1)])
     assert expr.factors == ((Cyclo(LinExp(1, 1), 1), 1),)
     assert pexpr(1, 0, num=[(LinExp(1, 1), 2)]).factors == ((Cyclo(LinExp(1, 1), 1), 2),)
+
+
+def test_a_list_field_is_stored_as_a_tuple():
+    # a list-built record equals and hashes like its tuple-built twin, and
+    # the cached gradings and the product take it
+    g2 = AlgebraType("G", 2)
+    labels = (2, 0)
+    diagram, twin = WeightedDiagram(g2, [2, 0]), WeightedDiagram(g2, labels)
+    assert diagram.labels == labels and type(diagram.labels) is tuple
+    assert diagram == twin and hash(diagram) == hash(twin)
+    assert grading_dims(diagram) == grading_dims(twin)
+    assert twin.labels is labels
+    factors = ((Cyclo(LinExp(1)), 1),)
+    expr, twin = ProductExpr(1, LinExp(0), list(factors)), ProductExpr(1, LinExp(0), factors)
+    assert expr.factors == factors and type(expr.factors) is tuple
+    assert expr == twin and hash(expr) == hash(twin)
+    assert expr * pexpr(2) == twin * pexpr(2) == pexpr(2, 0, num=[1])
+    assert pexpr(2) * expr == pexpr(2, 0, num=[1])
+    assert twin.factors is factors
 
 
 def test_a_partition_pair_is_not_a_2sl_datum():
