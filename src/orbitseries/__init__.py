@@ -10,8 +10,8 @@ import importlib
 __version__ = "0.1.0"
 
 _HOME = {
-    "exactpoly": ("Cyclo", "LinExp", "Literal", "NotDivisibleError", "ProductExpr",
-                  "QLaurent", "ZeroExponentError", "exact_div", "reduce_pair"),
+    "exactpoly": ("Cyclo", "LinExp", "NotDivisibleError", "ProductExpr", "QLaurent",
+                  "QPhi", "ZeroExponentError", "exact_div", "reduce_pair"),
     "partitions": ("Family", "Partition", "PartitionPair", "centralizer_oracle",
                    "magic_dim_formula", "orbit_dim_classical", "propagate"),
     "rootsystems": ("AlgebraType", "RootSystem", "WeightedDiagram", "algebra",

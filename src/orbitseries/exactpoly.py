@@ -10,20 +10,21 @@ for parameter values a in {1, 2, 4, 8}) stays integral in t.
 
 Product expressions reduce through their cyclotomic normal form: at fixed a
 every factor q^e -+ 1 is a signed monomial times a product of cyclotomic
-polynomials Phi_d(t), so an expression is c * t^k * prod Phi_d(t)^(m_d), the
-notation of Carter, *Finite Groups of Lie Type* (1985), section 13.9, and of
-CHEVIE's ``CycPol`` (Geck-Hiss-Luebeck-Malle-Pfeiffer 1996).  Cancelling
-common factors is then subtraction of the multiplicities m_d, and only the
-reduced result is multiplied out, over the integers and without a general
-multiplication: by Moebius inversion prod Phi_d^(m_d) = prod (t^n - 1)^(E_n)
-with E_n = sum over n | d of mu(d/n) m_d, so ``_phi_product`` shifts and
-subtracts once per factor t^n - 1 with E_n > 0, then divides by each one with
-E_n < 0 in n strided prefix sums.  ``cyclotomic(d)`` is the same kernel at a
-single Phi_d.  General products (``QLaurent.__mul__``) are schoolbook
-products over the nonzero entries of each factor (``_mul``).  The division
-route (``expand``, ``poly_gcd``, ``exact_div``, ``reduce_pair``) stays as
-the independent oracle the tests compare against, and reduces sums, which
-have no such form; ``reduce_to_polynomial`` never takes it.
+polynomials Phi_d(t), as is the factor Phi_d(q) (``QPhi``), so an expression
+is c * t^k * prod Phi_d(t)^(m_d), the notation of Carter, *Finite Groups of
+Lie Type* (1985), section 13.9, and of CHEVIE's ``CycPol``
+(Geck-Hiss-Luebeck-Malle-Pfeiffer 1996).  Cancelling common factors is then
+subtraction of the multiplicities m_d, and only the reduced result is
+multiplied out, over the integers and without a general multiplication: by
+Moebius inversion prod Phi_d^(m_d) = prod (t^n - 1)^(E_n) with E_n = sum over
+n | d of mu(d/n) m_d, so ``_phi_product`` shifts and subtracts once per factor
+t^n - 1 with E_n > 0, then divides by each one with E_n < 0 in n strided
+prefix sums.  ``cyclotomic(d)`` is the same kernel at a single Phi_d.  General
+products (``QLaurent.__mul__``) are schoolbook products over the nonzero
+entries of each factor (``_mul``).  The division route (``expand``,
+``poly_gcd``, ``exact_div``, ``reduce_pair``) stays as the independent oracle
+the tests compare against, and reduces sums, which have no such form;
+``reduce_to_polynomial`` never takes it.
 """
 
 from __future__ import annotations
@@ -482,7 +483,9 @@ def reduce_pair(num: QLaurent, den: QLaurent) -> tuple[QLaurent, QLaurent]:
 # -- cyclotomic normal form --------------------------------------------------
 
 def cyclotomic(d: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_d(t), constant term first."""
+    """Integer coefficients of Phi_d(t), constant term first, for d >= 1."""
+    if d < 1:
+        raise ValueError(f"cyclotomic polynomial Phi_{d} needs d >= 1")
     return _phi_product(((d, 1),))
 
 
@@ -564,26 +567,6 @@ class PhiForm(NamedTuple):
                 QLaurent._of(Fraction(1), 0, den))
 
 
-@lru_cache(maxsize=None)
-def _factor_cyclotomic(value: QLaurent) -> PhiForm:
-    """Trial division by Phi_d for every d with phi(d) <= deg (such d satisfy
-    d <= 2 deg^2); raises unless the nonzero value is c * t^k * prod Phi_d.
-    Such a product is monic, so it is the integer part and c the content."""
-    rest = list(value.c)
-    mults: dict[int, int] = {}
-    d, bound = 1, 2 * (len(rest) - 1) ** 2
-    while len(rest) > 1 and d <= bound:
-        quo, rem, _ = _divmod(rest, cyclotomic(d))
-        if quo and not any(rem):
-            rest = quo
-            mults[d] = mults.get(d, 0) + 1
-        else:
-            d += 1
-    if len(rest) > 1:
-        raise ValueError(f"{value} is not a product of cyclotomic polynomials in t")
-    return PhiForm(value.content, value.low, tuple(sorted(mults.items())))
-
-
 # -- product expressions -----------------------------------------------------
 
 
@@ -615,25 +598,24 @@ class Cyclo(NamedTuple):
         return f"(q^({self.exponent}){op}1)"
 
 
-class Literal(NamedTuple):
-    """An explicit polynomial factor, for shapes like q^2 - q + 1."""
+class QPhi(NamedTuple):
+    """The factor Phi_d(q), for shapes like q^2 - q + 1 = Phi_6(q)."""
 
-    value: QLaurent
+    d: int
+
+    @property
+    def value(self) -> QLaurent:
+        """Phi_d(q), that is Phi_d(t) spread to the t-powers 4i."""
+        return QLaurent({4 * i: v for i, v in enumerate(cyclotomic(self.d))})
 
     def value_at(self, a: Rat) -> QLaurent:
         return self.value
-
-    def phi_form(self, a: Rat) -> PhiForm:
-        """By trial division; a literal that is not cyclotomic raises ValueError."""
-        if self.value.is_zero():
-            raise ZeroExponentError(f"factor {self} vanishes at a={a}")
-        return _factor_cyclotomic(self.value)
 
     def __str__(self) -> str:
         return f"({self.value})"
 
 
-Factor = Union[Cyclo, Literal]
+Factor = Union[Cyclo, QPhi]
 
 
 class ProductExpr(Record):
@@ -650,9 +632,14 @@ class ProductExpr(Record):
                  factors: tuple[tuple[Factor, int], ...] = ()):
         object.__setattr__(self, "constant", _frac(constant))
         factors = tuple(factors)
-        for _, m in factors:
-            if m == 0:
+        for f, m in factors:
+            if operator.index(m) == 0:
                 raise ValueError("factor multiplicity must be nonzero")
+            if type(f) not in (Cyclo, QPhi):
+                raise TypeError(f"a product factor is a Cyclo or a QPhi, not {type(f).__name__}")
+            if type(f) is Cyclo and operator.index(f.sign) not in (1, -1) or \
+                    type(f) is QPhi and operator.index(f.d) < 1:
+                raise ValueError(f"{f!r}: a Cyclo sign is +1 or -1 and a QPhi d at least 1")
         object.__setattr__(self, "prefactor_exponent", prefactor_exponent)
         object.__setattr__(self, "factors", factors)
 
@@ -706,12 +693,10 @@ class ProductExpr(Record):
         shift = self.prefactor_exponent.t_power(a)
         mults: dict[int, int] = {}
         for factor, mult in self.factors:
-            if not isinstance(factor, Cyclo):
-                f = factor.phi_form(a)
-                constant *= f.constant ** mult
-                shift += f.shift * mult
-                for d, m in f.phis:
-                    mults[d] = mults.get(d, 0) + m * mult
+            if not isinstance(factor, Cyclo):   # Phi_d(q) = prod (q^n - 1)^mu(d/n)
+                for n, mu in _moebius_binomials(factor.d):
+                    for d in _binomial_phis(4 * n, False):
+                        mults[d] = mults.get(d, 0) + mu * mult
                 continue
             big_e = factor.exponent.t_power(a)
             if big_e == 0:
@@ -746,7 +731,7 @@ class ProductExpr(Record):
     def degree_in_q(self, a: Rat) -> Fraction:
         """Exact q-degree of the reduced value at parameter a, summed as
         t-powers: deg(q^e -+ 1) is e when e > 0, else 0 (the Laurent factor
-        bottoms out), and a literal has its own degree."""
+        bottoms out), and Phi_d(q) has its own degree."""
         total = self.prefactor_exponent.t_power(a)
         for factor, mult in self.factors:
             if not isinstance(factor, Cyclo):
@@ -846,14 +831,15 @@ def _factors(entries, mult_sign: int, sign: int) -> tuple[tuple[Factor, int], ..
 
 
 def pexpr(constant: Rat = 1, prefactor: LinExp | Rat | str = 0, num=(), den=(),
-          num_plus=(), den_plus=(), literal_den: Iterable[QLaurent] = ()) -> ProductExpr:
+          num_plus=(), den_plus=(), phi_den: Iterable[int] = ()) -> ProductExpr:
     """Product expression from table-style exponents, the one builder.
 
     ``num``/``den`` hold (q^e - 1) factors, ``num_plus``/``den_plus`` hold
     (q^e + 1) factors, in that order; an entry is an exponent (a LinExp, a
     rational or a string for ``L``) or an (exponent, multiplicity) pair.
+    ``phi_den`` holds the d of (Phi_d(q)) factors, which come last.
     """
     factors = _factors(num, 1, 1) + _factors(den, -1, 1) + \
         _factors(num_plus, 1, -1) + _factors(den_plus, -1, -1) + \
-        tuple((Literal(v), -1) for v in literal_den)
+        tuple((QPhi(d), -1) for d in phi_den)
     return ProductExpr(_frac(constant), L(prefactor), factors)

@@ -8,14 +8,16 @@ character formula as the lists num, den, num_plus, den_plus ([exponent,
 multiplicity] pairs) and literal_den, derived from its body's factors in order
 and rebuilt with ``pexpr``, which assembles the factors in that same order;
 and a member's datum as the keys pair, partition and sl_pair, the one that
-matches the datum's type set and the others null.
+matches the datum's type set and the others null.  A factor Phi_d(q) is
+written as its polynomial, under literal_den or as a "literal" factor, and
+read back as the one d with that polynomial; any other polynomial is refused.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactpoly import Cyclo, LinExp, Literal, ProductExpr, QLaurent, pexpr
+from .exactpoly import Cyclo, LinExp, ProductExpr, QLaurent, QPhi, pexpr
 from .partitions import Family, Partition, PartitionPair
 from . import seriesdb as db
 
@@ -50,8 +52,18 @@ def qlaurent_to_json(p: QLaurent) -> list:
     return [list(t) for t in p.to_triples()]
 
 
-def qlaurent_from_json(v) -> QLaurent:
-    return QLaurent.from_triples(tuple(tuple(t) for t in v))
+def qphi_from_json(v) -> QPhi:
+    """The factor Phi_d(q) whose polynomial the triples are; phi(d) >= sqrt(d/2),
+    so d <= 2 deg^2.  Raises ValueError for any other polynomial."""
+    value = QLaurent.from_triples(v)
+    deg = value.t_degree() // 4     # ValueError for the zero polynomial
+    phi = list(range(2 * deg * deg + 1))    # Euler's phi, the degree of Phi_d, sieved
+    for d in range(1, len(phi)):
+        if phi[d] == d > 1:     # d is prime, as no smaller prime divides it
+            phi[d::d] = [k - k // d for k in phi[d::d]]
+        if phi[d] == deg and QPhi(d).value == value:
+            return QPhi(d)
+    raise ValueError(f"{value} is not a cyclotomic polynomial Phi_d(q)")
 
 
 def product_to_json(e: ProductExpr) -> dict:
@@ -75,7 +87,7 @@ def product_from_json(d) -> ProductExpr:
             factors.append((Cyclo(linexp_from_json(f["exponent"]), f["sign"]),
                             f["mult"]))
         else:
-            factors.append((Literal(qlaurent_from_json(f["value"])), f["mult"]))
+            factors.append((qphi_from_json(f["value"]), f["mult"]))
     return ProductExpr(_unfrac(d["constant"]), linexp_from_json(d["prefactor"]),
                        tuple(factors))
 
@@ -149,7 +161,7 @@ def character_from_json(d) -> db.CharacterFormula:
     body = pexpr(_unfrac(d["constant"]), 0,
                  *(_entries_from_json(d[k]) for k in ("num", "den", "num_plus",
                                                       "den_plus")),
-                 literal_den=[qlaurent_from_json(v) for v in d["literal_den"]])
+                 phi_den=[qphi_from_json(v).d for v in d["literal_den"]])
     return db.CharacterFormula(d["name"], linexp_from_json(d["shift"]), body,
                                a_values=tuple(d["a_values"]),
                                doubled_at=d["doubled_at"])

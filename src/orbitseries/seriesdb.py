@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .exactpoly import L, LinExp, ProductExpr, QLaurent, pexpr
+from .exactpoly import L, LinExp, ProductExpr, pexpr
 from .partitions import EMPTY, Family, Partition, PartitionPair, pair_to_partition
 from .rootsystems import AlgebraType, WeightedDiagram, algebra, series_weight_to_diagram
 
@@ -226,8 +226,6 @@ _MASTER_NUM = ["a", "3a/2", "3a/2+2", "2a+2", "2a+4", "5a/2+4", "3a+6"]
 
 MASTER_POINTCOUNT = pexpr(1, "11a+8", num=_MASTER_NUM, den=["a/2+2"])
 
-_PHI6 = QLaurent.from_q_terms({2: 1, 1: -1, 0: 1})   # q^2 - q + 1
-
 
 def _f4_series():
     recs = []
@@ -357,7 +355,7 @@ def _f4_series():
                                     num=[("a/2+1", 3), "a", "3a/2", "3a/2+2", "2a+2",
                                          "2a+4", "5a/2+4", "3a+6"],
                                     den=[("1", 2), ("a/2", 2), ("a/2+2", 3),
-                                         ("a+2", 2), "3a/2+3"], literal_den=(_PHI6,))),
+                                         ("a+2", 2), "3a/2+3"], phi_den=(6,))),
                CharacterFormula("second", L("9a+11"), pexpr(Fraction(1, 3), 0,
                                     num=["a", "3a/2", "3a/2+2", "2a+2", "2a+4",
                                          "5a/2+4", "3a+6"],

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from orbitseries import serialize
 from orbitseries.exactpoly import (Cyclo, FractionalPowerError, LinExp,
-                                   Literal, NotDivisibleError, PhiForm,
-                                   ProductExpr, QLaurent, ZeroExponentError,
+                                   NotDivisibleError, PhiForm, ProductExpr,
+                                   QLaurent, QPhi, ZeroExponentError,
                                    _mul, _phi_product, cyclo_factor,
                                    cyclotomic, exact_div, L, pexpr, poly_gcd,
                                    reduce_pair)
@@ -340,9 +341,33 @@ class TestProductExpr:
 
     def test_literal_factor(self):
         phi6 = QLaurent.from_q_terms({2: 1, 1: -1, 0: 1})
-        e = ProductExpr(F(1), LinExp(0), ((Literal(phi6), 1),))
+        e = ProductExpr(F(1), LinExp(0), ((QPhi(6), 1),))
         num, den = e.expand(1)
         assert num == phi6
+
+    def test_a_multiplicity_must_be_an_integer(self):
+        # a float multiplicity would make eval_at return a float
+        for m in (1.5, 1.0, F(2)):
+            with pytest.raises(TypeError):
+                ProductExpr(1, LinExp(0), ((Cyclo(LinExp(1)), m),))
+
+    def test_a_cyclo_sign_must_be_plus_or_minus_1(self):
+        # Cyclo(e, 2) would read q^e - 1 on the Phi route and q^e - 2 in eval_at
+        for sign in (2, 0, -2):
+            with pytest.raises(ValueError, match=r"a Cyclo sign is \+1 or -1"):
+                ProductExpr(1, LinExp(0), ((Cyclo(LinExp(1), sign), 1),))
+        with pytest.raises(TypeError):
+            ProductExpr(1, LinExp(0), ((Cyclo(LinExp(1), 1.0), 1),))
+
+    def test_a_qphi_index_must_be_at_least_1(self):
+        for d in (0, -1, -6):
+            with pytest.raises(ValueError, match="a QPhi d at least 1"):
+                ProductExpr(1, LinExp(0), ((QPhi(d), 1),))
+
+    def test_other_factor_objects_are_refused(self):
+        for factor in (QLaurent.one(), LinExp(1), (LinExp(1), 1)):
+            with pytest.raises(TypeError, match="a product factor is a Cyclo or a QPhi"):
+                ProductExpr(1, LinExp(0), ((factor, 1),))
 
 
 class TestCyclo:
@@ -396,15 +421,40 @@ class TestPhiForm:
 
     def test_literal_q2_minus_q_plus_1_is_phi24(self):
         phi6 = QLaurent.from_q_terms({2: 1, 1: -1, 0: 1})
-        assert Literal(phi6).phi_form(0) == PhiForm(F(1), 0, ((24, 1),))
-        scaled = phi6 * phi6 * QLaurent({3: F(-5, 2)})
-        assert Literal(scaled).phi_form(0) == PhiForm(F(-5, 2), 3, ((24, 2),))
+        assert QPhi(6).value == phi6 and str(QPhi(6)) == "(q^2 - q + 1)"
+        assert ProductExpr(factors=((QPhi(6), 1),)).phi_form(0) == \
+            PhiForm(F(1), 0, ((24, 1),))
+        # -5/2 * t^3 * Phi_6(q)^2
+        scaled = ProductExpr(F(-5, 2), LinExp(F(3, 4)), ((QPhi(6), 2),))
+        assert scaled.phi_form(0) == PhiForm(F(-5, 2), 3, ((24, 2),))
 
     def test_non_cyclotomic_literal_raises(self):
+        # a factor is Phi_d(q) by construction, so another polynomial can only
+        # arrive from outside, through the JSON reader, which refuses it
         for value in (QLaurent.from_q_terms({1: 1, 0: -2}),
                       QLaurent.from_q_terms({2: 1, 1: 1, 0: -1}) * (QLaurent.q_power(1) - 1)):
-            with pytest.raises(ValueError, match="not a product of cyclotomic"):
-                Literal(value).phi_form(0)
+            with pytest.raises(ValueError, match="not a cyclotomic polynomial"):
+                serialize.qphi_from_json(serialize.qlaurent_to_json(value))
+
+    def test_qphi_equals_sympy_at_t_to_the_4(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        for d in range(1, 61):
+            want = sympy.Poly(sympy.cyclotomic_poly(d, x), x).all_coeffs()
+            at_t4 = QLaurent({4 * i: int(c) for i, c in enumerate(reversed(want))})
+            expr = ProductExpr(factors=((QPhi(d), 1),))
+            assert expr.phi_form(0).pair() == (at_t4, QLaurent.one()), d
+            assert expr.degree_in_q(0) == int(sympy.totient(d)), d
+
+    def test_json_reader_returns_the_qphi_of_its_value(self):
+        for d in range(1, 61):
+            triples = serialize.qlaurent_to_json(QPhi(d).value)
+            assert serialize.qphi_from_json(triples) == QPhi(d), d
+
+    def test_cyclotomic_refuses_an_index_below_1(self):
+        for d in (0, -1, -6):
+            with pytest.raises(ValueError, match=f"Phi_{d} needs d >= 1"):
+                cyclotomic(d)
 
     def test_reduction_is_multiset_subtraction(self):
         x = pexpr(3, 2, num=[6, 4], den=[2])

@@ -13,10 +13,10 @@ import pytest
 
 import orbitseries
 
-# the names the package re-exported from each module before it loaded lazily
+# the names the package re-exports from each module
 PUBLIC = {
-    "exactpoly": ("Cyclo", "LinExp", "Literal", "NotDivisibleError", "ProductExpr",
-                  "QLaurent", "ZeroExponentError", "exact_div", "reduce_pair"),
+    "exactpoly": ("Cyclo", "LinExp", "NotDivisibleError", "ProductExpr", "QLaurent",
+                  "QPhi", "ZeroExponentError", "exact_div", "reduce_pair"),
     "partitions": ("Family", "Partition", "PartitionPair", "centralizer_oracle",
                    "magic_dim_formula", "orbit_dim_classical", "propagate"),
     "rootsystems": ("AlgebraType", "RootSystem", "WeightedDiagram", "algebra",

@@ -13,7 +13,7 @@ import pytest
 import orbitseries
 from orbitseries import seriesdb as db
 from orbitseries._records import Record
-from orbitseries.exactpoly import Cyclo, LinExp, Literal, ProductExpr, QLaurent, pexpr
+from orbitseries.exactpoly import Cyclo, LinExp, ProductExpr, QPhi, pexpr
 from orbitseries.partitions import Family, InvalidPartitionError, Partition, PartitionPair
 from orbitseries.rootsystems import (AlgebraType, UnsupportedRankError, WeightedDiagram,
                                      grading_dims)
@@ -27,7 +27,7 @@ _CHECK = CheckResult("dims", "f4:g", "pass", "1", "1")
 RECORDS = [
     (("c0", "c1"), LinExp(1, 2), LinExp(1, 3)),
     (("exponent", "sign"), Cyclo(LinExp(2)), Cyclo(LinExp(2), -1)),
-    (("value",), Literal(QLaurent({0: 1, 4: 1})), Literal(QLaurent({0: 2}))),
+    (("d",), QPhi(6), QPhi(2)),
     (("constant", "prefactor_exponent", "factors"),
      pexpr(2, "a", num=[1, "a"]), ProductExpr()),
     (("parts",), Partition((3, 1)), Partition((2, 2))),

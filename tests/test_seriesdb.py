@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from orbitseries import serialize
-from orbitseries.exactpoly import LinExp, Literal, ProductExpr, QLaurent, pexpr
+from orbitseries.exactpoly import LinExp, ProductExpr, QLaurent, QPhi, pexpr
 from orbitseries.partitions import Family, Partition, PartitionPair, orbit_dim_classical
 from orbitseries.rootsystems import series_weight_to_diagram
 from orbitseries.seriesdb import (MASTER_POINTCOUNT, CharacterFormula, L,
@@ -224,10 +224,16 @@ class TestSerialization:
         assert back == all_series()
 
     def test_character_outside_the_list_schema_is_refused(self):
-        literal_numerator = ProductExpr(1, LinExp(0), ((Literal(QLaurent.one()), 1),))
+        literal_numerator = ProductExpr(1, LinExp(0), ((QPhi(1), 1),))
         for body in (pexpr(1, "a", num=["a"]), literal_numerator):
             with pytest.raises(ValueError):
                 serialize.character_to_json(CharacterFormula("x", L("3a+5"), body))
+
+    def test_reader_refuses_a_sign_other_than_plus_or_minus_1(self):
+        data = serialize.product_to_json(pexpr(1, 0, num=[1]))
+        data["factors"][0]["sign"] = 2
+        with pytest.raises(ValueError, match=r"a Cyclo sign is \+1 or -1"):
+            serialize.product_from_json(data)
 
     def test_json_is_deterministic(self):
         a = json.dumps(serialize.registry_to_json(), sort_keys=True)
