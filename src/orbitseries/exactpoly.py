@@ -637,6 +637,8 @@ class ProductExpr(Record):
                 raise ValueError("factor multiplicity must be nonzero")
             if type(f) not in (Cyclo, QPhi):
                 raise TypeError(f"a product factor is a Cyclo or a QPhi, not {type(f).__name__}")
+            if type(f) is Cyclo and not isinstance(f.exponent, LinExp):
+                raise TypeError(f"{f!r}: a Cyclo exponent is a LinExp")
             if type(f) is Cyclo and operator.index(f.sign) not in (1, -1) or \
                     type(f) is QPhi and operator.index(f.d) < 1:
                 raise ValueError(f"{f!r}: a Cyclo sign is +1 or -1 and a QPhi d at least 1")
@@ -674,8 +676,6 @@ class ProductExpr(Record):
             den = den * QLaurent.q_power(-e)
         for factor, mult in self.factors:
             base = factor.value_at(a)
-            if base.is_zero():
-                raise ZeroExponentError(f"factor {factor} vanishes at a={a}")
             if mult > 0:
                 num = num * base ** mult
             else:

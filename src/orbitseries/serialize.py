@@ -1,51 +1,69 @@
 """Lossless JSON encoding of the registry.
 
-The export mirrors the record structure field by field; ``registry_from_json``
-rebuilds equal SeriesRecord objects, which the round-trip test relies on.
-Three fields keep the v0 schema rather than the objects' own shape: a
-dimension formula is written as its integer [slope, intercept] pair; a
-character formula as the lists num, den, num_plus, den_plus ([exponent,
-multiplicity] pairs) and literal_den, derived from its body's factors in order
-and rebuilt with ``pexpr``, which assembles the factors in that same order;
-and a member's datum as the keys pair, partition and sl_pair, the one that
-matches the datum's type set and the others null.  A factor Phi_d(q) is
-written as its polynomial, under literal_den or as a "literal" factor, and
-read back as the one d with that polynomial; any other polynomial is refused.
+Each record's JSON form is stated once, as a codec: a pair (encode, decode) of
+plain functions.  ``_record`` builds a record's codec from one table that maps
+each field to its JSON key (its own name unless renamed) and the codec of its
+value; the writer and the reader both read that table.  ``_opt`` writes None
+as null, ``_seq`` a tuple as a list.  ``registry_from_json`` rebuilds equal
+SeriesRecord objects, which the round-trip test relies on.
+
+A dimension formula is written as its integer v0 [slope, intercept] pair.
+Three objects keep the v0 schema rather than their own shape, in hand-written
+pairs: a character formula as the lists num, den, num_plus, den_plus
+([exponent, multiplicity] pairs) and literal_den, derived from its body's
+factors in order and rebuilt with ``pexpr``, which assembles the factors in
+that same order; a member's datum as the keys pair, partition and sl_pair, the
+one that matches the datum's type set and the others null; and a product's
+factors each with its kind, "cyclo" or "literal".  A factor Phi_d(q) is written
+as its polynomial, under literal_den or as a "literal" factor, and read back
+as the one d with that polynomial; any other polynomial is refused.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Any, Callable, NamedTuple
 
 from .exactpoly import Cyclo, LinExp, ProductExpr, QLaurent, QPhi, pexpr
 from .partitions import Family, Partition, PartitionPair
 from . import seriesdb as db
 
 
-def _frac(x: Fraction) -> list[int]:
-    return [x.numerator, x.denominator]
+class _Codec(NamedTuple):
+    encode: Callable[[Any], Any]
+    decode: Callable[[Any], Any]
 
 
-def _unfrac(v) -> Fraction:
-    return Fraction(v[0], v[1])
+_ID = _Codec(lambda v: v, lambda v: v)
 
 
-def linexp_to_json(e: LinExp) -> dict:
-    return {"c0": _frac(e.c0), "c1": _frac(e.c1)}
+def _opt(codec: _Codec) -> _Codec:
+    """None as null, any other value by ``codec``."""
+    return _Codec(lambda v: None if v is None else codec.encode(v),
+                  lambda v: None if v is None else codec.decode(v))
 
 
-def linexp_from_json(d) -> LinExp:
-    return LinExp(_unfrac(d["c0"]), _unfrac(d["c1"]))
+def _seq(codec: _Codec) -> _Codec:
+    """A tuple as a list, each item by ``codec``."""
+    return _Codec(lambda v: [codec.encode(x) for x in v],
+                  lambda v: tuple(codec.decode(x) for x in v))
 
 
-def _affine_to_json(e: LinExp) -> list[int]:
-    """An integral dimension formula as its v0 [slope, intercept] pair."""
-    return [int(e.c1), int(e.c0)]
+def _record(make, renamed: dict[str, str] | None = None, /, **fields: _Codec) -> _Codec:
+    """A record as an object: each field, in order, under the key ``renamed``
+    gives it or else its own name, with its value by its codec; ``make``
+    rebuilds the record from the decoded fields as keywords."""
+    table = [(f, (renamed or {}).get(f, f), c.encode, c.decode) for f, c in fields.items()]
+    return _Codec(lambda r: {key: enc(getattr(r, f)) for f, key, enc, _ in table},
+                  lambda d: make(**{f: dec(d[key]) for f, key, _, dec in table}))
 
 
-def _affine_from_json(v) -> LinExp:
-    slope, intercept = v
-    return LinExp(intercept, slope)
+_FRAC = _Codec(lambda x: [x.numerator, x.denominator], lambda v: Fraction(*v))
+_LINEXP = _record(LinExp, c0=_FRAC, c1=_FRAC)
+_AFFINE = _Codec(lambda e: [int(e.c1), int(e.c0)], lambda v: LinExp(v[1], v[0]))
+_PARTITION = _Codec(lambda p: list(p.parts), Partition)
+_SPEC = _Codec(lambda s: s.name, db.reductive)
+_FAMILY = _opt(_Codec(lambda f: [f.kind, f.n], lambda v: Family(*v)))
 
 
 def qlaurent_to_json(p: QLaurent) -> list:
@@ -67,76 +85,44 @@ def qphi_from_json(v) -> QPhi:
 
 
 def product_to_json(e: ProductExpr) -> dict:
-    factors = []
-    for f, m in e.factors:
-        if isinstance(f, Cyclo):
-            factors.append({"kind": "cyclo", "exponent": linexp_to_json(f.exponent),
-                            "sign": f.sign, "mult": m})
-        else:
-            factors.append({"kind": "literal", "value": qlaurent_to_json(f.value),
-                            "mult": m})
-    return {"constant": _frac(e.constant),
-            "prefactor": linexp_to_json(e.prefactor_exponent),
-            "factors": factors}
+    return {"constant": _FRAC.encode(e.constant),
+            "prefactor": _LINEXP.encode(e.prefactor_exponent),
+            "factors": [{"kind": "cyclo", "exponent": _LINEXP.encode(f.exponent),
+                         "sign": f.sign, "mult": m} if isinstance(f, Cyclo) else
+                        {"kind": "literal", "value": qlaurent_to_json(f.value), "mult": m}
+                        for f, m in e.factors]}
 
 
 def product_from_json(d) -> ProductExpr:
     factors = []
     for f in d["factors"]:
         if f["kind"] == "cyclo":
-            factors.append((Cyclo(linexp_from_json(f["exponent"]), f["sign"]),
-                            f["mult"]))
-        else:
+            factors.append((Cyclo(_LINEXP.decode(f["exponent"]), f["sign"]), f["mult"]))
+        elif f["kind"] == "literal":
             factors.append((qphi_from_json(f["value"]), f["mult"]))
-    return ProductExpr(_unfrac(d["constant"]), linexp_from_json(d["prefactor"]),
+        else:
+            raise ValueError(f"unknown factor kind {f['kind']!r}")
+    return ProductExpr(_FRAC.decode(d["constant"]), _LINEXP.decode(d["prefactor"]),
                        tuple(factors))
 
 
-def _partition_to_json(p: Partition | None):
-    return None if p is None else list(p.parts)
-
-
-def _partition_from_json(v) -> Partition | None:
-    return None if v is None else Partition(tuple(v))
-
-
-def _datum_to_json(datum) -> dict:
-    """The v0 keys pair, partition and sl_pair; the datum's type picks its key."""
-    keys = {"pair": None, "partition": None, "sl_pair": None}
-    if isinstance(datum, PartitionPair):
-        keys["pair"] = {"alpha": list(datum.alpha.parts), "beta": list(datum.beta.parts)}
-    elif isinstance(datum, Partition):
-        keys["partition"] = list(datum.parts)
-    elif datum is not None:
-        keys["sl_pair"] = [list(p.parts) for p in datum]
-    return keys
-
-
-def _datum_from_json(d):
-    if d["pair"] is not None:
-        return PartitionPair(Partition(d["pair"]["alpha"]), Partition(d["pair"]["beta"]))
-    if d["partition"] is not None:
-        return Partition(d["partition"])
-    if d["sl_pair"] is not None:
-        return tuple(Partition(p) for p in d["sl_pair"])
-    return None
+_PRODUCT = _Codec(product_to_json, product_from_json)
+# a member's datum: its key, its type and its codec; the first match is written
+_DATUM = (("pair", PartitionPair, _record(PartitionPair, alpha=_PARTITION, beta=_PARTITION)),
+          ("partition", Partition, _PARTITION), ("sl_pair", tuple, _seq(_PARTITION)))
 
 
 def member_to_json(m: db.Member) -> dict:
-    return {"a": m.a, "ambient": m.ambient.name, "carter": m.carter,
-            "h": m.h.name,
-            "family": None if m.family is None else [m.family.kind, m.family.n],
-            **_datum_to_json(m.datum)}
+    kind = next((key for key, cls, _ in _DATUM if isinstance(m.datum, cls)), None)
+    return {"a": m.a, "ambient": _SPEC.encode(m.ambient), "carter": m.carter,
+            "h": _SPEC.encode(m.h), "family": _FAMILY.encode(m.family),
+            **{key: c.encode(m.datum) if key == kind else None for key, _, c in _DATUM}}
 
 
 def member_from_json(d) -> db.Member:
-    fam = None if d["family"] is None else Family(d["family"][0], d["family"][1])
-    return db.Member(d["a"], db.reductive(d["ambient"]), d["carter"],
-                     db.reductive(d["h"]), fam, _datum_from_json(d))
-
-
-def _entries_from_json(v) -> tuple:
-    return tuple((linexp_from_json(e), m) for e, m in v)
+    datum = next((c.decode(d[key]) for key, _, c in _DATUM if d[key] is not None), None)
+    return db.Member(d["a"], _SPEC.decode(d["ambient"]), d["carter"],
+                     _SPEC.decode(d["h"]), _FAMILY.decode(d["family"]), datum)
 
 
 def character_to_json(c: db.CharacterFormula) -> dict:
@@ -145,87 +131,47 @@ def character_to_json(c: db.CharacterFormula) -> dict:
     for f, m in c.body.factors:
         if isinstance(f, Cyclo):
             key = ("num" if m > 0 else "den") + ("" if f.sign == 1 else "_plus")
-            lists[key].append([linexp_to_json(f.exponent), abs(m)])
+            lists[key].append([_LINEXP.encode(f.exponent), abs(m)])
         elif m == -1:
             lists["literal_den"].append(qlaurent_to_json(f.value))
         else:
             raise ValueError(f"character {c.name}: factor {f}^{m} has no list")
     if c.body.prefactor_exponent != LinExp(0):
         raise ValueError(f"character {c.name}: the body carries a q-prefactor")
-    return {"name": c.name, "constant": _frac(c.body.constant),
-            "shift": linexp_to_json(c.shift), **lists,
+    return {"name": c.name, "constant": _FRAC.encode(c.body.constant),
+            "shift": _LINEXP.encode(c.shift), **lists,
             "a_values": list(c.a_values), "doubled_at": c.doubled_at}
 
 
 def character_from_json(d) -> db.CharacterFormula:
-    body = pexpr(_unfrac(d["constant"]), 0,
-                 *(_entries_from_json(d[k]) for k in ("num", "den", "num_plus",
-                                                      "den_plus")),
+    body = pexpr(_FRAC.decode(d["constant"]), 0,
+                 *([(_LINEXP.decode(e), m) for e, m in d[k]]
+                   for k in ("num", "den", "num_plus", "den_plus")),
                  phi_den=[qphi_from_json(v).d for v in d["literal_den"]])
-    return db.CharacterFormula(d["name"], linexp_from_json(d["shift"]), body,
+    return db.CharacterFormula(d["name"], _LINEXP.decode(d["shift"]), body,
                                a_values=tuple(d["a_values"]),
                                doubled_at=d["doubled_at"])
 
 
-def named_to_json(n: db.NamedDegree) -> dict:
-    return {"a": n.a, "variant": n.variant, "label": n.label,
-            "weyl_dim": n.weyl_dim, "b_index": n.b_index,
-            "display": None if n.display is None else product_to_json(n.display)}
-
-
-def named_from_json(d) -> db.NamedDegree:
-    disp = None if d["display"] is None else product_from_json(d["display"])
-    return db.NamedDegree(d["a"], d["variant"], d["label"], d["weyl_dim"],
-                          d["b_index"], disp)
-
-
-def record_to_json(rec: db.SeriesRecord) -> dict:
-    return {
-        "row": rec.row, "label": rec.label,
-        "exponents": None if rec.exponents is None else list(rec.exponents),
-        "dim_coeffs": _affine_to_json(rec.dim), "rad_coeffs": _affine_to_json(rec.rad),
-        "members": [member_to_json(m) for m in rec.members],
-        "so8_partition": _partition_to_json(rec.so8_partition),
-        "so8_h": None if rec.so8_h is None else rec.so8_h.name,
-        "fundamental_group": rec.fundamental_group,
-        "folding": rec.folding,
-        "grading_claims": [[i, linexp_to_json(e)] for i, e in rec.grading_claims],
-        "grading_positive_count": rec.grading_positive_count,
-        "pointcount_Y": None if rec.pointcount_Y is None else
-        product_to_json(rec.pointcount_Y),
-        "pointcount": None if rec.pointcount is None else
-        product_to_json(rec.pointcount),
-        "characters": [character_to_json(c) for c in rec.characters],
-        "named_degrees": [named_to_json(n) for n in rec.named_degrees],
-        "notes": list(rec.notes),
-    }
-
-
-def record_from_json(d) -> db.SeriesRecord:
-    return db.SeriesRecord(
-        row=d["row"], label=d["label"],
-        exponents=None if d["exponents"] is None else tuple(d["exponents"]),
-        dim=_affine_from_json(d["dim_coeffs"]), rad=_affine_from_json(d["rad_coeffs"]),
-        members=tuple(member_from_json(m) for m in d["members"]),
-        so8_partition=_partition_from_json(d["so8_partition"]),
-        so8_h=None if d["so8_h"] is None else db.reductive(d["so8_h"]),
-        fundamental_group=d["fundamental_group"], folding=d["folding"],
-        grading_claims=tuple((i, linexp_from_json(e))
-                             for i, e in d["grading_claims"]),
-        grading_positive_count=d["grading_positive_count"],
-        pointcount_Y=None if d["pointcount_Y"] is None else
-        product_from_json(d["pointcount_Y"]),
-        pointcount=None if d["pointcount"] is None else
-        product_from_json(d["pointcount"]),
-        characters=tuple(character_from_json(c) for c in d["characters"]),
-        named_degrees=tuple(named_from_json(n) for n in d["named_degrees"]),
-        notes=tuple(d["notes"]))
+_NAMED = _record(db.NamedDegree, a=_ID, variant=_ID, label=_ID, weyl_dim=_ID,
+                 b_index=_ID, display=_opt(_PRODUCT))
+_SERIES = _record(
+    db.SeriesRecord, {"dim": "dim_coeffs", "rad": "rad_coeffs"},
+    row=_ID, label=_ID, exponents=_opt(_seq(_ID)), dim=_AFFINE, rad=_AFFINE,
+    members=_seq(_Codec(member_to_json, member_from_json)),
+    so8_partition=_opt(_PARTITION), so8_h=_opt(_SPEC),
+    fundamental_group=_ID, folding=_ID,
+    grading_claims=_seq(_Codec(lambda c: [c[0], _LINEXP.encode(c[1])],
+                               lambda v: (v[0], _LINEXP.decode(v[1])))),
+    grading_positive_count=_ID, pointcount_Y=_opt(_PRODUCT), pointcount=_opt(_PRODUCT),
+    characters=_seq(_Codec(character_to_json, character_from_json)),
+    named_degrees=_seq(_NAMED), notes=_seq(_ID))
 
 
 def registry_to_json() -> dict:
-    return {"series": [record_to_json(r) for r in db.all_series()],
+    return {"series": [_SERIES.encode(r) for r in db.all_series()],
             "hasse_f4": [list(e) for e in db.hasse_edges()]}
 
 
 def registry_from_json(data) -> tuple[db.SeriesRecord, ...]:
-    return tuple(record_from_json(d) for d in data["series"])
+    return tuple(map(_SERIES.decode, data["series"]))

@@ -351,6 +351,13 @@ class TestProductExpr:
             with pytest.raises(TypeError):
                 ProductExpr(1, LinExp(0), ((Cyclo(LinExp(1)), m),))
 
+    def test_a_cyclo_exponent_must_be_a_linexp(self):
+        # an exponent that is not a LinExp would print, then fail in eval_at,
+        # phi_form and degree_in_q
+        for exponent in (2, F(1, 2), "a", None):
+            with pytest.raises(TypeError, match="a Cyclo exponent is a LinExp"):
+                ProductExpr(1, LinExp(0), ((Cyclo(exponent), 1),))
+
     def test_a_cyclo_sign_must_be_plus_or_minus_1(self):
         # Cyclo(e, 2) would read q^e - 1 on the Phi route and q^e - 2 in eval_at
         for sign in (2, 0, -2):
@@ -536,12 +543,12 @@ def schoolbook(*polys):
     return tuple(out)
 
 
-# small entries give cancellation, large ones need many bytes per digit
+# small entries give cancellation, large ones give products far beyond a machine word
 int_lists = st.lists(st.one_of(st.integers(-3, 3), st.integers(-2 ** 80, 2 ** 80)),
                      min_size=1, max_size=8)
 
 
-class TestKroneckerProduct:
+class TestPolynomialProducts:
     @given(st.lists(int_lists, min_size=1, max_size=5))
     @example([[-1], [2 ** 64 + 1, 0, -(2 ** 70)], [1, -1], [0, 5]])
     @example([[-(2 ** 65)], [3]])
@@ -550,9 +557,10 @@ class TestKroneckerProduct:
     def test_equals_schoolbook_convolution(self, polys):
         assert _mul(*polys) == schoolbook(*polys)
 
-    def test_signed_digits_at_the_bound(self):
-        # monomials attain the bound B = prod ||f_i||_1, and a B of 8k bits
-        # needs a byte more for the sign: 255 * 257 = 2^16 - 1 takes 3 bytes
+    def test_coefficients_at_the_l1_bound(self):
+        # a coefficient of a product is at most prod ||f_i||_1 in size, and
+        # monomials attain that bound with either sign; the last product
+        # cancels all its middle terms
         assert _mul((255,), (257,)) == (65535,)
         assert _mul((-255,), (0, 257)) == (0, -65535)
         f = (-128, 127)
@@ -571,7 +579,7 @@ class TestKroneckerProduct:
     @example([(1, 3), (2, 3), (4, 1)])
     @example([(105, 2), (120, 1)])
     @settings(max_examples=120, deadline=None)
-    def test_binomial_kernel_equals_kronecker_product(self, powers):
+    def test_binomial_kernel_equals_sparse_product(self, powers):
         powers = tuple(powers)
         want = _mul(*(cyclotomic(d) for d, m in powers for _ in range(m)))
         assert _phi_product.__wrapped__(powers) == want

@@ -2,9 +2,11 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orbitseries import serialize
-from orbitseries.exactpoly import LinExp, ProductExpr, QLaurent, QPhi, pexpr
+from orbitseries.exactpoly import Cyclo, LinExp, ProductExpr, QLaurent, QPhi, pexpr
 from orbitseries.partitions import Family, Partition, PartitionPair, orbit_dim_classical
 from orbitseries.rootsystems import series_weight_to_diagram
 from orbitseries.seriesdb import (MASTER_POINTCOUNT, CharacterFormula, L,
@@ -216,6 +218,15 @@ class TestInternalConsistency:
                 assert u.dim(a) > d.dim(a)
 
 
+quarters = st.integers(-12, 12).map(lambda n: F(n, 4))
+lattice = st.builds(LinExp, quarters, quarters)
+factors = st.one_of(st.builds(Cyclo, lattice, st.sampled_from((1, -1))),
+                    st.builds(QPhi, st.integers(1, 120)))
+products = st.builds(
+    ProductExpr, st.fractions(min_value=-20, max_value=20, max_denominator=12), lattice,
+    st.lists(st.tuples(factors, st.sampled_from((-3, -2, -1, 1, 2, 3))), max_size=6))
+
+
 class TestSerialization:
     def test_round_trip_exact(self):
         data = serialize.registry_to_json()
@@ -234,6 +245,23 @@ class TestSerialization:
         data["factors"][0]["sign"] = 2
         with pytest.raises(ValueError, match=r"a Cyclo sign is \+1 or -1"):
             serialize.product_from_json(data)
+
+    def test_reader_refuses_an_unknown_factor_kind(self):
+        # a kind other than "cyclo" would be read as a literal factor's value
+        for factor in (QPhi(2), Cyclo(LinExp(1))):
+            for kind in ("bogus", "Cyclo", "QPhi", None):
+                data = serialize.product_to_json(ProductExpr(1, LinExp(0), ((factor, 1),)))
+                data["factors"][0]["kind"] = kind
+                with pytest.raises(ValueError, match="unknown factor kind"):
+                    serialize.product_from_json(data)
+
+    @given(products)
+    @example(ProductExpr(F(-7, 3), LinExp(F(-5, 4), F(3, 4)),
+                         ((Cyclo(LinExp(F(1, 4), F(-1, 2)), -1), -3), (QPhi(105), 2))))
+    @settings(max_examples=150, deadline=None)
+    def test_products_round_trip(self, e):
+        text = json.dumps(serialize.product_to_json(e))
+        assert serialize.product_from_json(json.loads(text)) == e
 
     def test_json_is_deterministic(self):
         a = json.dumps(serialize.registry_to_json(), sort_keys=True)
