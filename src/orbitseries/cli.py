@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reduced point-count polynomial or value")
     p.add_argument("row", choices=("f4", "e6"))
     p.add_argument("label")
-    p.add_argument("--a", required=True, type=int, choices=(1, 2, 4, 8))
+    p.add_argument("--a", required=True, type=int, choices=db.EXCEPTIONAL_AMBIENTS)
     p.add_argument("--q", type=int)
     p.set_defaults(func=cmd_points)
 
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", action="append",
                    choices=("dims", "gradings", "pointcounts", "characters",
                             "universal", "errata"))
-    p.add_argument("--a", action="append", type=int, choices=(1, 2, 4, 8))
+    p.add_argument("--a", action="append", type=int, choices=db.EXCEPTIONAL_AMBIENTS)
     p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=cmd_verify)
 

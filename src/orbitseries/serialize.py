@@ -13,7 +13,8 @@ pairs: a character formula as the lists num, den, num_plus, den_plus
 ([exponent, multiplicity] pairs) and literal_den, derived from its body's
 factors in order and rebuilt with ``pexpr``, which assembles the factors in
 that same order; a member's datum as the keys pair, partition and sl_pair, the
-one that matches the datum's type set and the others null; and a product's
+one that matches the datum's type set and the others null (the reader derives
+the datum from the label and refuses keys that differ); and a product's
 factors each with its kind, "cyclo" or "literal".  A factor Phi_d(q) is written
 as its polynomial, under literal_den or as a "literal" factor, and read back
 as the one d with that polynomial; any other polynomial is refused.
@@ -107,22 +108,31 @@ def product_from_json(d) -> ProductExpr:
 
 
 _PRODUCT = _Codec(product_to_json, product_from_json)
-# a member's datum: its key, its type and its codec; the first match is written
-_DATUM = (("pair", PartitionPair, _record(PartitionPair, alpha=_PARTITION, beta=_PARTITION)),
-          ("partition", Partition, _PARTITION), ("sl_pair", tuple, _seq(_PARTITION)))
+# a member's datum: its key, its type and its encoder; the first match is
+# written, and the reader derives the datum from the label
+_DATUM = (("pair", PartitionPair,
+           _record(PartitionPair, alpha=_PARTITION, beta=_PARTITION).encode),
+          ("partition", Partition, _PARTITION.encode), ("sl_pair", tuple, _seq(_PARTITION).encode))
 
 
 def member_to_json(m: db.Member) -> dict:
-    kind = next((key for key, cls, _ in _DATUM if isinstance(m.datum, cls)), None)
+    datum = m.datum
+    kind = next((key for key, cls, _ in _DATUM if isinstance(datum, cls)), None)
     return {"a": m.a, "ambient": _SPEC.encode(m.ambient), "carter": m.carter,
             "h": _SPEC.encode(m.h), "family": _FAMILY.encode(m.family),
-            **{key: c.encode(m.datum) if key == kind else None for key, _, c in _DATUM}}
+            **{key: encode(datum) if key == kind else None for key, _, encode in _DATUM}}
 
 
 def member_from_json(d) -> db.Member:
-    datum = next((c.decode(d[key]) for key, _, c in _DATUM if d[key] is not None), None)
-    return db.Member(d["a"], _SPEC.decode(d["ambient"]), d["carter"],
-                     _SPEC.decode(d["h"]), _FAMILY.decode(d["family"]), datum)
+    """The member of the five fields; its datum is read from its label, and a
+    file whose datum keys differ from what the writer writes is refused."""
+    m = db.Member(d["a"], _SPEC.decode(d["ambient"]), d["carter"],
+                  _SPEC.decode(d["h"]), _FAMILY.decode(d["family"]))
+    written = member_to_json(m)
+    if any(d[key] != written[key] for key, _, _ in _DATUM):
+        raise ValueError(f"member {m.carter!r} at a={m.a}: the datum keys differ "
+                         f"from its label")
+    return m
 
 
 def character_to_json(c: db.CharacterFormula) -> dict:
@@ -143,9 +153,17 @@ def character_to_json(c: db.CharacterFormula) -> dict:
             "a_values": list(c.a_values), "doubled_at": c.doubled_at}
 
 
+def _multiplicity(m) -> int:
+    """A list entry's multiplicity: the list says numerator or denominator, so
+    the writer writes |m|, and anything but a positive integer is refused."""
+    if type(m) is not int or m < 1:
+        raise ValueError(f"factor multiplicity {m!r} is not a positive integer")
+    return m
+
+
 def character_from_json(d) -> db.CharacterFormula:
     body = pexpr(_FRAC.decode(d["constant"]), 0,
-                 *([(_LINEXP.decode(e), m) for e, m in d[k]]
+                 *([(_LINEXP.decode(e), _multiplicity(m)) for e, m in d[k]]
                    for k in ("num", "den", "num_plus", "den_plus")),
                  phi_den=[qphi_from_json(v).d for v in d["literal_den"]])
     return db.CharacterFormula(d["name"], _LINEXP.decode(d["shift"]), body,

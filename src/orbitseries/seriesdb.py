@@ -4,7 +4,10 @@ Every record transcribes one row of the published series tables: orbit labels,
 the dimension and radical-dimension coefficients (both affine in the parameter
 a), reductive stabilizers, grading claims, point-count expressions and
 unipotent-character degree expressions.  The registry is the ground truth the
-verify module audits, so values are data, never computed at load time.
+verify module audits, so values are data, never computed at load time.  One
+builder, ``_series``, declares every series against ``_ROWS``, the ambient
+algebra and classical family of each row at each a; a classical member's
+orbit datum is read from its printed label.
 
 A handful of printed entries are provably inconsistent with the rest of the
 tables (they fail the stabilizer bookkeeping identity, or the expression
@@ -21,7 +24,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .exactpoly import L, LinExp, ProductExpr, pexpr
-from .partitions import EMPTY, Family, Partition, PartitionPair, pair_to_partition
+from .partitions import Family, Partition, PartitionPair, pair_to_partition
 from .rootsystems import AlgebraType, WeightedDiagram, algebra, series_weight_to_diagram
 
 __all__ = [
@@ -112,8 +115,7 @@ EXCEPTIONAL_AMBIENTS = {1: "f4", 2: "e6", 4: "e7", 8: "e8"}
 class Member(NamedTuple):
     """One algebra in a series: ambient, orbit label and stabilizer data.
 
-    ``datum`` is the classical parametrization as the tables print it: a
-    Partition, a PartitionPair (alpha|beta), or a pair of partitions for 2sl.
+    A classical member's label prints its orbit datum, which ``datum`` reads.
     """
 
     a: int
@@ -121,13 +123,21 @@ class Member(NamedTuple):
     carter: str
     h: ReductiveSpec
     family: Family | None = None
-    datum: Partition | PartitionPair | tuple[Partition, Partition] | None = None
+
+    @property
+    def datum(self) -> Partition | PartitionPair | tuple[Partition, Partition] | None:
+        """The classical parametrization as the label prints it, None for an
+        exceptional member: '(2211)' is a Partition, '(21|1)' a PartitionPair
+        (alpha|beta) with '-' for an empty side, and '((21),(21))' the pair of
+        partitions of a 2sl member.  Raises ValueError for any other label."""
+        return None if self.family is None else _label_datum(self.carter)
 
     def orbit_datum(self):
         """The datum in the family's form: a pair resolves to its partition."""
-        if isinstance(self.datum, PartitionPair):
-            return pair_to_partition(self.datum, self.family.n)
-        return self.datum
+        datum = self.datum
+        if isinstance(datum, PartitionPair):
+            return pair_to_partition(datum, self.family.n)
+        return datum
 
 
 class CharacterFormula(NamedTuple):
@@ -202,17 +212,39 @@ def _pt(s: str) -> Partition:
     return Partition(tuple(int(c) for c in s))
 
 
-def _pp(alpha: str, beta: str) -> PartitionPair:
-    return PartitionPair(_pt(alpha) if alpha else EMPTY, _pt(beta) if beta else EMPTY)
+def _label_datum(label: str) -> Partition | PartitionPair | tuple[Partition, Partition]:
+    if m := re.fullmatch(r"\((\d+)\)", label):
+        return _pt(m[1])
+    if m := re.fullmatch(r"\((\d+|-)\|(\d+|-)\)", label):
+        return PartitionPair(*(_pt("" if side == "-" else side) for side in m.groups()))
+    if m := re.fullmatch(r"\(\((\d+)\),\((\d+)\)\)", label):
+        return _pt(m[1]), _pt(m[2])
+    raise ValueError(f"{label!r} is not a partition, a pair (alpha|beta) or a 2sl pair")
 
 
-def _members(table: dict, rows) -> tuple[Member, ...]:
-    """Members from (a, carter, h, datum) rows; ``table`` maps a to (ambient, family)."""
-    return tuple(Member(a, reductive(table[a][0]), carter, reductive(h), table[a][1], datum)
-                 for a, carter, h, datum in rows)
+# The rows of the magic chart: the ambient algebra and classical family of the
+# member at each a.  The e6 row starts at a = 2.
+_ROWS = {
+    "f4": {a: (name, None) for a, name in EXCEPTIONAL_AMBIENTS.items()},
+    "e6": {a: (name, None) for a, name in EXCEPTIONAL_AMBIENTS.items() if a > 1},
+    "subexceptional": {1: ("sp6", Family("sp", 6)), 2: ("sl6", Family("sl", 6)),
+                       4: ("so12", Family("so", 12)), 8: ("e7", None)},
+    "severi": {1: ("sl3", Family("sl", 3)), 2: ("2sl3", Family("2sl", 3)),
+               4: ("sl6", Family("sl", 6)), 8: ("e6", None)},
+    "subseveri": {1: ("sl2", Family("sl", 2)), 2: ("sl3", Family("sl", 3)),
+                  4: ("sp6", Family("sp", 6)), 8: ("f4", None)},
+}
 
 
-_EXCEPTIONAL = {a: (name, None) for a, name in EXCEPTIONAL_AMBIENTS.items()}
+def _series(row: str, label: str, dim: str, rad: str, carter, h, **fields) -> SeriesRecord:
+    """One series of ``row``: ``carter`` and ``h`` list the printed orbit label
+    and stabilizer at each a of the row, None where the series has no member;
+    ``fields`` are the record's other fields."""
+    members = tuple(Member(a, reductive(ambient), label_a, reductive(h_a), family)
+                    for (a, (ambient, family)), label_a, h_a
+                    in zip(_ROWS[row].items(), carter, h, strict=True)
+                    if label_a is not None)
+    return SeriesRecord(row, label, L(dim), L(rad), members, **fields)
 
 
 def _grading(claims: dict) -> tuple[tuple[int, LinExp], ...]:
@@ -228,474 +260,375 @@ MASTER_POINTCOUNT = pexpr(1, "11a+8", num=_MASTER_NUM, den=["a/2+2"])
 
 
 def _f4_series():
-    recs = []
+    return [
+        _series("f4", "g", "6a+10", "6a+9",
+                ["A1", "A1", "A1", "A1"], ["sp6", "sl6", "so12", "e7"],
+                exponents=(1, 0, 0, 0), so8_partition=_pt("221111"), so8_h=reductive("3sl2"),
+                folding=True,
+                grading_claims=_grading({1: "6a+8", 2: "1"}),
+                pointcount_Y=pexpr(1, "11a+8", num=["a", "a+2", "3a/2", "3a/2+2", "2a+2"]),
+                characters=(CharacterFormula("principal", L("3a+5"), pexpr(1, 0,
+                                num=["2a+4", "5a/2+4"], den=["a/2+2", "a+2"])),)),
 
-    def add(label, pqrs, dim, rad, carter, h_list, *, so8=None, so8_h=None,
-            fg="trivial", folding=False, grading=None, gpos=None, Y=None,
-            chars=(), notes=()):
-        members = _members(_EXCEPTIONAL, zip((1, 2, 4, 8), carter, h_list, (None,) * 4))
-        recs.append(SeriesRecord(
-            row="f4", label=label, exponents=pqrs, dim=L(dim), rad=L(rad),
-            members=members, so8_partition=_pt(so8) if so8 else None,
-            so8_h=reductive(so8_h) if so8_h is not None else None,
-            fundamental_group=fg, folding=folding,
-            grading_claims=_grading(grading or {}), grading_positive_count=gpos,
-            pointcount_Y=Y, characters=tuple(chars), notes=tuple(notes)))
+        _series("f4", "gQ", "10a+12", "9a+6",
+                ["A~1", "2A1", "2A1", "2A1"], ["sl4", "co7", "so9+sl2", "so13"],
+                exponents=(0, 0, 0, 1), so8_partition=_pt("2222"), so8_h=reductive("so5"),
+                grading_claims=_grading({1: "8a", 2: "a+6"}),
+                pointcount_Y=pexpr(1, "21a/2+6", num=["a/2", "a", "a+2", "a+4"]),
+                characters=(CharacterFormula("principal", L("5a+6"), pexpr(1, 0,
+                                num=["3a/2", "3a/2+2", "2a+4", "3a+6"],
+                                den=["a/2", "a/2+2", "a+2", "a+4"])),)),
 
-    add("g", (1, 0, 0, 0), "6a+10", "6a+9",
-        ["A1", "A1", "A1", "A1"], ["sp6", "sl6", "so12", "e7"],
-        so8="221111", so8_h="3sl2", folding=True,
-        grading={1: "6a+8", 2: "1"},
-        Y=pexpr(1, "11a+8", num=["a", "a+2", "3a/2", "3a/2+2", "2a+2"]),
-        chars=[CharacterFormula("principal", L("3a+5"), pexpr(1, 0,
-                                    num=["2a+4", "5a/2+4"], den=["a/2+2", "a+2"]))])
+        _series("f4", "g2", "12a+16", "9a+9",
+                ["A1+A~1", "3A1", "3A1", "3A1"], ["2sl2", "sl2+sl3", "sl2+sp6", "sl2+f4"],
+                exponents=(0, 1, 0, 0), so8_partition=_pt("3221"), so8_h=reductive("sl2"),
+                folding=True,
+                grading_claims=_grading({1: "6a+6", 2: "3a+3", 3: "2"}),
+                pointcount_Y=pexpr(1, "19a/2+6", num=["2", "a", "3a/2"]),
+                characters=(CharacterFormula("principal", L("6a+9"), pexpr(Fraction(1, 2), 0,
+                                num=["a/2+1", "a+1", "3a/2+2", "2a+4", "5a/2+4", "3a+6"],
+                                den=["1", ("a/2+2", 2), ("a+2", 2), "3a/2+3"])),),
+                notes=("printed degree denominator repeats the numerator factor "
+                       "q^(a/2+1)-1; with it the expression is not a polynomial in q "
+                       "at any a, so the duplicate is dropped here",)),
 
-    add("gQ", (0, 0, 0, 1), "10a+12", "9a+6",
-        ["A~1", "2A1", "2A1", "2A1"], ["sl4", "co7", "so9+sl2", "so13"],
-        so8="2222", so8_h="so5",
-        grading={1: "8a", 2: "a+6"},
-        Y=pexpr(1, "21a/2+6", num=["a/2", "a", "a+2", "a+4"]),
-        chars=[CharacterFormula("principal", L("5a+6"), pexpr(1, 0,
-                                    num=["3a/2", "3a/2+2", "2a+4", "3a+6"],
-                                    den=["a/2", "a/2+2", "a+2", "a+4"]))])
+        _series("f4", "g^2", "12a+18", "6a+8",
+                ["A2", "A2", "A2", "A2"], ["sl3", "2sl3", "sl6", "e6"],
+                exponents=(2, 0, 0, 0), so8_partition=_pt("3311"), so8_h=reductive("T2"),
+                fundamental_group="Z2", folding=True,
+                grading_claims=_grading({2: "6a+8", 4: "1"}),
+                pointcount_Y=pexpr(1, "8a+4", num=["a/2+1", "a", "a+1", "3a/2"]),
+                characters=(CharacterFormula("first", L("6a+9"), pexpr(Fraction(1, 2), 0,
+                                num=["a+2", "3a/2+2", "2a+2", "5a/2+4", "3a+6"],
+                                den=["1", "a/2+1", "a+1", "a+4", "3a/2+3"])),
+                            CharacterFormula("second", L("6a+9"), pexpr(Fraction(1, 2), 0,
+                                num=["1", "3a/2+2", "3a/2+3", "2a+2", "2a+4", "5a/2+4"],
+                                den=["2", "a/2+1", ("a/2+2", 2), "a+1", "a+2"])))),
 
-    add("g2", (0, 1, 0, 0), "12a+16", "9a+9",
-        ["A1+A~1", "3A1", "3A1", "3A1"], ["2sl2", "sl2+sl3", "sl2+sp6", "sl2+f4"],
-        so8="3221", so8_h="sl2", folding=True,
-        grading={1: "6a+6", 2: "3a+3", 3: "2"},
-        Y=pexpr(1, "19a/2+6", num=["2", "a", "3a/2"]),
-        chars=[CharacterFormula("principal", L("6a+9"), pexpr(Fraction(1, 2), 0,
-                                    num=["a/2+1", "a+1", "3a/2+2", "2a+4", "5a/2+4",
-                                         "3a+6"],
-                                    den=["1", ("a/2+2", 2), ("a+2", 2), "3a/2+3"]))],
-        notes=["printed degree denominator repeats the numerator factor "
-               "q^(a/2+1)-1; with it the expression is not a polynomial in q "
-               "at any a, so the duplicate is dropped here"])
+        _series("f4", "g3", "16a+18", "9a+6",
+                ["A2+A~1", "A2+2A1", "A2+2A1", "A2+2A1"], ["sl2", "gl2", "3sl2", "sl2+so7"],
+                exponents=(0, 0, 1, 0),
+                grading_claims=_grading({1: "6a", 2: "3a+6", 3: "2a", 4: "3"}),
+                pointcount_Y=pexpr(1, "15a/2+4", num=["2", "a/2"]),
+                characters=(CharacterFormula("principal", L("8a+9"), pexpr(1, 0,
+                                num=["a/2+4", "2a-2", "2a+4", "5a/2+4", "3a+6"],
+                                den=["2", "6", "a/2", "a/2+2", "a+2"])),)),
 
-    add("g^2", (2, 0, 0, 0), "12a+18", "6a+8",
-        ["A2", "A2", "A2", "A2"], ["sl3", "2sl3", "sl6", "e6"],
-        so8="3311", so8_h="T2", fg="Z2", folding=True,
-        grading={2: "6a+8", 4: "1"},
-        Y=pexpr(1, "8a+4", num=["a/2+1", "a", "a+1", "3a/2"]),
-        chars=[CharacterFormula("first", L("6a+9"), pexpr(Fraction(1, 2), 0,
-                                    num=["a+2", "3a/2+2", "2a+2", "5a/2+4", "3a+6"],
-                                    den=["1", "a/2+1", "a+1", "a+4", "3a/2+3"])),
-               CharacterFormula("second", L("6a+9"), pexpr(Fraction(1, 2), 0,
-                                    num=["1", "3a/2+2", "3a/2+3", "2a+2", "2a+4",
-                                         "5a/2+4"],
-                                    den=["2", "a/2+1", ("a/2+2", 2), "a+1", "a+2"]))])
+        _series("f4", "g^2.gQ", "16a+20", "5a+5",
+                ["B2", "A3", "A3", "A3"], ["2sl2", "co5", "so7+sl2", "so11"],
+                exponents=(2, 0, 0, 1), so8_partition=_pt("44"), so8_h=reductive("sl2"),
+                grading_claims=_grading({1: "4a", 2: "a+5", 3: "4a", 4: "a+4", 6: "1"}),
+                pointcount_Y=pexpr(1, "11a/2+2", num=["a/2", "a", "a+2"]),
+                characters=(CharacterFormula("principal", L("8a+10"), pexpr(1, 0,
+                                num=["3a/2", "3a/2+2", "2a+2", "5a/2+4", "3a+6"],
+                                den=["2", "a/2", "a/2+2", "a/2+4", "a+2"])),),
+                notes=("printed stabilizer for the so8 member is 2C; the reductive "
+                       "centralizer of the (4,4) nilpotent in so8 is sp2 = sl2, and "
+                       "only that value satisfies the radical identity at a=0",
+                       "printed grading text gives dim g(a,2) = a+4 and a "
+                       "one-dimensional g(a,5); the computed grading has g(a,2) of "
+                       "dimension a+5 and its one-dimensional level at i=6, and only "
+                       "those values sum to dim g with the quoted g(a,0)")),
 
-    add("g3", (0, 0, 1, 0), "16a+18", "9a+6",
-        ["A2+A~1", "A2+2A1", "A2+2A1", "A2+2A1"], ["sl2", "gl2", "3sl2", "sl2+so7"],
-        grading={1: "6a", 2: "3a+6", 3: "2a", 4: "3"},
-        Y=pexpr(1, "15a/2+4", num=["2", "a/2"]),
-        chars=[CharacterFormula("principal", L("8a+9"), pexpr(1, 0,
-                                    num=["a/2+4", "2a-2", "2a+4", "5a/2+4", "3a+6"],
-                                    den=["2", "6", "a/2", "a/2+2", "a+2"]))])
-
-    add("g^2.gQ", (2, 0, 0, 1), "16a+20", "5a+5",
-        ["B2", "A3", "A3", "A3"], ["2sl2", "co5", "so7+sl2", "so11"],
-        so8="44", so8_h="sl2",
-        grading={1: "4a", 2: "a+5", 3: "4a", 4: "a+4", 6: "1"},
-        Y=pexpr(1, "11a/2+2", num=["a/2", "a", "a+2"]),
-        chars=[CharacterFormula("principal", L("8a+10"), pexpr(1, 0,
-                                    num=["3a/2", "3a/2+2", "2a+2", "5a/2+4", "3a+6"],
-                                    den=["2", "a/2", "a/2+2", "a/2+4", "a+2"]))],
-        notes=["printed stabilizer for the so8 member is 2C; the reductive "
-               "centralizer of the (4,4) nilpotent in so8 is sp2 = sl2, and "
-               "only that value satisfies the radical identity at a=0",
-               "printed grading text gives dim g(a,2) = a+4 and a "
-               "one-dimensional g(a,5); the computed grading has g(a,2) of "
-               "dimension a+5 and its one-dimensional level at i=6, and only "
-               "those values sum to dim g with the quoted g(a,0)"])
-
-    add("gQ^2", (0, 0, 0, 2), "18a+12", "8a",
-        ["A~2", "2A2", "2A2", "2A2"], ["g2", "g2", "sl2+g2", "2g2"],
-        fg="mixed",
-        grading={2: "8a", 4: "a+6"},
-        Y=pexpr(1, "6a+4", num=["2", "6"]),
-        chars=[CharacterFormula("principal", L("9a+6"), pexpr(1, 0,
-                                    num=["a", "3a/2+2", "2a+4", "5a/2+4", "3a+6"],
-                                    den=[("2", 2), "6", "a/2+2", "a/2+4"])),
-               CharacterFormula("eps=+1", L("9a+6"), pexpr(Fraction(1, 2), 0,
-                                    num=["a", "3a/2+2", "2a+4", "5a/2+4", "3a+6",
-                                         "9", "1"],
-                                    den=[("2", 2), "6", "a/2+2", "a/2+4", "3", "7"]),
+        _series("f4", "gQ^2", "18a+12", "8a",
+                ["A~2", "2A2", "2A2", "2A2"], ["g2", "g2", "sl2+g2", "2g2"],
+                exponents=(0, 0, 0, 2), fundamental_group="mixed",
+                grading_claims=_grading({2: "8a", 4: "a+6"}),
+                pointcount_Y=pexpr(1, "6a+4", num=["2", "6"]),
+                characters=(CharacterFormula("principal", L("9a+6"), pexpr(1, 0,
+                                num=["a", "3a/2+2", "2a+4", "5a/2+4", "3a+6"],
+                                den=[("2", 2), "6", "a/2+2", "a/2+4"])),
+                            CharacterFormula("eps=+1", L("9a+6"), pexpr(Fraction(1, 2), 0,
+                                num=["a", "3a/2+2", "2a+4", "5a/2+4", "3a+6", "9", "1"],
+                                den=[("2", 2), "6", "a/2+2", "a/2+4", "3", "7"]),
                                 a_values=(8,)),
-               CharacterFormula("eps=-1", L("9a+6"), pexpr(Fraction(1, 2), 0,
-                                    num=["a", "3a/2+2", "2a+4", "5a/2+4", "3a+6"],
-                                    den=[("2", 2), "6", "a/2+2", "a/2+4"],
-                                    num_plus=["9", "1"], den_plus=["3", "7"]),
-                                a_values=(8,))])
+                            CharacterFormula("eps=-1", L("9a+6"), pexpr(Fraction(1, 2), 0,
+                                num=["a", "3a/2+2", "2a+4", "5a/2+4", "3a+6"],
+                                den=[("2", 2), "6", "a/2+2", "a/2+4"],
+                                num_plus=["9", "1"], den_plus=["3", "7"]),
+                                a_values=(8,)))),
 
-    add("g2.gQ", (0, 1, 0, 1), "18a+18", "8a+5",
-        ["A~2+A1", "2A2+A1", "2A2+A1", "2A2+A1"], ["sl2", "sl2", "2sl2", "sl2+g2"],
-        grading={1: "4a+4", 2: "4a+1", 3: "2a+2", 4: "a+2", 5: "2"},
-        Y=pexpr(1, "6a+4", num=["2"]),
-        chars=[CharacterFormula("principal", L("9a+11"), pexpr(Fraction(1, 3), 0,
-                                    num=["a/2", "a", "3a/2+2", "2a+2", "2a+4",
-                                         "5a/2+4", "3a+6"],
-                                    den=[("2", 2), ("a/2+2", 3), ("a+2", 2)]))])
+        _series("f4", "g2.gQ", "18a+18", "8a+5",
+                ["A~2+A1", "2A2+A1", "2A2+A1", "2A2+A1"], ["sl2", "sl2", "2sl2", "sl2+g2"],
+                exponents=(0, 1, 0, 1),
+                grading_claims=_grading({1: "4a+4", 2: "4a+1", 3: "2a+2", 4: "a+2", 5: "2"}),
+                pointcount_Y=pexpr(1, "6a+4", num=["2"]),
+                characters=(CharacterFormula("principal", L("9a+11"), pexpr(Fraction(1, 3), 0,
+                                num=["a/2", "a", "3a/2+2", "2a+2", "2a+4", "5a/2+4", "3a+6"],
+                                den=[("2", 2), ("a/2+2", 3), ("a+2", 2)])),)),
 
-    add("g.g3", (1, 0, 1, 0), "18a+20", "7a+4",
-        ["C3(a1)", "A3+A1", "A~3+A~1", "A3+A1"], ["sl2", "gl2", "3sl2", "sl2+so7"],
-        grading={1: "4a+2", 2: "3a+2", 3: "2a+4", 4: "2a", 5: "2", 6: "1"},
-        Y=pexpr(1, "11a/2+2", num=["2", "a/2"]),
-        chars=[CharacterFormula("principal", L("9a+11"), pexpr(Fraction(1, 2), 0,
-                                    num=["3a/2", "3a/2+2", "2a+2", "2a+4", "5a/2+4",
-                                         "3a+6"],
-                                    den=["1", "3", "a/2+1", "a/2+2", "a+4", "3a/2+3"]))])
+        _series("f4", "g.g3", "18a+20", "7a+4",
+                ["C3(a1)", "A3+A1", "A~3+A~1", "A3+A1"], ["sl2", "gl2", "3sl2", "sl2+so7"],
+                exponents=(1, 0, 1, 0),
+                grading_claims=_grading({1: "4a+2", 2: "3a+2", 3: "2a+4", 4: "2a", 5: "2",
+                                         6: "1"}),
+                pointcount_Y=pexpr(1, "11a/2+2", num=["2", "a/2"]),
+                characters=(CharacterFormula("principal", L("9a+11"), pexpr(Fraction(1, 2), 0,
+                                num=["3a/2", "3a/2+2", "2a+2", "2a+4", "5a/2+4", "3a+6"],
+                                den=["1", "3", "a/2+1", "a/2+2", "a+4", "3a/2+3"])),)),
 
-    add("g2^2", (0, 2, 0, 0), "18a+22", "6a+6",
-        ["F4(a3)", "D4(a1)", "D4(a1)", "D4(a1)"], ["0", "T2", "3sl2", "so8"],
-        so8="53", so8_h="0", fg="Z2",
-        grading={2: "6a+6", 4: "3a+3", 6: "2"},
-        Y=pexpr(1, "5a+2", num=[("a/2", 2)]),
-        chars=[CharacterFormula("first", L("9a+11"), pexpr(Fraction(1, 6), 0,
-                                    num=[("a/2+1", 3), "a", "3a/2", "3a/2+2", "2a+2",
-                                         "2a+4", "5a/2+4", "3a+6"],
-                                    den=[("1", 2), ("a/2", 2), ("a/2+2", 3),
-                                         ("a+2", 2), "3a/2+3"], phi_den=(6,))),
-               CharacterFormula("second", L("9a+11"), pexpr(Fraction(1, 3), 0,
-                                    num=["a", "3a/2", "3a/2+2", "2a+2", "2a+4",
-                                         "5a/2+4", "3a+6"],
-                                    den=[("2", 2), ("a/2", 2), ("a+2", 2), "3a/2+6"]))])
+        _series("f4", "g2^2", "18a+22", "6a+6",
+                ["F4(a3)", "D4(a1)", "D4(a1)", "D4(a1)"], ["0", "T2", "3sl2", "so8"],
+                exponents=(0, 2, 0, 0), so8_partition=_pt("53"), so8_h=reductive("0"),
+                fundamental_group="Z2",
+                grading_claims=_grading({2: "6a+6", 4: "3a+3", 6: "2"}),
+                pointcount_Y=pexpr(1, "5a+2", num=[("a/2", 2)]),
+                characters=(CharacterFormula("first", L("9a+11"), pexpr(Fraction(1, 6), 0,
+                                num=[("a/2+1", 3), "a", "3a/2", "3a/2+2", "2a+2", "2a+4",
+                                     "5a/2+4", "3a+6"],
+                                den=[("1", 2), ("a/2", 2), ("a/2+2", 3), ("a+2", 2), "3a/2+3"],
+                                phi_den=(6,))),
+                            CharacterFormula("second", L("9a+11"), pexpr(Fraction(1, 3), 0,
+                                num=["a", "3a/2", "3a/2+2", "2a+2", "2a+4", "5a/2+4", "3a+6"],
+                                den=[("2", 2), ("a/2", 2), ("a+2", 2), "3a/2+6"])))),
 
-    add("g^2.g2^2", (2, 2, 0, 0), "18a+24", "3a+4",
-        ["B3", "D4", "D4", "D4"], ["sl2", "sl3", "sp6", "f4"],
-        so8="71", so8_h="0", folding=True,
-        Y=pexpr(1, "7a/2", num=["a", "3a/2"]),
-        chars=[CharacterFormula("principal", L("9a+12"), pexpr(1, 0,
-                                    num=["3a/2+2", "2a+2", "2a+4", "5a/2+4", "3a+6"],
-                                    den=["2", "6", "a/2+2", "a/2+4", "a+4"]))])
+        _series("f4", "g^2.g2^2", "18a+24", "3a+4",
+                ["B3", "D4", "D4", "D4"], ["sl2", "sl3", "sp6", "f4"],
+                exponents=(2, 2, 0, 0), so8_partition=_pt("71"), so8_h=reductive("0"),
+                folding=True,
+                pointcount_Y=pexpr(1, "7a/2", num=["a", "3a/2"]),
+                characters=(CharacterFormula("principal", L("9a+12"), pexpr(1, 0,
+                                num=["3a/2+2", "2a+2", "2a+4", "5a/2+4", "3a+6"],
+                                den=["2", "6", "a/2+2", "a/2+4", "a+4"])),)),
 
-    add("g.g3.gQ^2", (1, 0, 1, 2), "22a+20", "4a+3",
-        ["C3", "A5", "A~5", "A5"], ["sl2", "sl2", "2sl2", "sl2+g2"],
-        gpos=10,
-        Y=pexpr(1, "2a+2", num=["2"]),
-        chars=[CharacterFormula("principal", L("11a+11"), pexpr(Fraction(1, 2), 0,
-                                    num=["a", "3a/2", "3a/2+2", "2a+2", "2a+4",
-                                         "5a/2+4", "3a+6"],
-                                    den=["1", "3", "4", "a/2+2", "a/2+3", "a/2+5",
-                                         "a+4"]))])
+        _series("f4", "g.g3.gQ^2", "22a+20", "4a+3",
+                ["C3", "A5", "A~5", "A5"], ["sl2", "sl2", "2sl2", "sl2+g2"],
+                exponents=(1, 0, 1, 2), grading_positive_count=10,
+                pointcount_Y=pexpr(1, "2a+2", num=["2"]),
+                characters=(CharacterFormula("principal", L("11a+11"), pexpr(Fraction(1, 2), 0,
+                                num=["a", "3a/2", "3a/2+2", "2a+2", "2a+4", "5a/2+4", "3a+6"],
+                                den=["1", "3", "4", "a/2+2", "a/2+3", "a/2+5", "a+4"])),)),
 
-    add("g2^2.gQ^2", (0, 2, 0, 2), "22a+22", "4a+4",
-        ["F4(a2)", "E6(a3)", "E6(a3)", "E6(a3)"], ["0", "0", "sl2", "g2"],
-        Y=pexpr(1, "2a+2"),
-        chars=[CharacterFormula("principal", L("11a+11"), pexpr(Fraction(1, 2), 0,
-                                    num=["a/2+3", "a", "3a/2", "3a/2+2", "2a+2",
-                                         "2a+4", "5a/2+4", "3a+6"],
-                                    den=["1", ("2", 2), ("a/2+2", 3), "a/2+5", "a+6"],
-                                    den_plus=["3"]))])
+        _series("f4", "g2^2.gQ^2", "22a+22", "4a+4",
+                ["F4(a2)", "E6(a3)", "E6(a3)", "E6(a3)"], ["0", "0", "sl2", "g2"],
+                exponents=(0, 2, 0, 2),
+                pointcount_Y=pexpr(1, "2a+2"),
+                characters=(CharacterFormula("principal", L("11a+11"), pexpr(Fraction(1, 2), 0,
+                                num=["a/2+3", "a", "3a/2", "3a/2+2", "2a+2", "2a+4", "5a/2+4",
+                                     "3a+6"],
+                                den=["1", ("2", 2), ("a/2+2", 3), "a/2+5", "a+6"],
+                                den_plus=["3"])),)),
 
-    add("g^2.g2^2.gQ^2", (2, 2, 0, 2), "22a+24", "3a+3",
-        ["F4(a1)", "D5", "D5", "D5"], ["0", "T1", "2sl2", "so7"],
-        Y=pexpr(1, "3a/2", num=["a/2"]),
-        chars=[CharacterFormula("principal", L("11a+12"), pexpr(1, 0,
-                                    num=["a/2+4", "2a-2", "2a+2", "2a+4", "5a/2+4",
-                                         "3a+6"],
-                                    den=["2", "4", ("6", 2), "a/2", "a/2+8"]))])
+        _series("f4", "g^2.g2^2.gQ^2", "22a+24", "3a+3",
+                ["F4(a1)", "D5", "D5", "D5"], ["0", "T1", "2sl2", "so7"],
+                exponents=(2, 2, 0, 2),
+                pointcount_Y=pexpr(1, "3a/2", num=["a/2"]),
+                characters=(CharacterFormula("principal", L("11a+12"), pexpr(1, 0,
+                                num=["a/2+4", "2a-2", "2a+2", "2a+4", "5a/2+4", "3a+6"],
+                                den=["2", "4", ("6", 2), "a/2", "a/2+8"])),)),
 
-    add("g^2.g2^2.g3^2.gQ^2", (2, 2, 2, 2), "24a+24", "2a+2",
-        ["F4", "E6", "E6", "E6"], ["0", "0", "sl2", "g2"],
-        Y=pexpr(1, 0),
-        chars=[CharacterFormula("principal", L("12a+12"), pexpr(1, 0,
-                                    num=["a", "3a/2", "3a/2+2", "2a+2", "2a+4",
-                                         "5a/2+4", "3a+6"],
-                                    den=["2", "6", "8", "12", "a/2+2", "a/2+4",
-                                         "a/2+8"]))])
-
-    return recs
+        _series("f4", "g^2.g2^2.g3^2.gQ^2", "24a+24", "2a+2",
+                ["F4", "E6", "E6", "E6"], ["0", "0", "sl2", "g2"],
+                exponents=(2, 2, 2, 2),
+                pointcount_Y=pexpr(1, 0),
+                characters=(CharacterFormula("principal", L("12a+12"), pexpr(1, 0,
+                                num=["a", "3a/2", "3a/2+2", "2a+2", "2a+4", "5a/2+4", "3a+6"],
+                                den=["2", "6", "8", "12", "a/2+2", "a/2+4", "a/2+8"])),)),
+    ]
 
 
 # -- the E6 row ---------------------------------------------------------------
 
 def _e6_series():
-    recs = []
-
-    def add(label, pqrs, dim, rad, carter, h_list, *, pc, chars, named,
-            notes=()):
-        members = _members(_EXCEPTIONAL, zip((2, 4, 8), (carter,) * 3, h_list, (None,) * 3))
-        recs.append(SeriesRecord(
-            row="e6", label=label, exponents=pqrs, dim=L(dim), rad=L(rad),
-            members=members, fundamental_group="mixed",
-            pointcount=pc, characters=tuple(chars), named_degrees=tuple(named),
-            notes=tuple(notes)))
-
     e6_pc_core = ["5a/4-2", "3a/2", "3a/2+2", "2a+2", "2a+4", "5a/2+4", "3a+6"]
+    return [
+        _series("e6", "g.gQ", "15a+16", "9a+5",
+                ["A2+A1", "A2+A1", "A2+A1"], ["gl3", "gl4", "sl6"],
+                exponents=(1, 0, 0, 1), fundamental_group="mixed",
+                pointcount=pexpr(1, "3a+4", num=["2"] + e6_pc_core,
+                                 den=["3", "a/4", "a/2", "a/2+1", "a/2+2"]),
+                characters=(
+                    CharacterFormula("pair-", L("15a/2+8"), pexpr(Fraction(1, 2), 0,
+                                         num=["2", "5a/4-2", "3a/2+2", "2a+2", "2a+4",
+                                              "3a+6", "a/4+2", "5a/4+2"],
+                                         den=["3", "a/4", "a/2", "a/2+1", "a/2+2", "a/2+4",
+                                              "3a/4+1", "3a/4+3"]), doubled_at=2),
+                    CharacterFormula("pair+", L("15a/2+8"), pexpr(Fraction(1, 2), 0,
+                                         num=["2", "5a/4-2", "3a/2+2", "2a+2", "2a+4",
+                                              "3a+6"],
+                                         den=["3", "a/4", "a/2", "a/2+1", "a/2+2", "a/2+4"],
+                                         num_plus=["a/4+2", "5a/4+2"],
+                                         den_plus=["3a/4+1", "3a/4+3"]), doubled_at=2)),
+                named_degrees=(
+                    NamedDegree(2, "pair-", "phi_{64,13}", 64, 13,
+                                pexpr(1, 13, num=[6, 8, 12], den=[1, (3, 2)])),
+                    NamedDegree(4, "pair+", "phi_{120,25}", 120, 25,
+                                pexpr(Fraction(1, 2), 25, num=[8, 10, 12, 18],
+                                      den=[1, 3, 4, 6], num_plus=[3, 7],
+                                      den_plus=[4, 6])),
+                    NamedDegree(4, "pair-", "phi_{105,26}", 105, 26,
+                                pexpr(Fraction(1, 2), 25, num=[8, 10, 12, 18, 3, 7],
+                                      den=[1, 3, 4, 6, 4, 6])),
+                    NamedDegree(8, "pair+", "phi_{210,52}", 210, 52,
+                                pexpr(Fraction(1, 2), 52, num=[14, 18, 20, 30],
+                                      den=[3, 4, 5, 6], num_plus=[4, 12],
+                                      den_plus=[7, 9])),
+                    NamedDegree(8, "pair-", "phi_{160,55}", 160, 55,
+                                pexpr(Fraction(1, 2), 52, num=[14, 18, 20, 30, 4, 12],
+                                      den=[3, 4, 5, 6, 7, 9]))),
+                notes=("printed point count lacks the leading q^2-1 numerator factor "
+                       "carried by every other count in this row; without it the "
+                       "degree falls two short of dim O_a and the group-order "
+                       "quotient is missed by exactly q^2-1",
+                       "printed degree denominator factor q^(a/4-1)-1 corrected to "
+                       "q^(a/4)-1: the printed form vanishes identically at a=4 and "
+                       "misses the explicit degrees at a=2 and a=8")),
 
-    add("g.gQ", (1, 0, 0, 1), "15a+16", "9a+5", "A2+A1",
-        ["gl3", "gl4", "sl6"],
-        pc=pexpr(1, "3a+4", num=["2"] + e6_pc_core,
-                 den=["3", "a/4", "a/2", "a/2+1", "a/2+2"]),
-        chars=[
-            CharacterFormula("pair-", L("15a/2+8"), pexpr(Fraction(1, 2), 0,
-                                 num=["2", "5a/4-2", "3a/2+2", "2a+2", "2a+4",
-                                      "3a+6", "a/4+2", "5a/4+2"],
-                                 den=["3", "a/4", "a/2", "a/2+1", "a/2+2", "a/2+4",
-                                      "3a/4+1", "3a/4+3"]),
-                             doubled_at=2),
-            CharacterFormula("pair+", L("15a/2+8"), pexpr(Fraction(1, 2), 0,
-                                 num=["2", "5a/4-2", "3a/2+2", "2a+2", "2a+4",
-                                      "3a+6"],
-                                 den=["3", "a/4", "a/2", "a/2+1", "a/2+2", "a/2+4"],
-                                 num_plus=["a/4+2", "5a/4+2"],
-                                 den_plus=["3a/4+1", "3a/4+3"]),
-                             doubled_at=2),
-        ],
-        named=[
-            NamedDegree(2, "pair-", "phi_{64,13}", 64, 13,
-                        pexpr(1, 13, num=[6, 8, 12], den=[1, (3, 2)])),
-            NamedDegree(4, "pair+", "phi_{120,25}", 120, 25,
-                        pexpr(Fraction(1, 2), 25, num=[8, 10, 12, 18],
-                              den=[1, 3, 4, 6], num_plus=[3, 7],
-                              den_plus=[4, 6])),
-            NamedDegree(4, "pair-", "phi_{105,26}", 105, 26,
-                        pexpr(Fraction(1, 2), 25, num=[8, 10, 12, 18, 3, 7],
-                              den=[1, 3, 4, 6, 4, 6])),
-            NamedDegree(8, "pair+", "phi_{210,52}", 210, 52,
-                        pexpr(Fraction(1, 2), 52, num=[14, 18, 20, 30],
-                              den=[3, 4, 5, 6], num_plus=[4, 12],
-                              den_plus=[7, 9])),
-            NamedDegree(8, "pair-", "phi_{160,55}", 160, 55,
-                        pexpr(Fraction(1, 2), 52, num=[14, 18, 20, 30, 4, 12],
-                              den=[3, 4, 5, 6, 7, 9])),
-        ],
-        notes=["printed point count lacks the leading q^2-1 numerator factor "
-               "carried by every other count in this row; without it the "
-               "degree falls two short of dim O_a and the group-order "
-               "quotient is missed by exactly q^2-1",
-               "printed degree denominator factor q^(a/4-1)-1 corrected to "
-               "q^(a/4)-1: the printed form vanishes identically at a=4 and "
-               "misses the explicit degrees at a=2 and a=8"])
+        _series("e6", "g^2.gQ^2", "20a+20", "5a+4",
+                ["A4", "A4", "A4"], ["gl2", "gl3", "sl5"],
+                exponents=(2, 0, 0, 2), fundamental_group="mixed",
+                pointcount=pexpr(1, "15a/2+6", num=["2"] + e6_pc_core,
+                                 den=["3", "a/4", "a/2", "a/2+1"]),
+                characters=(
+                    CharacterFormula("pair-", L("10a+10"), pexpr(Fraction(1, 2), 0,
+                                         num=["3a/4-1", "3a/4", "a+4", "2a-2", "2a+2",
+                                              "5a/2+4", "3a+6", "2", "a+2"],
+                                         den=["4", "6", "a/4", "a/4+1", "a/2", ("a/2+1", 2),
+                                              "a/2+1", "a/2+3"]), doubled_at=2),
+                    CharacterFormula("pair+", L("10a+10"), pexpr(Fraction(1, 2), 0,
+                                         num=["3a/4-1", "3a/4", "a+4", "2a-2", "2a+2",
+                                              "5a/2+4", "3a+6"],
+                                         den=["4", "6", "a/4", "a/4+1", "a/2", ("a/2+1", 2)],
+                                         num_plus=["2", "a+2"], den_plus=["a/2+1", "a/2+3"]),
+                                     doubled_at=2)),
+                named_degrees=(
+                    NamedDegree(2, "pair-", "phi_{81,6}", 81, 6, None),
+                    NamedDegree(4, "pair+", "phi_{420,13}", 420, 13, None),
+                    NamedDegree(4, "pair-", "phi_{336,14}", 336, 14, None),
+                    NamedDegree(8, "pair+", "phi_{2268,30}", 2268, 30, None),
+                    NamedDegree(8, "pair-", "phi_{1296,33}", 1296, 33, None),
+                )),
 
-    add("g^2.gQ^2", (2, 0, 0, 2), "20a+20", "5a+4", "A4",
-        ["gl2", "gl3", "sl5"],
-        pc=pexpr(1, "15a/2+6", num=["2"] + e6_pc_core,
-                 den=["3", "a/4", "a/2", "a/2+1"]),
-        chars=[
-            CharacterFormula("pair-", L("10a+10"), pexpr(Fraction(1, 2), 0,
-                                 num=["3a/4-1", "3a/4", "a+4", "2a-2", "2a+2",
-                                      "5a/2+4", "3a+6", "2", "a+2"],
-                                 den=["4", "6", "a/4", "a/4+1", "a/2", ("a/2+1", 2),
-                                      "a/2+1", "a/2+3"]),
-                             doubled_at=2),
-            CharacterFormula("pair+", L("10a+10"), pexpr(Fraction(1, 2), 0,
-                                 num=["3a/4-1", "3a/4", "a+4", "2a-2", "2a+2",
-                                      "5a/2+4", "3a+6"],
-                                 den=["4", "6", "a/4", "a/4+1", "a/2", ("a/2+1", 2)],
-                                 num_plus=["2", "a+2"], den_plus=["a/2+1", "a/2+3"]),
-                             doubled_at=2),
-        ],
-        named=[
-            NamedDegree(2, "pair-", "phi_{81,6}", 81, 6, None),
-            NamedDegree(4, "pair+", "phi_{420,13}", 420, 13, None),
-            NamedDegree(4, "pair-", "phi_{336,14}", 336, 14, None),
-            NamedDegree(8, "pair+", "phi_{2268,30}", 2268, 30, None),
-            NamedDegree(8, "pair-", "phi_{1296,33}", 1296, 33, None),
-        ])
+        _series("e6", "g.g3.gQ", "21a+20", "6a+3",
+                ["A4+A1", "A4+A1", "A4+A1"], ["T1", "T2", "gl3"],
+                exponents=(1, 0, 1, 1), fundamental_group="mixed",
+                pointcount=pexpr(1, "15a/2+6", num=["2"] + e6_pc_core, den=["1", "3", "a/4"]),
+                characters=(CharacterFormula("pair", L("21a/2+10"), pexpr(Fraction(1, 2), 0,
+                                num=["2", "5a/4-2", "3a/2", "3a/2+2", "2a+2", "2a+4",
+                                     "5a/2+4", "3a+6"],
+                                den=["1", ("3", 2), "a/4", "a/2+1", "a/2+3", "a/2+5",
+                                     "3a/2+3"]), doubled_at=2),),
+                named_degrees=(
+                    NamedDegree(2, "pair", "phi_{60,5}", 60, 5, None),
+                    NamedDegree(4, "pair", "phi_{512,11}", 512, 11, None),
+                    NamedDegree(4, "pair", "phi_{512,12}", 512, 12, None),
+                    NamedDegree(8, "pair", "phi_{4096,26}", 4096, 26, None),
+                    NamedDegree(8, "pair", "phi_{4096,27}", 4096, 27, None),
+                )),
 
-    add("g.g3.gQ", (1, 0, 1, 1), "21a+20", "6a+3", "A4+A1",
-        ["T1", "T2", "gl3"],
-        pc=pexpr(1, "15a/2+6", num=["2"] + e6_pc_core, den=["1", "3", "a/4"]),
-        chars=[
-            CharacterFormula("pair", L("21a/2+10"), pexpr(Fraction(1, 2), 0,
-                                 num=["2", "5a/4-2", "3a/2", "3a/2+2", "2a+2",
-                                      "2a+4", "5a/2+4", "3a+6"],
-                                 den=["1", ("3", 2), "a/4", "a/2+1", "a/2+3",
-                                      "a/2+5", "3a/2+3"]),
-                             doubled_at=2),
-        ],
-        named=[
-            NamedDegree(2, "pair", "phi_{60,5}", 60, 5, None),
-            NamedDegree(4, "pair", "phi_{512,11}", 512, 11, None),
-            NamedDegree(4, "pair", "phi_{512,12}", 512, 12, None),
-            NamedDegree(8, "pair", "phi_{4096,26}", 4096, 26, None),
-            NamedDegree(8, "pair", "phi_{4096,27}", 4096, 27, None),
-        ])
+        _series("e6", "g^2.g3.gQ", "21a+22", "5a+3",
+                ["D5(a1)", "D5(a1)", "D5(a1)"], ["T1", "gl2", "sl4"],
+                exponents=(2, 0, 1, 1), fundamental_group="mixed",
+                pointcount=pexpr(1, "8a+7", num=["2"] + e6_pc_core, den=["3", "a/4", "a/2"]),
+                characters=(
+                    CharacterFormula("psi", L("21a/2+11"), pexpr(Fraction(1, 2), 0,
+                                         num=["a/4+4", "3a/4", "5a/4-2", "3a/2+2", "2a+2",
+                                              "2a+4", "5a/2+4", "3a+6"],
+                                         den=[("3", 2), "a/4", "a/4+1", "a/2", "a/2+4",
+                                              "a/2+8", "3a/4+3"]), doubled_at=2),
+                    CharacterFormula("psi'", L("21a/2+11"), pexpr(Fraction(1, 2), 0,
+                                         num=["3a/4-1", "5a/4-1", "3a/2", "3a/2+2", "2a+2",
+                                              "2a+4", "5a/2+4", "3a+6"],
+                                         den=["3", "5", "a/4", "a/2", ("a/2+2", 2), "3a/4",
+                                              "3a/2+6"]), doubled_at=2)),
+                named_degrees=(
+                    NamedDegree(2, "psi", "phi_{64,4}", 64, 4, None),
+                    NamedDegree(4, "psi", "phi_{420,10}", 420, 10, None),
+                    NamedDegree(4, "psi'", "phi_{336,11}", 336, 11, None),
+                    NamedDegree(8, "psi", "phi_{2800,25}", 2800, 25, None),
+                    NamedDegree(8, "psi'", "phi_{2100,28}", 2100, 28, None),
+                )),
 
-    add("g^2.g3.gQ", (2, 0, 1, 1), "21a+22", "5a+3", "D5(a1)",
-        ["T1", "gl2", "sl4"],
-        pc=pexpr(1, "8a+7", num=["2"] + e6_pc_core, den=["3", "a/4", "a/2"]),
-        chars=[
-            CharacterFormula("psi", L("21a/2+11"), pexpr(Fraction(1, 2), 0,
-                                 num=["a/4+4", "3a/4", "5a/4-2", "3a/2+2", "2a+2",
-                                      "2a+4", "5a/2+4", "3a+6"],
-                                 den=[("3", 2), "a/4", "a/4+1", "a/2", "a/2+4",
-                                      "a/2+8", "3a/4+3"]),
-                             doubled_at=2),
-            CharacterFormula("psi'", L("21a/2+11"), pexpr(Fraction(1, 2), 0,
-                                 num=["3a/4-1", "5a/4-1", "3a/2", "3a/2+2", "2a+2",
-                                      "2a+4", "5a/2+4", "3a+6"],
-                                 den=["3", "5", "a/4", "a/2", ("a/2+2", 2), "3a/4",
-                                      "3a/2+6"]),
-                             doubled_at=2),
-        ],
-        named=[
-            NamedDegree(2, "psi", "phi_{64,4}", 64, 4, None),
-            NamedDegree(4, "psi", "phi_{420,10}", 420, 10, None),
-            NamedDegree(4, "psi'", "phi_{336,11}", 336, 11, None),
-            NamedDegree(8, "psi", "phi_{2800,25}", 2800, 25, None),
-            NamedDegree(8, "psi'", "phi_{2100,28}", 2100, 28, None),
-        ])
-
-    add("g^2.g3^2.gQ^2", (2, 0, 2, 2), "24a+22", "3a+2", "E6(a1)",
-        ["0", "T1", "sl3"],
-        pc=pexpr(1, "21a/2+7", num=["2"] + e6_pc_core, den=["3", "a/4"]),
-        chars=[
-            CharacterFormula("psi", L("12a+11"), pexpr(Fraction(1, 2), 0,
-                                 num=["a/2+2", "3a/4-1", "3a/4", "2a-2", "2a+2",
-                                      "2a+4", "5a/2+4", "3a+6"],
-                                 den=[("3", 2), "4", "12", "a/4", "a/4+1", "a/2+1",
-                                      "a/2+5"]),
-                             doubled_at=2),
-            CharacterFormula("psi'", L("12a+11"), pexpr(Fraction(1, 2), 0,
-                                 num=["a/2+5", "5a/4-2", "3a/2", "3a/2+2", "2a+2",
-                                      "2a+4", "5a/2+4", "3a+6"],
-                                 den=["3", "4", ("6", 2), "a/4", "a/2+2", "a/2+4",
-                                      "a+10"]),
-                             doubled_at=2),
-        ],
-        named=[
-            NamedDegree(2, "psi", "phi_{6,1}", 6, 1, None),
-            NamedDegree(4, "psi", "phi_{120,4}", 120, 4, None),
-            NamedDegree(4, "psi'", "phi_{105,5}", 105, 5, None),
-            NamedDegree(8, "psi", "phi_{2800,13}", 2800, 13, None),
-            NamedDegree(8, "psi'", "phi_{2100,16}", 2100, 16, None),
-        ],
-        notes=["printed psi repeats q^(3a/4)-1 twice; the first copy is "
-               "corrected to q^(3a/4-1)-1 (the same adjacent pair appears in "
-               "the A4-series formula), restoring polynomiality and the "
-               "companion degrees",
-               "printed psi' has prefactor exponent N-21a/2-11 and a "
-               "denominator pair q^(3a/2)-1, q^(3a/2+2)-1 that cancels its "
-               "own numerator; corrected to N-12a-11 with denominator pair "
-               "q^(a/2+2)-1, q^(a/2+4)-1, which reproduces phi_{6,1}, "
-               "phi_{120,4}, phi_{105,5}, phi_{2800,13} and phi_{2100,16} "
-               "exactly",
-               "stabilizer for the a=4 member printed as 0; the radical "
-               "identity forces a one-dimensional torus"])
-
-    return recs
+        _series("e6", "g^2.g3^2.gQ^2", "24a+22", "3a+2",
+                ["E6(a1)", "E6(a1)", "E6(a1)"], ["0", "T1", "sl3"],
+                exponents=(2, 0, 2, 2), fundamental_group="mixed",
+                pointcount=pexpr(1, "21a/2+7", num=["2"] + e6_pc_core, den=["3", "a/4"]),
+                characters=(
+                    CharacterFormula("psi", L("12a+11"), pexpr(Fraction(1, 2), 0,
+                                         num=["a/2+2", "3a/4-1", "3a/4", "2a-2", "2a+2",
+                                              "2a+4", "5a/2+4", "3a+6"],
+                                         den=[("3", 2), "4", "12", "a/4", "a/4+1", "a/2+1",
+                                              "a/2+5"]), doubled_at=2),
+                    CharacterFormula("psi'", L("12a+11"), pexpr(Fraction(1, 2), 0,
+                                         num=["a/2+5", "5a/4-2", "3a/2", "3a/2+2", "2a+2",
+                                              "2a+4", "5a/2+4", "3a+6"],
+                                         den=["3", "4", ("6", 2), "a/4", "a/2+2", "a/2+4",
+                                              "a+10"]), doubled_at=2)),
+                named_degrees=(
+                    NamedDegree(2, "psi", "phi_{6,1}", 6, 1, None),
+                    NamedDegree(4, "psi", "phi_{120,4}", 120, 4, None),
+                    NamedDegree(4, "psi'", "phi_{105,5}", 105, 5, None),
+                    NamedDegree(8, "psi", "phi_{2800,13}", 2800, 13, None),
+                    NamedDegree(8, "psi'", "phi_{2100,16}", 2100, 16, None)),
+                notes=("printed psi repeats q^(3a/4)-1 twice; the first copy is "
+                       "corrected to q^(3a/4-1)-1 (the same adjacent pair appears in "
+                       "the A4-series formula), restoring polynomiality and the "
+                       "companion degrees",
+                       "printed psi' has prefactor exponent N-21a/2-11 and a "
+                       "denominator pair q^(3a/2)-1, q^(3a/2+2)-1 that cancels its "
+                       "own numerator; corrected to N-12a-11 with denominator pair "
+                       "q^(a/2+2)-1, q^(a/2+4)-1, which reproduces phi_{6,1}, "
+                       "phi_{120,4}, phi_{105,5}, phi_{2800,13} and phi_{2100,16} "
+                       "exactly",
+                       "stabilizer for the a=4 member printed as 0; the radical "
+                       "identity forces a one-dimensional torus")),
+    ]
 
 
 # -- the subexceptional, Severi and sub-Severi rows ---------------------------
 
 
-# ambient algebra and classical family of each member, row by row
-_ROW_TABLES = {
-    "subexceptional": {1: ("sp6", Family("sp", 6)), 2: ("sl6", Family("sl", 6)),
-                       4: ("so12", Family("so", 12)), 8: ("e7", None)},
-    "severi": {1: ("sl3", Family("sl", 3)), 2: ("2sl3", Family("2sl", 3)),
-               4: ("sl6", Family("sl", 6)), 8: ("e6", None)},
-    "subseveri": {1: ("sl2", Family("sl", 2)), 2: ("sl3", Family("sl", 3)),
-                  4: ("sp6", Family("sp", 6)), 8: ("f4", None)},
-}
-
-
 def _other_rows():
-    recs = []
-
-    def add(row, label, dim, rad, members, *, notes=()):
-        recs.append(SeriesRecord(row=row, label=label, dim=L(dim), rad=L(rad),
-                                 members=_members(_ROW_TABLES[row], members),
-                                 notes=tuple(notes)))
-
     tor = "subexceptional torus factors restored: the printed tables quote "\
           "only the semisimple type, and the radical identity plus the "\
           "centralizer oracle fix the full reductive centralizer"
-
-    add("subexceptional", "g", "4a+2", "4a+1", [
-        (1, "(11|1)", "so5", _pp("11", "1")),
-        (2, "(21111)", "gl4", _pt("21111")),
-        (4, "(21111|-)", "sl2+so8", _pp("21111", "")),
-        (8, "A1", "so12", None)],
-        notes=["printed h for the sl6 member is sl4(so6); the centralizer is "
-               "gl4 and the identity needs the torus", tor])
-
-    add("subexceptional", "gQ", "6a+4", "5a+2", [
-        (1, "(21|-)", "gl2", _pp("21", "")),
-        (2, "(2211)", "2sl2+T1", _pt("2211")),
-        (4, "(2211|-)", "so5+2sl2", _pp("2211", "")),
-        (8, "2A1", "sl2+so9", None)],
-        notes=["printed h for the so12 member is sl2+so5; the centralizer of "
-               "the (2,2,2,2,1,1,1,1) nilpotent is sp4+so4 = so5+2sl2 and the "
-               "radical identity requires dimension 16", tor])
-
-    add("subexceptional", "gAP2", "6a+6", "3a+3", [
-        (1, "(2|1)", "sl2", _pp("2", "1")),
-        (2, "(222)", "sl3", _pt("222")),
-        (4, "(222|-)", "sp6", _pp("222", "")),
-        (8, "3A1''", "f4", None)])
-
-    add("subexceptional", "gQ^2", "10a+4", "4a", [
-        (1, "(3|-)", "sl2", _pp("3", "")),
-        (2, "(33)", "sl2", _pt("33")),
-        (4, "(33|-)", "2sl2", _pp("33", "")),
-        (8, "2A2", "sl2+g2", None)])
-
-    add("subexceptional", "gAP2^2.gQ", "10a+4", "3a+1", [
-        (1, "(1|2)", "sl2", _pp("1", "2")),
-        (2, "(411)", "gl2", _pt("411")),
-        (4, "(411|-)", "3sl2", _pp("411", "")),
-        (8, "A3", "sl2+so7", None)])
-
-    add("subexceptional", "gAP2.g", "10a+6", "3a+2", [
-        (1, "(-|21)", "0", _pp("", "21")),
-        (2, "(42)", "T1", _pt("42")),
-        (4, "(42|-)", "2sl2", _pp("42", "")),
-        (8, "A3+A1''", "so7", None)])
-
-    add("subexceptional", "g^2.gAP2^2.gQ^2", "12a+6", "2a+1", [
-        (1, "(-|3)", "0", _pp("", "3")),
-        (2, "(6)", "0", _pt("6")),
-        (4, "(6|-)", "sl2", _pp("6", "")),
-        (8, "A5", "g2", None)])
-
-    add("subexceptional", "g^2.gQ^2", "12a+4", "3a", [
-        (2, "(51)", "T1", _pt("51")),
-        (4, "(51|-)", "T2", _pp("51", "")),
-        (8, "A4", "gl3", None)],
-        notes=["printed h column reads 0, 0, sl3; the centralizers are the "
-               "tori S(gl1 x gl1), so2 x so2 and gl3, as the identity requires", tor])
-
-    add("subexceptional", "g.gQ", "9a+4", "5a+1", [
-        (2, "(321)", "T2", _pt("321")),
-        (4, "(321|-)", "sl2+T2", _pp("321", "")),
-        (8, "A2+A1", "gl4", None)],
-        notes=[tor])
-
-    add("subexceptional", "g^2", "8a+2", "4a", [
-        (2, "(3111)", "gl3", _pt("3111")),
-        (4, "(3111|-)", "co6", _pp("3111", "")),
-        (8, "A2", "sl6", None)],
-        notes=["printed radical dimension 5a+1 duplicates the line above; "
-               "the stabilizer bookkeeping gives 4a for all three members", tor])
-
     swap = "printed Carter labels and stabilizers of the two Severi series "\
            "are exchanged: the dimension formulas force 2A1 (dim 32) on the "\
            "V line and 2A2 (dim 48) on the VV* line, and the stabilizers "\
            "follow the centralizer oracle"
-
-    add("severi", "V", "4a", "3a", [
-        (1, "(21)", "T1", _pt("21")),
-        (2, "((21),(21))", "T2", (_pt("21"), _pt("21"))),
-        (4, "(2211)", "2sl2+T1", _pt("2211")),
-        (8, "2A1", "co7", None)], notes=[swap])
-
-    add("severi", "gQ=VV*", "6a", "2a", [
-        (1, "(3)", "0", _pt("3")),
-        (2, "((3),(3))", "0", (_pt("3"), _pt("3"))),
-        (4, "(33)", "sl2", _pt("33")),
-        (8, "2A2", "g2", None)], notes=[swap])
-
-    add("subseveri", "gQ=W", "4a-2", "a", [
-        (1, "(2)", "0", _pt("2")),
-        (2, "(3)", "0", _pt("3")),
-        (4, "(3|-)", "sl2", _pp("3", "")),
-        (8, "A~2", "g2", None)])
-
-    return recs
+    return [
+        _series("subexceptional", "g", "4a+2", "4a+1",
+                ["(11|1)", "(21111)", "(21111|-)", "A1"],
+                ["so5", "gl4", "sl2+so8", "so12"],
+                notes=("printed h for the sl6 member is sl4(so6); the centralizer is "
+                       "gl4 and the identity needs the torus", tor)),
+        _series("subexceptional", "gQ", "6a+4", "5a+2",
+                ["(21|-)", "(2211)", "(2211|-)", "2A1"],
+                ["gl2", "2sl2+T1", "so5+2sl2", "sl2+so9"],
+                notes=("printed h for the so12 member is sl2+so5; the centralizer of "
+                       "the (2,2,2,2,1,1,1,1) nilpotent is sp4+so4 = so5+2sl2 and the "
+                       "radical identity requires dimension 16", tor)),
+        _series("subexceptional", "gAP2", "6a+6", "3a+3",
+                ["(2|1)", "(222)", "(222|-)", "3A1''"], ["sl2", "sl3", "sp6", "f4"]),
+        _series("subexceptional", "gQ^2", "10a+4", "4a",
+                ["(3|-)", "(33)", "(33|-)", "2A2"], ["sl2", "sl2", "2sl2", "sl2+g2"]),
+        _series("subexceptional", "gAP2^2.gQ", "10a+4", "3a+1",
+                ["(1|2)", "(411)", "(411|-)", "A3"], ["sl2", "gl2", "3sl2", "sl2+so7"]),
+        _series("subexceptional", "gAP2.g", "10a+6", "3a+2",
+                ["(-|21)", "(42)", "(42|-)", "A3+A1''"], ["0", "T1", "2sl2", "so7"]),
+        _series("subexceptional", "g^2.gAP2^2.gQ^2", "12a+6", "2a+1",
+                ["(-|3)", "(6)", "(6|-)", "A5"], ["0", "0", "sl2", "g2"]),
+        _series("subexceptional", "g^2.gQ^2", "12a+4", "3a",
+                [None, "(51)", "(51|-)", "A4"], [None, "T1", "T2", "gl3"],
+                notes=("printed h column reads 0, 0, sl3; the centralizers are the "
+                       "tori S(gl1 x gl1), so2 x so2 and gl3, as the identity requires",
+                       tor)),
+        _series("subexceptional", "g.gQ", "9a+4", "5a+1",
+                [None, "(321)", "(321|-)", "A2+A1"], [None, "T2", "sl2+T2", "gl4"],
+                notes=(tor,)),
+        _series("subexceptional", "g^2", "8a+2", "4a",
+                [None, "(3111)", "(3111|-)", "A2"], [None, "gl3", "co6", "sl6"],
+                notes=("printed radical dimension 5a+1 duplicates the line above; "
+                       "the stabilizer bookkeeping gives 4a for all three members", tor)),
+        _series("severi", "V", "4a", "3a",
+                ["(21)", "((21),(21))", "(2211)", "2A1"], ["T1", "T2", "2sl2+T1", "co7"],
+                notes=(swap,)),
+        _series("severi", "gQ=VV*", "6a", "2a",
+                ["(3)", "((3),(3))", "(33)", "2A2"], ["0", "0", "sl2", "g2"],
+                notes=(swap,)),
+        _series("subseveri", "gQ=W", "4a-2", "a",
+                ["(2)", "(3)", "(3|-)", "A~2"], ["0", "0", "sl2", "g2"]),
+    ]
 
 
 # -- assembled registry --------------------------------------------------------
@@ -707,7 +640,7 @@ def all_series() -> tuple[SeriesRecord, ...]:
 
 
 def rows() -> tuple[str, ...]:
-    return ("f4", "e6", "subexceptional", "severi", "subseveri")
+    return tuple(_ROWS)
 
 
 def series_by_row(row: str) -> tuple[SeriesRecord, ...]:

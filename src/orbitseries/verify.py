@@ -32,7 +32,7 @@ ALLOWED_RATIOS = {Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3),
                   Fraction(1, 3), Fraction(6), Fraction(1, 6)}
 
 # The series parameter values; a = 1 entries are recorded, never asserted.
-A_VALUES = (1, 2, 4, 8)
+A_VALUES = tuple(db.EXCEPTIONAL_AMBIENTS)
 
 # Sweep bounds of the magic-square checks: orthogonal partitions up to so_10,
 # and the (3,1,...,1) closed form up to so_12.
@@ -119,7 +119,7 @@ def _stabilizer_series_checks() -> list[CheckResult]:
     for label, other_row in links:
         h_list = [_spec_type(m.h) for m in db.lookup("f4", label).members]
         ambients = [_spec_type(db.series_by_row(other_row)[0].member(a).ambient)
-                    for a in (1, 2, 4, 8)]
+                    for a in A_VALUES]
         out.append(_res("dims", f"f4:{label} stabilizers = {other_row} ambients",
                         h_list == ambients, h_list, ambients))
     return out
@@ -167,9 +167,9 @@ def _hasse_checks() -> list[CheckResult]:
     for up, dn in db.hasse_edges():
         u = db.lookup("f4", up)
         d = db.lookup("f4", dn)
-        ok = all(u.dim(a) > d.dim(a) for a in (1, 2, 4, 8))
-        dims_u = [u.dim(a) for a in (1, 2, 4, 8)]
-        dims_d = [d.dim(a) for a in (1, 2, 4, 8)]
+        ok = all(u.dim(a) > d.dim(a) for a in A_VALUES)
+        dims_u = [u.dim(a) for a in A_VALUES]
+        dims_d = [d.dim(a) for a in A_VALUES]
         out.append(_res("dims", f"hasse {up} > {dn}", ok, dims_u, dims_d))
     return out
 
@@ -288,12 +288,9 @@ def check_pointcounts(a_values: Sequence[int] = A_VALUES) -> list[CheckResult]:
 
 def _char_expr(rec: db.SeriesRecord, formula: db.CharacterFormula,
                a: int) -> ProductExpr:
-    # a = 1 is evaluated formally against the folded algebra of the row
-    if rec.row in ("f4", "e6") and a in db.EXCEPTIONAL_AMBIENTS:
-        name = db.EXCEPTIONAL_AMBIENTS[a]
-    else:
-        name = rec.member(a).ambient.name
-    return formula.expr(rsys.algebra(name).num_positive_roots)
+    # characters live only in the f4 and e6 rows, whose ambient at a is the
+    # exceptional one; a = 1 is evaluated formally against the folded algebra
+    return formula.expr(rsys.algebra(db.EXCEPTIONAL_AMBIENTS[a]).num_positive_roots)
 
 
 def check_characters(a_values: Sequence[int] = A_VALUES) -> list[CheckResult]:

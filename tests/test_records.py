@@ -38,7 +38,7 @@ RECORDS = [
     (("algebra", "labels"), WeightedDiagram(AlgebraType("G", 2), (2, 0)),
      WeightedDiagram(AlgebraType("G", 2), (0, 2))),
     (("factors", "torus_rank", "name"), db.reductive("sl2+g2"), db.reductive("T2")),
-    (("a", "ambient", "carter", "h", "family", "datum"),
+    (("a", "ambient", "carter", "h", "family"),
      _REC.members[0], _REC.members[1]),
     (("name", "shift", "body", "a_values", "doubled_at"),
      _REC.characters[0], _OTHER.characters[0]),
