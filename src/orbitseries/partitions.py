@@ -12,7 +12,7 @@ import operator
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, pairwise
 from typing import Iterable, Iterator, Sequence
 
 from ._records import Record
@@ -39,11 +39,12 @@ class Partition(Record):
     largest part first (Macdonald, *Symmetric Functions and Hall
     Polynomials*, I (1.6)); ``_odd``, the number of odd parts; and
     ``_odd_mult[r]``, whether some part of parity r occurs an odd number of
-    times.
+    times.  ``_twice``, the partition ``repeat_twice`` returns, is kept on
+    first use: five of the nine magic-square cells ask for it.
     """
 
     _fields = ("parts",)
-    __slots__ = _fields + ("_size", "_tsq", "_odd", "_odd_mult")
+    __slots__ = _fields + ("_size", "_tsq", "_odd", "_odd_mult", "_twice")
 
     def __init__(self, parts: Iterable[int]):
         try:
@@ -73,13 +74,19 @@ class Partition(Record):
         return self.parts.count(i)
 
     def repeat_twice(self) -> "Partition":
-        """Each part twice.  No sort is needed, and the invariants follow
-        from this partition's: each column of the diagram doubles, so Σλ'²
-        quadruples, and every multiplicity is even."""
+        """Each part twice, built on the first call and then returned again.
+        No sort is needed, and the invariants follow from this partition's:
+        each column of the diagram doubles, so Σλ'² quadruples, and every
+        multiplicity is even."""
+        try:
+            return self._twice
+        except AttributeError:
+            pass
         p = self.parts
         twice = Partition.__new__(Partition)
         twice._set(tuple(chain.from_iterable(zip(p, p))), 2 * self._size,
                    4 * self._tsq, 2 * self._odd, (False, False))
+        object.__setattr__(self, "_twice", twice)
         return twice
 
     def extend(self, ones: int) -> "Partition":
@@ -295,14 +302,28 @@ def pair_to_partition(pp: PartitionPair, total: int) -> Partition:
 MAGIC_VALUES = (1, 2, 4)
 
 
-# cell (a <= b) -> (family kind, matrix size as a multiple of n)
+# cell (a <= b) -> (family kind, matrix size as a multiple of n); the chart is
+# symmetric, so each cell is also keyed as (b, a)
 _MAGIC_CELLS = {(1, 1): ("so", 1), (1, 2): ("sl", 1), (1, 4): ("sp", 2),
                 (2, 2): ("2sl", 1), (2, 4): ("sl", 2), (4, 4): ("so", 4)}
+_MAGIC_CELLS.update({(b, a): v for (a, b), v in _MAGIC_CELLS.items()})
+
+
+def _path(a: int, b: int) -> tuple[tuple[str, str], ...]:
+    """The (source kind, destination kind) of each step from (1, 1) to
+    (a, b), doubling a before b."""
+    cells = ([(x, 1) for x in MAGIC_VALUES if x <= a]
+             + [(a, y) for y in MAGIC_VALUES[1:] if y <= b])
+    return tuple((_MAGIC_CELLS[s][0], _MAGIC_CELLS[t][0]) for s, t in pairwise(cells))
+
+
+# cell -> its steps, read off _MAGIC_CELLS once, at import
+_PATHS = {(a, b): _path(a, b) for a in MAGIC_VALUES for b in MAGIC_VALUES}
 
 
 def _magic_cell(a: int, b: int) -> tuple[str, int]:
     try:
-        return _MAGIC_CELLS[min(a, b), max(a, b)]
+        return _MAGIC_CELLS[a, b]
     except KeyError:
         raise NotAdjacentCellsError("cell coordinates must lie in {1,2,4}") from None
 
@@ -314,14 +335,15 @@ def magic_family(a: int, b: int, n: int) -> Family:
     return Family(kind, factor * n)
 
 
-def _step(datum, src: Family, dst: Family):
-    """One step right or down between adjacent cells; the cells fix the sizes."""
-    if src.kind == "2sl":
+def _step(datum, src: str, dst: str):
+    """One step right or down from a cell of kind src to one of kind dst;
+    the cells fix the sizes."""
+    if src == "2sl":
         a, b = datum
         return a.repeat_twice() if a == b else Partition(a.parts + b.parts)
-    if dst.kind == "2sl":
+    if dst == "2sl":
         return (datum, datum)
-    if dst.kind == "sl":   # from so_n or sp_2n
+    if dst == "sl":   # from so_n or sp_2n
         return datum
     return datum.repeat_twice()   # sl_n to sp_2n, sl_2n to so_4n
 
@@ -334,24 +356,18 @@ def propagate(datum, from_cell: tuple[int, int], to_cell: tuple[int, int], n: in
     if (a2, b2) not in ((a1, b1), (2 * a1, b1), (a1, 2 * b1)):
         raise NotAdjacentCellsError(f"{from_cell} -> {to_cell} is not one step")
     src.validate(datum)
-    return datum if (a1, b1) == (a2, b2) else _step(datum, src, dst)
+    return datum if (a1, b1) == (a2, b2) else _step(datum, src.kind, dst.kind)
 
 
 def propagate_from_so(p: Partition, cell: tuple[int, int], n: int):
-    """Carry an so_n partition to any cell, doubling a before b; all chart
-    paths agree."""
-    fam = magic_family(1, 1, n)
-    fam.validate(p)
+    """Carry an so_n partition to any cell along its path in ``_PATHS``,
+    doubling a before b; all chart paths agree."""
+    magic_family(1, 1, n).validate(p)
     a, b = cell
-    magic_family(a, b, n)   # a cell outside the square would never be reached
-    ca, cb, datum = 1, 1, p
-    while (ca, cb) != (a, b):
-        if ca < a:
-            ca *= 2
-        else:
-            cb *= 2
-        nxt = magic_family(ca, cb, n)
-        datum, fam = _step(datum, fam, nxt), nxt
+    _magic_cell(a, b)   # refuses a cell outside the square
+    datum = p
+    for src, dst in _PATHS[a, b]:
+        datum = _step(datum, src, dst)
     return datum
 
 
@@ -431,23 +447,32 @@ def valid_partitions(family: Family) -> Iterator[Partition]:
     ``all_partitions``: largest part d first, then its multiplicity m, both
     decreasing.  For so and sp the blocks d^m that the parity rule forbids
     (even d for so, odd d for sp, with m odd; Collingwood–McGovern §5.1)
-    are skipped, so no inadmissible partition is built.  A 2sl datum is a
-    pair of partitions, so that family yields none."""
+    are skipped, so no inadmissible partition is built.  The invariants of a
+    ``Partition`` are summed block by block, with no sort or recount: a block
+    d^m at parts k+1 .. k+m adds d((k+m)² - k²) = dm(2k+m) to Σλ'².  A 2sl
+    datum is a pair of partitions, so that family yields none."""
     if family.kind == "2sl":
         return
+    n = family.n
     forbidden = {"sl": None, "so": 0, "sp": 1}[family.kind]
 
-    def gen(remaining: int, largest: int):
+    def gen(remaining: int, largest: int, parts: tuple, tsq: int, odd: int, odd_mult):
         if remaining == 0:
-            yield ()
+            p = Partition.__new__(Partition)
+            p._set(parts, n, tsq, odd, odd_mult)
+            yield p
             return
+        k = len(parts)
         for d in range(min(remaining, largest), 0, -1):
+            r = d % 2
             fewest = 1 if d > 1 else remaining   # no part below 1 fills the rest
             for m in range(remaining // d, fewest - 1, -1):
-                if m % 2 and d % 2 == forbidden:
+                if m % 2 == 0:
+                    mult = odd_mult
+                elif r == forbidden:
                     continue
-                block = (d,) * m
-                for rest in gen(remaining - d * m, d - 1):
-                    yield block + rest
-    for parts in gen(family.n, family.n):
-        yield Partition(parts)
+                else:
+                    mult = (odd_mult[0], True) if r else (True, odd_mult[1])
+                yield from gen(remaining - d * m, d - 1, parts + (d,) * m,
+                               tsq + d * m * (2 * k + m), odd + m * r, mult)
+    yield from gen(n, n, (), 0, 0, (False, False))

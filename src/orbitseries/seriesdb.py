@@ -236,10 +236,24 @@ _ROWS = {
 }
 
 
+# the record's tuple fields and the type of their items: a one-item tuple
+# written without its trailing comma is the item itself, and is refused here
+# rather than in export or verify
+_TUPLE_FIELDS = {"characters": CharacterFormula, "named_degrees": NamedDegree,
+                 "grading_claims": tuple, "notes": str}
+
+
 def _series(row: str, label: str, dim: str, rad: str, carter, h, **fields) -> SeriesRecord:
     """One series of ``row``: ``carter`` and ``h`` list the printed orbit label
     and stabilizer at each a of the row, None where the series has no member;
     ``fields`` are the record's other fields."""
+    for name, item in _TUPLE_FIELDS.items():
+        value = fields.get(name, ())
+        bad = [x for x in value if not isinstance(x, item)] \
+            if type(value) is tuple else [value]
+        if bad:
+            raise TypeError(f"series {label}: {name} must be a tuple of "
+                            f"{item.__name__}, got a {type(bad[0]).__name__}")
     members = tuple(Member(a, reductive(ambient), label_a, reductive(h_a), family)
                     for (a, (ambient, family)), label_a, h_a
                     in zip(_ROWS[row].items(), carter, h, strict=True)

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -283,6 +286,46 @@ class TestMagicSquare:
                         assert magic_dim_formula(p, a, b) == \
                             orbit_dim_classical(datum, fam)
 
+    @pytest.mark.parametrize("a_first", [True, False])
+    def test_propagate_from_so_is_the_composed_steps(self, a_first):
+        # a second route for the derived path table: single propagate steps,
+        # whose kinds come from magic_family, along the a-first and the
+        # b-first path give the same data, not only the same dimensions
+        for n in range(1, 11):
+            for p in valid_partitions(Family("so", n)):
+                for a in (1, 2, 4):
+                    for b in (1, 2, 4):
+                        assert propagate_from_so(p, (a, b), n) == \
+                            _walk(p, a, b, n, a_first), (p, a, b)
+
+    def test_repeat_twice_is_kept(self):
+        p = partition(3, 1, 1)
+        assert p.repeat_twice() is p.repeat_twice()
+        assert p.repeat_twice().repeat_twice() is p.repeat_twice().repeat_twice()
+
+    def test_kept_double_is_not_a_field(self):
+        p, fresh = partition(3, 1, 1), partition(3, 1, 1)
+        before = repr(p), hash(p)
+        p.repeat_twice()
+        assert (repr(p), hash(p)) == before == (repr(fresh), hash(fresh))
+        assert p == fresh and fresh == p
+        for clone in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert clone == p and repr(clone) == repr(p) and hash(clone) == hash(p)
+            assert clone.repeat_twice() == p.repeat_twice()
+
+    def test_list_cell(self):
+        p = partition(3, 1, 1)
+        assert propagate_from_so(p, [4, 4], 5) == propagate_from_so(p, (4, 4), 5)
+        assert propagate_from_so(p, [4, 4], 5).parts == (3,) * 4 + (1,) * 8
+
+    @pytest.mark.parametrize("cell", [(3, 1), (8, 8)])
+    def test_propagate_from_so_refuses_cells_outside_the_square(self, cell):
+        with pytest.raises(NotAdjacentCellsError, match="must lie in"):
+            propagate_from_so(partition(3, 1, 1), cell, 5)
+        # the datum is validated before the cell
+        with pytest.raises(InvalidPartitionError):
+            propagate_from_so(partition(2, 1), cell, 3)
+
     def test_example2(self):
         for n in (5, 8, 12):
             p = Partition((3,) + (1,) * (n - 3))
@@ -302,6 +345,17 @@ class TestMagicSquare:
         # bilinear route even at a = b = 1
         p = regular_so_partition(7)
         assert example1_formula(7, 1, 1) != magic_dim_formula(p, 1, 1)
+
+
+def _walk(p, a, b, n, a_first):
+    """p carried from (1, 1) to (a, b) by single propagate steps, doubling a
+    first or b first."""
+    here, datum = (1, 1), p
+    while here != (a, b):
+        ca, cb = here
+        nxt = (2 * ca, cb) if ca < a and (a_first or cb == b) else (ca, 2 * cb)
+        datum, here = propagate(datum, here, nxt, n), nxt
+    return datum
 
 
 class TestExtension:

@@ -10,9 +10,9 @@ from orbitseries.exactpoly import Cyclo, LinExp, ProductExpr, QLaurent, QPhi, pe
 from orbitseries.partitions import Family, Partition, PartitionPair, orbit_dim_classical
 from orbitseries.rootsystems import series_weight_to_diagram
 from orbitseries.seriesdb import (MASTER_POINTCOUNT, CharacterFormula, L,
-                                  UnknownSeriesError, all_series, group_order,
-                                  hasse_edges, lookup, reductive, rows,
-                                  series_by_row)
+                                  NamedDegree, UnknownSeriesError, _series,
+                                  all_series, group_order, hasse_edges, lookup,
+                                  reductive, rows, series_by_row)
 
 
 class TestExponentParser:
@@ -216,6 +216,35 @@ class TestInternalConsistency:
             u, d = lookup("f4", up), lookup("f4", dn)
             for a in (1, 2, 4, 8):
                 assert u.dim(a) > d.dim(a)
+
+
+class TestBuilderFields:
+    """A one-item tuple field written without its trailing comma is the item
+    itself; the builder refuses it, naming the field."""
+
+    _FORMULA = CharacterFormula("principal", L("3a+5"), pexpr(1, 0, num=["2a+4"]))
+
+    def _build(self, **fields):
+        return _series("severi", "g", "4a", "3a", ["(21)", None, None, None],
+                       ["T1", None, None, None], **fields)
+
+    def test_well_formed_fields_build(self):
+        rec = self._build(characters=(self._FORMULA,), notes=("a note",),
+                          grading_claims=((1, L("a")),),
+                          named_degrees=(NamedDegree(2, "principal", "phi_{1,0}", 1, 0),))
+        assert rec.characters == (self._FORMULA,) and rec.notes == ("a note",)
+
+    @pytest.mark.parametrize("name,value,got", [
+        ("characters", _FORMULA, "CharacterFormula"),
+        ("named_degrees", NamedDegree(2, "principal", "phi_{1,0}", 1, 0), "NamedDegree"),
+        ("grading_claims", (1, L("a")), "int"),
+        ("notes", "a note", "str"),
+        ("characters", [_FORMULA], "list"),
+    ])
+    def test_item_in_place_of_a_tuple_is_refused(self, name, value, got):
+        with pytest.raises(TypeError, match=f"series g: {name} must be a tuple "
+                                            f"of .*, got a {got}$"):
+            self._build(**{name: value})
 
 
 quarters = st.integers(-12, 12).map(lambda n: F(n, 4))
