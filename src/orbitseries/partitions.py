@@ -89,9 +89,6 @@ class Partition(Record):
         object.__setattr__(self, "_twice", twice)
         return twice
 
-    def extend(self, ones: int) -> "Partition":
-        return Partition(self.parts + (1,) * ones)
-
     def __str__(self) -> str:
         return "(" + ",".join(map(str, self.parts)) + ")" if self.parts else "()"
 
@@ -100,63 +97,70 @@ def partition(*parts: int) -> Partition:
     return Partition(parts)
 
 
+# kind -> the parity whose parts must occur an even number of times, as an
+# index into ``Partition._odd_mult`` (Collingwood–McGovern §5.1), or None
+_PARITY_RULES = {"sl": None, "so": 0, "sp": 1, "2sl": None}
+
+
 class Family(Record):
     """One classical family: sl_n, so_n, sp_2n, or the doubled 2sl_n cell.
 
     ``kind`` is "sl", "so", "sp" or "2sl"; ``n`` is the matrix size (for sp
-    the full even size 2n)."""
+    the full even size 2n); ``_rule`` keeps the kind's ``_PARITY_RULES``."""
 
-    __slots__ = _fields = ("kind", "n")
+    _fields = ("kind", "n")
+    __slots__ = _fields + ("_rule",)
 
     def __init__(self, kind: str, n: int):
         if kind not in ("sl", "so", "sp", "2sl"):
             raise ValueError(f"unknown family kind {kind!r}")
-        if kind == "sp" and n % 2:
+        size = operator.index(n) if hasattr(type(n), "__index__") else -1
+        if size < 0:
+            raise ValueError(f"matrix size n must be a non-negative integer, not {n!r}")
+        if kind == "sp" and size % 2:
             raise ValueError("sp requires even matrix size")
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", size)
+        object.__setattr__(self, "_rule", _PARITY_RULES[kind])
 
     @property
     def dim(self) -> int:
         n = self.n
-        if self.kind == "sl":
-            return n * n - 1
-        if self.kind == "2sl":
-            return 2 * (n * n - 1)
-        if self.kind == "so":
-            return n * (n - 1) // 2
-        return n * (n + 1) // 2
+        return {"sl": n * n - 1, "2sl": 2 * (n * n - 1), "so": n * (n - 1) // 2,
+                "sp": n * (n + 1) // 2}[self.kind]
 
     @property
     def tag(self) -> str:
-        if self.kind == "sp":
-            return f"sp_{self.n}"
-        if self.kind == "2sl":
-            return f"2sl_{self.n}"
         return f"{self.kind}_{self.n}"
 
     def validate(self, datum) -> None:
         """Raise InvalidPartitionError unless datum is an orbit datum of this
         family: a partition of n (for 2sl an ordered pair of them) whose
         even (so) or odd (sp) parts occur an even number of times."""
+        rule = self._rule
+        try:   # one partition: accepted on its kept size and parity flags
+            if datum._size == self.n and (self.kind == "sl" if rule is None
+                                          else not datum._odd_mult[rule]):
+                return
+        except AttributeError:   # not a partition; a 2sl pair goes on below
+            pass
         if self.kind == "2sl":
             if not (isinstance(datum, tuple) and len(datum) == 2):
                 raise InvalidPartitionError("2sl expects an ordered pair of partitions")
         else:
             datum = (datum,)
         for p in datum:
+            if not isinstance(p, Partition):
+                raise InvalidPartitionError(f"{p!r} is not a partition")
             if p._size != self.n:
                 raise InvalidPartitionError(
                     f"partition of {p._size} is not a partition of {self.n}")
-        if self.kind in ("so", "sp"):   # p is the datum's one partition
-            parity = int(self.kind == "sp")
-            if p._odd_mult[parity]:
-                # the message names the first offending part in set order
-                i = next(i for i in set(p.parts)
-                         if i % 2 == parity and p.multiplicity(i) % 2)
-                raise InvalidPartitionError(
-                    f"{p} invalid for {self.kind}_{self.n}: "
-                    f"{('even', 'odd')[parity]} part {i} with odd multiplicity")
+        if rule is not None and p._odd_mult[rule]:   # p: the datum's one partition
+            # the message names the first offending part in set order
+            i = next(i for i in set(p.parts) if i % 2 == rule and p.multiplicity(i) % 2)
+            raise InvalidPartitionError(
+                f"{p} invalid for {self.tag}: "
+                f"{('even', 'odd')[rule]} part {i} with odd multiplicity")
 
     def is_very_even(self, p: Partition) -> bool:
         """All parts even: in so_n this labels two orbits of equal dimension."""
@@ -241,9 +245,7 @@ def centralizer_oracle(datum, family: Family) -> int:
     """
     family.validate(datum)
     if family.kind == "2sl":
-        a, b = datum
-        sl = Family("sl", family.n)
-        return centralizer_oracle(a, sl) + centralizer_oracle(b, sl)
+        return sum(centralizer_oracle(q, Family("sl", family.n)) for q in datum)
     n = family.n
     if n > 12:
         raise InvalidPartitionError("oracle restricted to matrix size <= 12")
@@ -309,43 +311,48 @@ _MAGIC_CELLS = {(1, 1): ("so", 1), (1, 2): ("sl", 1), (1, 4): ("sp", 2),
 _MAGIC_CELLS.update({(b, a): v for (a, b), v in _MAGIC_CELLS.items()})
 
 
-def _path(a: int, b: int) -> tuple[tuple[str, str], ...]:
-    """The (source kind, destination kind) of each step from (1, 1) to
-    (a, b), doubling a before b."""
-    cells = ([(x, 1) for x in MAGIC_VALUES if x <= a]
-             + [(a, y) for y in MAGIC_VALUES[1:] if y <= b])
-    return tuple((_MAGIC_CELLS[s][0], _MAGIC_CELLS[t][0]) for s, t in pairwise(cells))
+def _pair(p: Partition) -> tuple[Partition, Partition]:
+    return p, p
 
 
-# cell -> its steps, read off _MAGIC_CELLS once, at import
+def _merge(pair) -> Partition:
+    a, b = pair
+    return a.repeat_twice() if a == b else Partition(a.parts + b.parts)
+
+
+# (source kind, destination kind) of each step right or down in the chart ->
+# its map on orbit data, read off _MAGIC_CELLS: into 2sl a datum is paired, out
+# of it merged, else doubled where the size doubles and kept (None) where not
+_STEPS = {(s, d): _pair if d == "2sl" else _merge if s == "2sl"
+          else Partition.repeat_twice if g > f else None
+          for (a, b), (s, f) in _MAGIC_CELLS.items()
+          for c in ((2 * a, b), (a, 2 * b)) if c in _MAGIC_CELLS
+          for d, g in (_MAGIC_CELLS[c],)}
+
+
+def _path(a: int, b: int) -> tuple:
+    """The maps from (1, 1) to (a, b), a doubled before b, none that keeps."""
+    kinds = ([_MAGIC_CELLS[x, 1][0] for x in MAGIC_VALUES if x <= a]
+             + [_MAGIC_CELLS[a, y][0] for y in MAGIC_VALUES[1:] if y <= b])
+    return tuple(filter(None, map(_STEPS.__getitem__, pairwise(kinds))))
+
+
+# cell -> the maps of its steps, read off _MAGIC_CELLS once, at import
 _PATHS = {(a, b): _path(a, b) for a in MAGIC_VALUES for b in MAGIC_VALUES}
 
 
 def _magic_cell(a: int, b: int) -> tuple[str, int]:
-    try:
+    # only an int coordinate: 1.0, True and Fraction(1) hash as 1 does
+    if type(a) is int and type(b) is int and (a, b) in _MAGIC_CELLS:
         return _MAGIC_CELLS[a, b]
-    except KeyError:
-        raise NotAdjacentCellsError("cell coordinates must lie in {1,2,4}") from None
+    raise NotAdjacentCellsError("cell coordinates must lie in {1,2,4}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def magic_family(a: int, b: int, n: int) -> Family:
     """The classical algebra in cell (a, b) of the generalized magic square."""
     kind, factor = _magic_cell(a, b)
     return Family(kind, factor * n)
-
-
-def _step(datum, src: str, dst: str):
-    """One step right or down from a cell of kind src to one of kind dst;
-    the cells fix the sizes."""
-    if src == "2sl":
-        a, b = datum
-        return a.repeat_twice() if a == b else Partition(a.parts + b.parts)
-    if dst == "2sl":
-        return (datum, datum)
-    if dst == "sl":   # from so_n or sp_2n
-        return datum
-    return datum.repeat_twice()   # sl_n to sp_2n, sl_2n to so_4n
 
 
 def propagate(datum, from_cell: tuple[int, int], to_cell: tuple[int, int], n: int):
@@ -356,27 +363,32 @@ def propagate(datum, from_cell: tuple[int, int], to_cell: tuple[int, int], n: in
     if (a2, b2) not in ((a1, b1), (2 * a1, b1), (a1, 2 * b1)):
         raise NotAdjacentCellsError(f"{from_cell} -> {to_cell} is not one step")
     src.validate(datum)
-    return datum if (a1, b1) == (a2, b2) else _step(datum, src.kind, dst.kind)
+    step = None if (a1, b1) == (a2, b2) else _STEPS[src.kind, dst.kind]
+    return datum if step is None else step(datum)
 
 
 def propagate_from_so(p: Partition, cell: tuple[int, int], n: int):
-    """Carry an so_n partition to any cell along its path in ``_PATHS``,
-    doubling a before b; all chart paths agree."""
-    magic_family(1, 1, n).validate(p)
+    """Carry an so_n partition to any cell along its path in ``_PATHS``; all
+    chart paths agree.  The datum is checked on its kept flags, then the cell
+    with one lookup; ``Family.validate`` and ``_magic_cell`` only raise."""
+    if not (type(n) is int and isinstance(p, Partition) and p._size == n and not p._odd_mult[0]):
+        Family("so", n).validate(p)
     a, b = cell
-    _magic_cell(a, b)   # refuses a cell outside the square
-    datum = p
-    for src, dst in _PATHS[a, b]:
-        datum = _step(datum, src, dst)
-    return datum
+    path = _PATHS.get((a, b)) if type(a) is int and type(b) is int else None
+    if path is None:
+        _magic_cell(a, b)
+    for step in path:
+        p = step(p)
+    return p
 
 
 def magic_dim_formula(p: Partition, a: int, b: int) -> int:
     """The bilinear dimension of the cell-(a,b) orbit grown from an so_n datum."""
-    n = p._size
-    _magic_cell(a, b)   # refuses a cell outside the square
-    magic_family(1, 1, n).validate(p)
-    tsq, odd = p._tsq, p._odd
+    if not (type(a) is int and type(b) is int and (a, b) in _MAGIC_CELLS):
+        _magic_cell(a, b)
+    if not (isinstance(p, Partition) and not p._odd_mult[0]):   # no size: any n
+        Family("so", getattr(p, "_size", 0)).validate(p)
+    n, tsq, odd = p._size, p._tsq, p._odd
     # n² - tsq - n + odd is even, since tsq ≡ |λ| = n ≡ odd (mod 2)
     return a * b * (n * n - tsq - n + odd) // 2 + (a + b - 2) * (n - odd)
 
@@ -412,39 +424,27 @@ def extend_by_zeros_dims(p: Partition, family: Family, t_values: Sequence[int]) 
     if family.kind not in ("sl", "so", "sp"):
         raise InvalidPartitionError("extension defined for sl, so, sp only")
     step = 2 if family.kind == "sp" else 1
-    return [orbit_dim_classical(p.extend(step * t), Family(family.kind, family.n + step * t))
-            for t in t_values]
+    return [orbit_dim_classical(Partition(p.parts + (1,) * (step * t)),
+                                Family(family.kind, family.n + step * t)) for t in t_values]
 
 
 def printed_extension_slope(p: Partition, family: Family) -> Fraction:
     """The printed per-step slope of the three extension cases, verbatim."""
-    f = {"sl": family.n, "so": family.n, "sp": family.n // 2}[family.kind]
-    nparts = len(p.parts)
-    if family.kind == "sl":
-        return Fraction(2 * (f - nparts))
-    if family.kind == "so":
-        return Fraction(f - nparts) - Fraction(3, 4)
-    return 2 * (Fraction(f - nparts) + Fraction(3, 4))
+    k = Fraction((family.n // 2 if family.kind == "sp" else family.n) - len(p.parts))
+    return {"sl": 2 * k, "so": k - Fraction(3, 4), "sp": 2 * (k + Fraction(3, 4))}[family.kind]
 
 
 # -- enumeration ---------------------------------------------------------------
 
 
 def all_partitions(n: int) -> Iterator[Partition]:
-    def gen(remaining: int, maxpart: int):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, maxpart), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-    for parts in gen(n, n):
-        yield Partition(parts)
+    """Every partition of n: those sl_n accepts."""
+    return valid_partitions(Family("sl", n))
 
 
 def valid_partitions(family: Family) -> Iterator[Partition]:
-    """The partitions that ``family.validate`` accepts, in the order of
-    ``all_partitions``: largest part d first, then its multiplicity m, both
+    """The partitions that ``family.validate`` accepts, in reverse
+    lexicographic order: largest part d first, then its multiplicity m, both
     decreasing.  For so and sp the blocks d^m that the parity rule forbids
     (even d for so, odd d for sp, with m odd; Collingwood–McGovern §5.1)
     are skipped, so no inadmissible partition is built.  The invariants of a
@@ -454,7 +454,7 @@ def valid_partitions(family: Family) -> Iterator[Partition]:
     if family.kind == "2sl":
         return
     n = family.n
-    forbidden = {"sl": None, "so": 0, "sp": 1}[family.kind]
+    forbidden = family._rule
 
     def gen(remaining: int, largest: int, parts: tuple, tsq: int, odd: int, odd_mult):
         if remaining == 0:

@@ -12,6 +12,7 @@ report is written directly in the indented, key-sorted layout of ``json.dumps``.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -535,6 +536,11 @@ def _extension_checks() -> list[CheckResult]:
     return out
 
 
+# a partition's parts and the invariants it keeps, so that a partition built
+# by one route is compared with one built by another field by field
+_invariants = operator.attrgetter("parts", "_size", "_tsq", "_odd", "_odd_mult")
+
+
 def _magic_square_checks() -> list[CheckResult]:
     out = []
     cells = [(a, b) for a in (1, 2, 4) for b in (1, 2, 4)]
@@ -551,10 +557,14 @@ def _magic_square_checks() -> list[CheckResult]:
                 if got != want[cell]:
                     failures.append((n, p.parts, cell, got, want[cell]))
             # path independence: sp_2n reached through (2,1) and through
-            # (1,2); sl_2n reached through sp_2n and through 2sl_n
-            if data[4, 1] != data[1, 4] or \
-                    pt.propagate(data[4, 1], (4, 1), (4, 2), n) != \
-                    pt.propagate(data[2, 2], (2, 2), (2, 4), n):
+            # (1,2), and sl_2n through sp_2n, each against p's parts twice as
+            # the sorting constructor builds and counts them; sl_2n through
+            # 2sl_n against the pair's parts joined the same way
+            left, right = data[2, 2]
+            routes = [(data[4, 1], p.parts * 2), (data[1, 4], p.parts * 2),
+                      (pt.propagate(data[4, 1], (4, 1), (4, 2), n), p.parts * 2),
+                      (pt.propagate(data[2, 2], (2, 2), (2, 4), n), left.parts + right.parts)]
+            if any(_invariants(q) != _invariants(pt.Partition(parts)) for q, parts in routes):
                 mism.append((n, p.parts))
             # row restriction is affine in a for fixed b
             for b in (1, 2, 4):

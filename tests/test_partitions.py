@@ -1,5 +1,6 @@
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +138,17 @@ class TestValidity:
                     with pytest.raises(InvalidPartitionError) as got:
                         fam.validate(p)
                     assert str(got.value) == want
+
+    @pytest.mark.parametrize("fam, datum", [
+        (Family("so", 4), (partition(2, 2),)),
+        (Family("sl", 3), (3,)),
+        (Family("sp", 2), "x"),
+        (Family("2sl", 3), (partition(3), "x")),
+        (Family("2sl", 3), ((3,), partition(3))),
+    ])
+    def test_a_datum_that_is_no_partition_is_refused(self, fam, datum):
+        with pytest.raises(InvalidPartitionError, match="is not a partition$"):
+            fam.validate(datum)
 
     def test_2sl_messages(self):
         fam = Family("2sl", 3)
@@ -337,14 +349,142 @@ class TestMagicSquare:
         # magic_family and propagate refuse the same cells
         with pytest.raises(NotAdjacentCellsError):
             magic_dim_formula(partition(3, 1, 1), a, b)
+        # the cell is checked before the datum
+        with pytest.raises(NotAdjacentCellsError):
+            magic_dim_formula(partition(2, 1), a, b)
         with pytest.raises(NotAdjacentCellsError):
             magic_family(a, b, 5)
+
+    @pytest.mark.parametrize("x", [1.0, True, Fraction(1)])
+    def test_a_coordinate_that_is_no_int_is_refused(self, x):
+        # x hashes as 1 does, so neither the cell table nor the cached int
+        # cell may answer for it
+        p = partition(3, 1, 1)
+        assert magic_family(1, 2, 5) == Family("sl", 5)
+        for call in (lambda: magic_dim_formula(p, x, 2), lambda: magic_dim_formula(p, 2, x),
+                     lambda: propagate_from_so(p, (x, 2), 5),
+                     lambda: propagate_from_so(p, [2, x], 5),
+                     lambda: magic_family(x, 2, 5), lambda: propagate(p, (x, 1), (2, 1), 5)):
+            with pytest.raises(NotAdjacentCellsError, match="must lie in"):
+                call()
 
     def test_example1_disagrees(self):
         # printed closed form for the regular orbit does not match the
         # bilinear route even at a = b = 1
         p = regular_so_partition(7)
         assert example1_formula(7, 1, 1) != magic_dim_formula(p, 1, 1)
+
+
+def _outcome(call, *args):
+    """("value", what call(*args) returns), or the type and message of the
+    ValueError it raises."""
+    try:
+        return "value", call(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def _refusal(kind, size, p):
+    """None if Family(kind, size) accepts the partition p, else the type and
+    message of the refusal: the constructor's, or _first_message's."""
+    try:
+        fam = Family(kind, size)
+    except ValueError as e:
+        return type(e), str(e)
+    message = _first_message(p, fam)
+    return message and (InvalidPartitionError, message)
+
+
+def _carried(p, a, b):
+    """The cell-(a, b) datum of an so_n partition, written from its parts:
+    the pair (p, p) in 2sl_n, else each part once, twice or four times."""
+    if (a, b) == (2, 2):
+        return p, p
+    return Partition(p.parts * {1: 1, 2: 1, 4: 2, 8: 2, 16: 4}[a * b])
+
+
+def _partitions(datum):
+    """The partitions of an orbit datum: one, or a 2sl pair."""
+    return datum if isinstance(datum, tuple) else (datum,)
+
+
+def _dim(datum, fam):
+    """The closed-form orbit dimension (Collingwood–McGovern §6.1), with
+    Σλ'² and the odd parts counted from the parts."""
+    m = fam.n
+    if fam.kind == "2sl":
+        return sum(_dim(q, Family("sl", m)) for q in datum)
+    tsq = sum(c * c for c in _columns(datum.parts))
+    odd = sum(x % 2 for x in datum.parts)
+    return {"sl": m * m - tsq, "so": (m * m - tsq - m + odd) // 2,
+            "sp": (m * m + m - tsq - odd) // 2}[fam.kind]
+
+
+CELLS = [(a, b) for a in (1, 2, 4) for b in (1, 2, 4)]
+
+
+class TestFastPaths:
+    """propagate_from_so, magic_dim_formula and orbit_dim_classical accept a
+    datum on its kept flags. On every partition of n <= 10 and every size
+    n - 1 .. n + 1, each returns the value written from the parts or raises
+    what Family and validate raise, as _refusal counts it (validate's
+    messages equal _first_message's: TestValidity)."""
+
+    def test_propagate_from_so(self):
+        for n in range(11):
+            for p in all_partitions(n):
+                for size in (n - 1, n, n + 1):
+                    refused = _refusal("so", size, p)
+                    for a, b in CELLS:
+                        got = _outcome(propagate_from_so, p, (a, b), size)
+                        if refused:
+                            assert got == refused, (p, size, a, b)
+                            continue
+                        want = _carried(p, a, b)
+                        assert got == ("value", want), (p, size, a, b)
+                        assert list(map(_invariants, _partitions(got[1]))) == \
+                            list(map(_invariants, _partitions(want)))
+
+    def test_magic_dim_formula(self):
+        for n in range(11):
+            for p in all_partitions(n):
+                refused = _refusal("so", n, p)
+                for a, b in CELLS:
+                    want = refused or ("value", _dim(_carried(p, a, b), magic_family(a, b, n)))
+                    assert _outcome(magic_dim_formula, p, a, b) == want, (p, a, b)
+
+    @pytest.mark.parametrize("kind", ["sl", "so", "sp"])
+    def test_orbit_dim_classical(self, kind):
+        for n in range(11):
+            for p in all_partitions(n):
+                for size in (n - 1, n, n + 1):
+                    if size < 0 or kind == "sp" and size % 2:
+                        continue
+                    fam = Family(kind, size)
+                    want = _refusal(kind, size, p) or ("value", _dim(p, fam))
+                    assert _outcome(orbit_dim_classical, p, fam) == want, (p, fam)
+
+    def test_orbit_dim_classical_2sl(self):
+        for n in range(7):
+            for p in all_partitions(n):
+                for size in (n - 1, n, n + 1):
+                    if size < 0:
+                        continue
+                    fam = Family("2sl", size)
+                    assert _outcome(orbit_dim_classical, p, fam) == \
+                        (InvalidPartitionError, "2sl expects an ordered pair of partitions")
+                    for q in all_partitions(n):
+                        want = (_refusal("sl", size, p) or _refusal("sl", size, q)
+                                or ("value", _dim((p, q), fam)))
+                        assert _outcome(orbit_dim_classical, (p, q), fam) == want, (p, q, fam)
+
+    def test_a_datum_that_is_no_partition_is_refused(self):
+        for datum in ((partition(2, 2),), (2, 2), "x"):
+            for call in (lambda: propagate_from_so(datum, (1, 1), 4),
+                         lambda: magic_dim_formula(datum, 1, 1),
+                         lambda: orbit_dim_classical(datum, Family("so", 4))):
+                with pytest.raises(InvalidPartitionError, match="is not a partition$"):
+                    call()
 
 
 def _walk(p, a, b, n, a_first):
@@ -383,21 +523,34 @@ class TestExtension:
             [orbit_dim_classical(p, Family("sl", 4))]
 
 
+def _reference_partitions(n, largest=None):
+    """The parts of every partition of n with no part above largest, first
+    part first and largest first: reverse lexicographic order."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, n if largest is None else largest), 0, -1):
+        for rest in _reference_partitions(n - first, first):
+            yield (first,) + rest
+
+
 def test_all_partitions_count():
     assert sum(1 for _ in all_partitions(8)) == 22
     assert [p.parts for p in all_partitions(3)] == [(3,), (2, 1), (1, 1, 1)]
+    for n in range(16):
+        assert [p.parts for p in all_partitions(n)] == list(_reference_partitions(n))
 
 
 @pytest.mark.parametrize("kind", ["sl", "so", "sp", "2sl"])
 def test_valid_partitions_are_the_filtered_partitions(kind):
-    """The generated partitions are those all_partitions lists and validate
-    accepts, in the same order."""
+    """The generated partitions are those the sorting constructor builds from
+    every partition of n and validate accepts, in the same order."""
     for n in range(21):
         if kind == "sp" and n % 2:
             continue
         fam = Family(kind, n)
         want = []
-        for p in all_partitions(n):
+        for p in map(Partition, _reference_partitions(n)):
             try:
                 fam.validate(p)
             except InvalidPartitionError:

@@ -103,6 +103,12 @@ def test_repr_is_the_dataclass_text():
     (lambda: Partition(("3",)), ValueError, "parts must be integers"),
     (lambda: Family("xx", 3), ValueError, "unknown family kind 'xx'"),
     (lambda: Family("sp", 3), ValueError, "sp requires even matrix size"),
+    (lambda: Family("sl", 2.5), ValueError,
+     "matrix size n must be a non-negative integer, not 2.5"),
+    (lambda: Family("so", -3), ValueError,
+     "matrix size n must be a non-negative integer, not -3"),
+    (lambda: Family("sp", "4"), ValueError,
+     "matrix size n must be a non-negative integer, not '4'"),
     (lambda: AlgebraType("E", 5), UnsupportedRankError, "E5 does not exist"),
     (lambda: AlgebraType("", 3), UnsupportedRankError, "unknown family ''"),
     (lambda: AlgebraType("AB", 3), UnsupportedRankError, "unknown family 'AB'"),
@@ -117,7 +123,8 @@ def test_repr_is_the_dataclass_text():
     (lambda: LinExp(0.5), TypeError, "exact arithmetic takes an int or a Fraction, not float"),
     (lambda: ProductExpr(0.5), TypeError,
      "exact arithmetic takes an int or a Fraction, not float"),
-], ids=["partition-zero", "partition-str", "family-kind", "family-sp", "algebra-E5",
+], ids=["partition-zero", "partition-str", "family-kind", "family-sp", "family-float",
+        "family-negative", "family-str", "algebra-E5",
         "algebra-empty", "algebra-two-letters",
         "diagram-count", "diagram-negative", "pair-beta", "product-mult",
         "linexp-float", "product-float"])
