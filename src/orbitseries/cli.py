@@ -4,6 +4,7 @@ evaluate point counts, run the verification suites and export the tables."""
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from fractions import Fraction
 
@@ -232,5 +233,18 @@ def main(argv=None) -> int:
         return USAGE_ERROR
 
 
+def run() -> int:
+    """Process entry of `orbitseries` and `python -m orbitseries.cli`: the exit
+    code of main(), with the heap frozen before the interpreter shuts down.
+
+    Frozen objects sit in gc's permanent generation, which the collections
+    at interpreter exit do not walk; reference counting, module teardown,
+    atexit handlers and the flush of stdout/stderr still run.  main() itself
+    leaves the collector alone, since in-process callers keep running."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

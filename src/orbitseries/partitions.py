@@ -415,22 +415,29 @@ def regular_so_partition(n: int) -> Partition:
 # -- extension of partitions by trailing ones ---------------------------------
 
 
+def _extension_step(family: Family) -> int:
+    """Rank added per unit of t by the zero-padding extension of ``family``."""
+    if family.kind not in ("sl", "so", "sp"):
+        raise InvalidPartitionError("extension defined for sl, so, sp only")
+    return 2 if family.kind == "sp" else 1
+
+
 def extend_by_zeros_dims(p: Partition, family: Family, t_values: Sequence[int]) -> list[int]:
     """Orbit dimensions after growing the algebra and padding with 1-parts.
 
     One unit of t adds one row/column for sl and so, and one hyperbolic plane
     (two 1-parts) for sp, keeping the partition admissible.
     """
-    if family.kind not in ("sl", "so", "sp"):
-        raise InvalidPartitionError("extension defined for sl, so, sp only")
-    step = 2 if family.kind == "sp" else 1
+    step = _extension_step(family)
     return [orbit_dim_classical(Partition(p.parts + (1,) * (step * t)),
                                 Family(family.kind, family.n + step * t)) for t in t_values]
 
 
 def printed_extension_slope(p: Partition, family: Family) -> Fraction:
     """The printed per-step slope of the three extension cases, verbatim."""
-    k = Fraction((family.n // 2 if family.kind == "sp" else family.n) - len(p.parts))
+    step = _extension_step(family)
+    family.validate(p)
+    k = Fraction(family.n // step - len(p.parts))
     return {"sl": 2 * k, "so": k - Fraction(3, 4), "sp": 2 * (k + Fraction(3, 4))}[family.kind]
 
 

@@ -1,12 +1,18 @@
+import ast
+import gc
 import hashlib
 import json
+import os
+import re
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from orbitseries import serialize
+import orbitseries
+from orbitseries import cli, serialize
 from orbitseries.verify import VerifyConfig
 from orbitseries.cli import main
 from orbitseries.seriesdb import MASTER_POINTCOUNT, all_series, lookup, series_by_row
@@ -279,3 +285,78 @@ class TestUsage:
         code, _, err = run(capsys, *argv, str(tmp_path / "missing" / "r.out"))
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
+
+
+# -- the process entry: `python -m orbitseries.cli` and the installed script ---
+
+SRC = str(Path(orbitseries.__file__).parent.parent)
+CLI_SOURCE = Path(cli.__file__)
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def run_process(*args, timeout=300):
+    """One fresh interpreter with the package's source tree on PYTHONPATH."""
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=timeout)
+
+
+class TestProcessEntry:
+    def test_verify_report(self, tmp_path):
+        from test_verify import REPORT_SHA256
+        path = tmp_path / "report.json"
+        out = run_process("-m", "orbitseries.cli", "verify", "--json", str(path))
+        assert out.returncode == 0, out.stderr
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_SHA256
+        assert out.stdout.splitlines()[-1] == "-- 937 passed, 0 failed, 95 recorded"
+
+    def test_export_json(self, tmp_path):
+        path = tmp_path / "registry.json"
+        out = run_process("-m", "orbitseries.cli", "export", "--format", "json",
+                          "--out", str(path))
+        assert out.returncode == 0, out.stderr
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "278d77af96a506e615afa901e6eb0aba11d4f33382de28f138c87e0c0777818e"
+
+    def test_unknown_series_is_one_error_line(self):
+        out = run_process("-m", "orbitseries.cli", "show", "f4", "nosuch")
+        assert out.returncode == 2 and out.stdout == ""
+        assert "Traceback" not in out.stderr
+        assert [l.startswith("error:") for l in out.stderr.splitlines()] == [True]
+
+    def test_run_as_main_freezes_the_heap(self):
+        # as bench/child.py runs the module
+        script = (
+            "import contextlib, gc, io, json, runpy, sys\n"
+            "sys.argv = ['orbitseries', 'list']\n"
+            "before = gc.get_freeze_count()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            "        runpy.run_module('orbitseries.cli', run_name='__main__', alter_sys=True)\n"
+            "    except SystemExit as e:\n"
+            "        code = e.code\n"
+            "print(json.dumps([code, before, gc.get_freeze_count()]))\n")
+        out = run_process("-c", script, timeout=120)
+        assert out.returncode == 0, out.stderr
+        code, before, after = json.loads(out.stdout)
+        assert code == 0 and before == 0 and after > 0
+
+    def test_main_leaves_the_collector_alone(self, capsys):
+        before = gc.get_freeze_count(), gc.isenabled()
+        code, out, _ = run(capsys, "list")
+        assert code == 0 and out
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    def test_console_script_is_the_main_block_entry(self):
+        # [project.scripts] orbitseries names what `python -m orbitseries.cli` calls
+        text = PYPROJECT.read_text(encoding="utf-8")
+        scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+        named = re.findall(r'^orbitseries\s*=\s*"orbitseries\.cli:(\w+)"\s*$',
+                           scripts.group(1), re.M)
+        block, = [node for node in ast.parse(CLI_SOURCE.read_text(encoding="utf-8")).body
+                  if isinstance(node, ast.If) and ast.unparse(node.test) ==
+                  "__name__ == '__main__'"]
+        called = [node.func.id for node in ast.walk(block)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id != "SystemExit"]
+        assert named == called == ["run"]
+        assert callable(getattr(cli, named[0]))

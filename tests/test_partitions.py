@@ -522,6 +522,16 @@ class TestExtension:
         assert extend_by_zeros_dims(p, Family("sl", 4), [0]) == \
             [orbit_dim_classical(p, Family("sl", 4))]
 
+    @pytest.mark.parametrize("p,family,message", [
+        (partition(2, 1), Family("2sl", 3), "^extension defined for sl, so, sp only$"),
+        (partition(5, 1), Family("sl", 3), "^partition of 6 is not a partition of 3$"),
+    ], ids=["2sl", "wrong-size"])
+    def test_printed_slope_refuses_what_the_extension_refuses(self, p, family, message):
+        with pytest.raises(InvalidPartitionError, match=message):
+            extend_by_zeros_dims(p, family, [0, 1])
+        with pytest.raises(InvalidPartitionError, match=message):
+            printed_extension_slope(p, family)
+
 
 def _reference_partitions(n, largest=None):
     """The parts of every partition of n with no part above largest, first
