@@ -10,13 +10,14 @@ import importlib
 __version__ = "0.1.0"
 
 _HOME = {
+    # the record types that partitions and rootsystems import back
+    "_records": ("AlgebraType", "Family", "Partition", "PartitionPair", "algebra"),
     "exactpoly": ("Cyclo", "LinExp", "NotDivisibleError", "ProductExpr", "QLaurent",
                   "QPhi", "ZeroExponentError", "exact_div", "reduce_pair"),
-    "partitions": ("Family", "Partition", "PartitionPair", "centralizer_oracle",
-                   "magic_dim_formula", "orbit_dim_classical", "propagate"),
-    "rootsystems": ("AlgebraType", "RootSystem", "WeightedDiagram", "algebra",
-                    "build_root_system", "grading_dims", "minimal_orbit_diagram",
-                    "orbit_dim_from_diagram", "root_system",
+    "partitions": ("centralizer_oracle", "magic_dim_formula", "orbit_dim_classical",
+                   "propagate"),
+    "rootsystems": ("RootSystem", "WeightedDiagram", "build_root_system", "grading_dims",
+                    "minimal_orbit_diagram", "orbit_dim_from_diagram", "root_system",
                     "series_weight_to_diagram"),
     "seriesdb": ("SeriesRecord", "all_series", "group_order", "lookup",
                  "reductive", "rows"),

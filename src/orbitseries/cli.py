@@ -8,12 +8,12 @@ import gc
 import sys
 from fractions import Fraction
 
-from . import rootsystems as rsys
 from . import seriesdb as db
 from .exactpoly import QLaurent
 
-# verify, serialize, json, csv and io are imported by the commands that use
-# them: a one-shot lookup should not pay for compiling the verifier.
+# rootsystems, verify, serialize, json, csv and io are imported by the
+# commands that use them: a one-shot lookup should not pay for compiling the
+# root systems or the verifier.
 
 USAGE_ERROR = 2
 
@@ -54,18 +54,14 @@ def cmd_show(args) -> int:
     return 0
 
 
-def _diagram(args) -> rsys.WeightedDiagram:
-    return db.lookup(args.row, args.label).diagram(args.algebra)
-
-
 def cmd_diagram(args) -> int:
-    wd = _diagram(args)
-    print(wd.pretty())
+    print(db.lookup(args.row, args.label).diagram(args.algebra).pretty())
     return 0
 
 
 def cmd_grading(args) -> int:
-    wd = _diagram(args)
+    from . import rootsystems as rsys
+    wd = db.lookup(args.row, args.label).diagram(args.algebra)
     dims = rsys.grading_dims(wd)
     if args.json:
         import json
@@ -227,8 +223,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (db.UnknownSeriesError, rsys.UnsupportedRankError, ValueError,
-            ArithmeticError, OSError) as e:
+    except (db.UnknownSeriesError, ValueError, ArithmeticError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
 

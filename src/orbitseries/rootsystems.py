@@ -13,110 +13,15 @@ these roots.
 from __future__ import annotations
 
 import operator
-import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from ._records import Record
-
-_EXCEPTIONAL_RANKS = {"G": 2, "F": 4}
-_E_RANKS = (6, 7, 8)
-
-# Degrees of the basic invariants; |G(F_q)| = q^N * prod (q^{d_i} - 1).
-_INVARIANT_DEGREES = {
-    "G2": (2, 6),
-    "F4": (2, 6, 8, 12),
-    "E6": (2, 5, 6, 8, 9, 12),
-    "E7": (2, 6, 8, 10, 12, 14, 18),
-    "E8": (2, 8, 12, 14, 18, 20, 24, 30),
-}
-
-
-class UnsupportedRankError(ValueError):
-    pass
+from ._records import AlgebraType, Record, UnsupportedRankError, algebra
 
 
 class AdjointNotFundamentalError(ValueError):
     """The adjoint representation of this algebra is not fundamental."""
-
-
-class AlgebraType(Record):
-    """A simple Lie algebra type: family in A..G plus rank."""
-
-    __slots__ = _fields = ("family", "rank")
-
-    def __init__(self, family: str, rank: int):
-        fam, n = family, rank
-        if fam not in ("A", "B", "C", "D", "E", "F", "G"):
-            raise UnsupportedRankError(f"unknown family {fam!r}")
-        if fam == "E" and n not in _E_RANKS:
-            raise UnsupportedRankError(f"E{n} does not exist")
-        if fam in _EXCEPTIONAL_RANKS and n != _EXCEPTIONAL_RANKS[fam]:
-            raise UnsupportedRankError(f"{fam}{n} does not exist")
-        if fam in "ABCD" and not 1 <= n <= 12:
-            raise UnsupportedRankError(f"{fam}{n} outside supported range")
-        if fam == "B" and n < 2 or fam == "C" and n < 2 or fam == "D" and n < 3:
-            raise UnsupportedRankError(f"{fam}{n} is not treated as a distinct type")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "rank", rank)
-
-    @property
-    def name(self) -> str:
-        return f"{self.family}{self.rank}"
-
-    @property
-    def num_positive_roots(self) -> int:
-        n = self.rank
-        fam = self.family
-        if fam == "A":
-            return n * (n + 1) // 2
-        if fam in "BC":
-            return n * n
-        if fam == "D":
-            return n * (n - 1)
-        if fam == "E":
-            return {6: 36, 7: 63, 8: 120}[n]
-        return 24 if fam == "F" else 6
-
-    @property
-    def dimension(self) -> int:
-        return self.rank + 2 * self.num_positive_roots
-
-    @property
-    def invariant_degrees(self) -> tuple[int, ...]:
-        fam, n = self.family, self.rank
-        if fam == "A":
-            return tuple(range(2, n + 2))
-        if fam in "BC":
-            return tuple(range(2, 2 * n + 1, 2))
-        if fam == "D":
-            return tuple(range(2, 2 * n - 1, 2)) + (n,)
-        return _INVARIANT_DEGREES[self.name]
-
-    def __str__(self) -> str:
-        return self.name
-
-
-_ALGEBRA_NAME = re.compile(r"(spin|sl|so|sp|[a-g])([0-9]+)")
-
-
-def algebra(name: str) -> AlgebraType:
-    """Parse names like 'e8', 'F4', 'sl6', 'so12', 'sp6', 'spin7', 'g2'."""
-    m = _ALGEBRA_NAME.fullmatch(name.strip().lower())
-    if m is None:
-        raise UnsupportedRankError(f"unknown algebra {name!r}")
-    prefix, n = m[1], int(m[2])
-    if prefix == "sl":
-        return AlgebraType("A", n - 1)
-    if prefix == "sp":
-        if n % 2:
-            raise UnsupportedRankError("sp only defined in even matrix size")
-        return AlgebraType("C", n // 2)
-    if prefix in ("so", "spin"):
-        # so_n and spin_n share one root system
-        return AlgebraType("B", (n - 1) // 2) if n % 2 else AlgebraType("D", n // 2)
-    return AlgebraType(prefix.upper(), n)
 
 
 def _cartan_matrix(alg: AlgebraType) -> tuple[tuple[int, ...], ...]:

@@ -25,8 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple
 
+from ._records import Family, Partition, PartitionPair
 from .exactpoly import Cyclo, LinExp, ProductExpr, QLaurent, QPhi, pexpr
-from .partitions import Family, Partition, PartitionPair
 from . import seriesdb as db
 
 

@@ -23,9 +23,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
+from ._records import AlgebraType, Family, Partition, PartitionPair, algebra, pair_to_partition
 from .exactpoly import L, LinExp, ProductExpr, pexpr
-from .partitions import Family, Partition, PartitionPair, pair_to_partition
-from .rootsystems import AlgebraType, WeightedDiagram, algebra, series_weight_to_diagram
 
 __all__ = [
     "ReductiveSpec", "Member", "CharacterFormula", "NamedDegree", "SeriesRecord",
@@ -75,6 +74,8 @@ def reductive(spec: str) -> ReductiveSpec:
                 raise ValueError(f"cannot parse factor {token!r}")
             rep, kind, size = m.groups()
             rep = int(rep) if rep else 1
+            if not rep or kind == "T" and size and not int(size):   # '0sl2', 'T0'
+                raise ValueError(f"cannot parse factor {token!r}")
             if kind == "T":
                 torus += rep * int(size or 1)
                 continue
@@ -200,11 +201,12 @@ class SeriesRecord(NamedTuple):
             return MASTER_POINTCOUNT / self.pointcount_Y
         return self.pointcount
 
-    def diagram(self, alg: str) -> WeightedDiagram:
+    def diagram(self, alg: str) -> rootsystems.WeightedDiagram:
         """Weighted Dynkin diagram of the member in ``alg``, from the weight exponents."""
         if self.exponents is None:
             raise UnknownSeriesError(f"series {self.label} has no weight-table diagram")
-        return series_weight_to_diagram(*self.exponents, alg)
+        from . import rootsystems   # only a diagram needs the root systems
+        return rootsystems.series_weight_to_diagram(*self.exponents, alg)
 
 
 def _pt(s: str) -> Partition:

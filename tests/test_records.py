@@ -1,6 +1,8 @@
 """The package's record classes behave as frozen dataclasses did: immutable,
 equal within a class and hashed as the tuple of their fields, with the same
-repr, constructor keywords and constructor errors, and copy and pickle."""
+repr, constructor keywords and constructor errors, and copy and pickle.  The
+registry's record types, defined in ``_records``, are still the objects that
+``partitions`` and ``rootsystems`` offer, and old pickles naming those load."""
 
 import copy
 import importlib
@@ -16,7 +18,7 @@ from orbitseries._records import Record
 from orbitseries.exactpoly import Cyclo, LinExp, ProductExpr, QPhi, pexpr
 from orbitseries.partitions import Family, InvalidPartitionError, Partition, PartitionPair
 from orbitseries.rootsystems import (AlgebraType, UnsupportedRankError, WeightedDiagram,
-                                     grading_dims)
+                                     algebra, grading_dims)
 from orbitseries.verify import CheckResult, VerificationReport, VerifyConfig
 
 _REC = db.lookup("f4", "g")
@@ -96,6 +98,9 @@ def test_repr_is_the_dataclass_text():
     assert repr(Partition((3, 1))) == "Partition(parts=(3, 1))"
     assert repr(Family("so", 8)) == "Family(kind='so', n=8)"
     assert str(Family("so", 8)) == repr(Family("so", 8))
+    assert repr(PartitionPair(Partition((2, 1)), Partition((1,)))) == (
+        "PartitionPair(alpha=Partition(parts=(2, 1)), beta=Partition(parts=(1,)))")
+    assert repr(AlgebraType("E", 8)) == "AlgebraType(family='E', rank=8)"
 
 
 @pytest.mark.parametrize("build, error, message", [
@@ -112,6 +117,7 @@ def test_repr_is_the_dataclass_text():
     (lambda: AlgebraType("E", 5), UnsupportedRankError, "E5 does not exist"),
     (lambda: AlgebraType("", 3), UnsupportedRankError, "unknown family ''"),
     (lambda: AlgebraType("AB", 3), UnsupportedRankError, "unknown family 'AB'"),
+    (lambda: algebra("e9"), UnsupportedRankError, "E9 does not exist"),
     (lambda: WeightedDiagram(AlgebraType("G", 2), (1,)), ValueError,
      "one label per simple root required"),
     (lambda: WeightedDiagram(AlgebraType("G", 2), (1, -1)), ValueError,
@@ -125,7 +131,7 @@ def test_repr_is_the_dataclass_text():
      "exact arithmetic takes an int or a Fraction, not float"),
 ], ids=["partition-zero", "partition-str", "family-kind", "family-sp", "family-float",
         "family-negative", "family-str", "algebra-E5",
-        "algebra-empty", "algebra-two-letters",
+        "algebra-empty", "algebra-two-letters", "algebra-e9",
         "diagram-count", "diagram-negative", "pair-beta", "product-mult",
         "linexp-float", "product-float"])
 def test_constructor_errors(build, error, message):
@@ -234,3 +240,37 @@ def test_a_record_that_validates_is_a_record_and_no_class_extends_a_named_tuple(
     for c in (LinExp, ProductExpr, AlgebraType, WeightedDiagram, Partition, Family,
               PartitionPair):
         assert issubclass(c, Record) and not issubclass(c, tuple)
+
+
+# -- the registry's record types, defined in _records -------------------------
+
+MOVED = {
+    "partitions": ("EMPTY", "Family", "InvalidPartitionError", "NotAdjacentCellsError",
+                   "Partition", "PartitionPair", "SizeMismatchError", "pair_to_partition",
+                   "partition"),
+    "rootsystems": ("AlgebraType", "UnsupportedRankError", "algebra"),
+}
+
+
+@pytest.mark.parametrize("module", sorted(MOVED))
+def test_a_moved_name_is_one_object_in_every_module(module):
+    records = importlib.import_module("orbitseries._records")
+    mod = importlib.import_module(f"orbitseries.{module}")
+    for name in MOVED[module]:
+        assert getattr(mod, name) is getattr(records, name)
+        if name in orbitseries.__all__:
+            assert getattr(orbitseries, name) is getattr(records, name)
+    assert {"AlgebraType", "Family", "Partition", "PartitionPair", "algebra"} <= set(
+        orbitseries.__all__)
+
+
+def test_a_pickle_that_names_the_partitions_module_still_loads():
+    # protocol 0, written out by hand: GLOBAL module\nname, MARK, TUPLE, REDUCE
+    p21 = b"corbitseries.partitions\nPartition\n((I2\nI1\nttR"
+    p1 = b"corbitseries.partitions\nPartition\n((I1\nttR"
+    assert pickle.loads(p21 + b".") == Partition((2, 1))
+    assert pickle.loads(b"corbitseries.partitions\nFamily\n(Vso\nI8\ntR.") == Family("so", 8)
+    pair = pickle.loads(b"corbitseries.partitions\nPartitionPair\n(" + p21 + p1 + b"tR.")
+    assert pair == PartitionPair(Partition((2, 1)), Partition((1,)))
+    assert type(pair.alpha) is Partition and pair.alpha._size == 3
+

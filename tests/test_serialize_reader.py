@@ -51,3 +51,11 @@ def test_a_multiplicity_below_one_or_not_an_integer_is_refused(key, mult):
     with pytest.raises(ValueError, match="is not a positive integer"):
         serialize.character_from_json(d)
 
+
+
+@pytest.mark.parametrize("spec", ["0sl2", "T0", "0T3"])
+def test_a_stabilizer_with_a_count_or_torus_rank_of_zero_is_refused(spec):
+    d = _member_json("f4", "g", 1)
+    d["h"] = spec
+    with pytest.raises(ValueError, match="cannot parse factor"):
+        serialize.member_from_json(d)

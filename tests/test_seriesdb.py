@@ -40,6 +40,11 @@ class TestReductiveSpecs:
         assert reductive("0").dim == 0
         assert reductive("so5+2sl2").dim == 16
 
+    @pytest.mark.parametrize("text", ["0sl2", "T0", "0T3", "sl2+0g2", "T2+T0"])
+    def test_a_count_or_torus_rank_of_zero_is_refused(self, text):
+        with pytest.raises(ValueError, match="cannot parse factor"):
+            reductive(text)
+
     def test_group_orders(self):
         sp6 = group_order(reductive("sp6"))
         num, den = sp6.expand(0)
