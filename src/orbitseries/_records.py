@@ -321,7 +321,7 @@ class AlgebraType(Record):
         return self.name
 
 
-_ALGEBRA_NAME = re.compile(r"(spin|sl|so|sp|[a-g])([0-9]+)")
+_ALGEBRA_NAME = re.compile(r"(spin|sl|so|sp|[a-g])(0|[1-9][0-9]*)")   # no leading zero
 
 
 def algebra(name: str) -> AlgebraType:

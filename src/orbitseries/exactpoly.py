@@ -14,12 +14,13 @@ polynomials Phi_d(t), as is the factor Phi_d(q) (``QPhi``), so an expression
 is c * t^k * prod Phi_d(t)^(m_d), the notation of Carter, *Finite Groups of
 Lie Type* (1985), section 13.9, and of CHEVIE's ``CycPol``
 (Geck-Hiss-Luebeck-Malle-Pfeiffer 1996).  Cancelling common factors is then
-subtraction of the multiplicities m_d, and only the reduced result is
-multiplied out, over the integers and without a general multiplication: by
-Moebius inversion prod Phi_d^(m_d) = prod (t^n - 1)^(E_n) with E_n = sum over
-n | d of mu(d/n) m_d, so ``_phi_product`` shifts and subtracts once per factor
-t^n - 1 with E_n > 0, then divides by each one with E_n < 0 in n strided
-prefix sums.  ``cyclotomic(d)`` is the same kernel at a single Phi_d.  General
+subtraction of the multiplicities m_d.  By Moebius inversion prod Phi_d^(m_d)
+= prod (t^n - 1)^(E_n) with E_n = sum over n | d of mu(d/n) m_d, which is
+unique, so whether a form is a polynomial in q, its values and its lowest
+power are read off the E_n (``PhiForm``), and a reduced result is multiplied
+out only when asked, over the integers and without a general multiplication:
+``_phi_product`` shifts and subtracts once per factor t^n - 1 with E_n > 0,
+then divides by each one with E_n < 0 in n strided prefix sums.  ``cyclotomic(d)`` is the same kernel at a single Phi_d.  General
 products (``QLaurent.__mul__``) are schoolbook products over the nonzero
 entries of each factor (``_mul``).  The division route (``expand``,
 ``poly_gcd``, ``exact_div``, ``reduce_pair``) stays as the independent oracle
@@ -253,9 +254,6 @@ class QLaurent:
 
     def degree_in_q(self) -> Fraction:
         return Fraction(self.t_degree(), 4)
-
-    def low_degree_in_q(self) -> Fraction:
-        return Fraction(self.t_low_degree(), 4)
 
     # -- ring operations ---------------------------------------------------
 
@@ -509,28 +507,36 @@ def _moebius_binomials(d: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _phi_product(powers: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
-    """Integer coefficients of prod Phi_d(t)^m over (d, m) with m > 0: monic,
-    hence primitive, with constant term +-1.
-
-    The product is +-prod (1 - t^n)^(E_n) with E_n = sum of mu(d/n) m over
-    n | d.  Multiplying by 1 - t^n is one shift-and-subtract; dividing by it
-    is a prefix sum along each residue class mod n, and the top n sums are
-    the remainder, which must vanish.  Both run on the factor's own
-    coefficients, so no bound on their size is needed.  With g the gcd of
-    the n with E_n nonzero, the product is a polynomial in s = t^g: the steps
-    run on the exponents n/g and the result is spread with stride g."""
+def _binomial_exponents(powers: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+    """The (n, E_n), E_n nonzero, with prod Phi_d(t)^m over powers equal to
+    prod (t^n - 1)^(E_n): E_n sums mu(d/n) m over n | d, and is unique."""
     exps: dict[int, int] = {}
     for d, m in powers:
         for n, mu in _moebius_binomials(d):
             exps[n] = exps.get(n, 0) + mu * m
-    g = math.gcd(*(n for n, e in exps.items() if e)) or 1
+    return tuple((n, e) for n, e in exps.items() if e)
+
+
+@lru_cache(maxsize=None)
+def _phi_product(powers: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """Integer coefficients of prod Phi_d(t)^m over (d, m) with m > 0: monic,
+    hence primitive, with constant term +-1.
+
+    The product is +-prod (1 - t^n)^(E_n) (``_binomial_exponents``).
+    Multiplying by 1 - t^n is one shift-and-subtract; dividing by it is a
+    prefix sum along each residue class mod n, and the top n sums are the
+    remainder, which must vanish.  Both run on the factor's own coefficients,
+    so no bound on their size is needed.  With g the gcd of the n with E_n
+    nonzero, the product is a polynomial in s = t^g: the steps run on the
+    exponents n/g and the result is spread with stride g."""
+    exps = _binomial_exponents(powers)
+    g = math.gcd(*(n for n, _ in exps)) or 1
     poly = [1]
-    for n, e in exps.items():
+    for n, e in exps:
         for _ in range(e):
             k = n // g
             poly = list(map(operator.sub, poly + [0] * k, [0] * k + poly))
-    for n, e in exps.items():
+    for n, e in exps:
         for _ in range(-e):
             # p = quo * (1 - s^k) gives quo_i = p_i + quo_(i-k)
             k = n // g
@@ -549,12 +555,53 @@ class PhiForm(NamedTuple):
     """constant * t^shift * prod of Phi_d(t)^m over the pairs (d, m) in phis.
 
     ``phis`` is sorted by d and holds no zero multiplicity, so two forms are
-    equal exactly when the rational functions they stand for are.
+    equal exactly when the rational functions they stand for are.  Only
+    ``pair`` and ``polynomial`` multiply out; the other methods read the form
+    as constant * t^shift * prod (t^n - 1)^(E_n) (``_binomial_exponents``).
     """
 
     constant: Fraction
     shift: int = 0
     phis: tuple[tuple[int, int], ...] = ()
+
+    def __mul__(self, other: "PhiForm") -> "PhiForm":
+        constant, mults = self.constant * other.constant, dict(self.phis)
+        for d, m in other.phis:
+            mults[d] = mults.get(d, 0) + m
+        if not constant:
+            return PhiForm(constant)
+        return PhiForm(constant, self.shift + other.shift,
+                       tuple(sorted((d, m) for d, m in mults.items() if m)))
+
+    def __truediv__(self, other: "PhiForm") -> "PhiForm":
+        inverse = tuple((d, -m) for d, m in other.phis)
+        return self * PhiForm(Fraction(1) / other.constant, -other.shift, inverse)
+
+    def is_q_polynomial(self) -> bool:
+        """True iff no Phi_d divides the denominator and t^shift and each t^n - 1
+        with E_n nonzero are in q (exact, as the expansion is unique)."""
+        return (self.shift >= 0 and not self.shift % 4 and all(m > 0 for _, m in self.phis)
+                and not any(n % 4 for n, _ in _binomial_exponents(self.phis)))
+
+    def value_at(self, q: int) -> Fraction:
+        """The exact value at an integer q, constant * q^(shift/4) * prod
+        (q^(n/4) - 1)^(E_n), where every power of q must be integral.  At
+        q = 1 it is 0 when Phi_1 divides the numerator and else the limit,
+        constant * prod n^(E_n), fractional powers or not."""
+        exps = _binomial_exponents(self.phis)
+        if q == 1:   # each t^n - 1 is t - 1 times a sum of n powers of t
+            factors = exps + ((0, sum(e for _, e in exps)),)
+        elif self.shift % 4 or any(n % 4 for n, _ in exps):
+            raise FractionalPowerError(f"fractional q-powers present at q={q}")
+        else:
+            factors = ((q, self.shift // 4),) + tuple((q ** (n // 4) - 1, e) for n, e in exps)
+        num, den = self.constant.as_integer_ratio()
+        return Fraction(num * math.prod(v ** e for v, e in factors if e > 0),
+                        den * math.prod(v ** -e for v, e in factors if e < 0))
+
+    def low_degree_in_q(self) -> Fraction:
+        """The lowest power of q in the numerator: each Phi_d has constant term +-1."""
+        return Fraction(self.shift, 4)
 
     def pair(self) -> tuple[QLaurent, QLaurent]:
         """Coprime (numerator, denominator) with a monic denominator of nonzero
@@ -565,6 +612,15 @@ class PhiForm(NamedTuple):
         den = _phi_product(tuple((d, -m) for d, m in self.phis if m < 0))
         return (QLaurent._of(_frac(self.constant), self.shift, num),
                 QLaurent._of(Fraction(1), 0, den))
+
+    def polynomial(self) -> QLaurent:
+        """The multiplied-out value.  Raises NotDivisibleError when the reduced
+        denominator is not 1, carrying the remainder of the numerator's integer
+        part by that monic denominator, nonzero because the pair is coprime."""
+        num, den = self.pair()
+        if den != QLaurent.one():
+            raise NotDivisibleError(_canonical(num.content, 0, _divmod(num.c, den.c)[1]))
+        return num
 
 
 # -- product expressions -----------------------------------------------------
@@ -710,9 +766,8 @@ class ProductExpr(Record):
                     constant = -constant
             for d in _binomial_phis(abs(big_e), factor.sign == -1):
                 mults[d] = mults.get(d, 0) + mult
-        if constant == 0:
-            return PhiForm(constant)
-        return PhiForm(constant, shift, tuple(sorted((d, m) for d, m in mults.items() if m)))
+        # the product sorts the multiplicities by d and drops the zero ones
+        return PhiForm(constant, shift) * PhiForm(Fraction(1), 0, tuple(mults.items()))
 
     def reduced(self, a: Rat) -> tuple[QLaurent, QLaurent]:
         """The coprime pair from the cyclotomic normal form; equal to
@@ -720,13 +775,8 @@ class ProductExpr(Record):
         return self.phi_form(a).pair()
 
     def reduce_to_polynomial(self, a: Rat) -> QLaurent:
-        """The single reduced value.  Raises NotDivisibleError when the reduced
-        denominator is not 1, carrying the remainder of the numerator's integer
-        part by that monic denominator, nonzero because the pair is coprime."""
-        num, den = self.phi_form(a).pair()
-        if den != QLaurent.one():
-            raise NotDivisibleError(_canonical(num.content, 0, _divmod(num.c, den.c)[1]))
-        return num
+        """The single reduced value, ``PhiForm.polynomial`` of the normal form."""
+        return self.phi_form(a).polynomial()
 
     def degree_in_q(self, a: Rat) -> Fraction:
         """Exact q-degree of the reduced value at parameter a, summed as

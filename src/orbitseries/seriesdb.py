@@ -73,9 +73,9 @@ def reductive(spec: str) -> ReductiveSpec:
             if not m:
                 raise ValueError(f"cannot parse factor {token!r}")
             rep, kind, size = m.groups()
-            rep = int(rep) if rep else 1
-            if not rep or kind == "T" and size and not int(size):   # '0sl2', 'T0'
+            if rep.startswith("0") or kind == "T" and size.startswith("0"):   # '0sl2', 'T01'
                 raise ValueError(f"cannot parse factor {token!r}")
+            rep = int(rep or 1)
             if kind == "T":
                 torus += rep * int(size or 1)
                 continue

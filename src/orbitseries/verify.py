@@ -21,8 +21,8 @@ from typing import NamedTuple, Sequence
 from . import partitions as pt
 from . import rootsystems as rsys
 from . import seriesdb as db
-from .exactpoly import (LinExp, ProductExpr, QLaurent, ZeroExponentError,
-                        exact_div, pexpr, reduce_pair)
+from .exactpoly import (LinExp, PhiForm, ProductExpr, ZeroExponentError, exact_div,
+                        reduce_pair)
 
 PASS = "pass"
 FAIL = "fail"
@@ -178,11 +178,10 @@ def _hasse_checks() -> list[CheckResult]:
 # -- gradings -----------------------------------------------------------------
 
 
-def _affine_through(points: list[tuple[int, int]]) -> LinExp | None:
+def _collinear(points: list[tuple[int, int]]) -> bool:
+    """True iff the points lie on one line, by integer cross-multiplication."""
     (a0, v0), (a1, v1) = points[0], points[1]
-    slope = Fraction(v1 - v0, a1 - a0)
-    line = LinExp(v0 - slope * a0, slope)
-    return line if all(line(a) == v for a, v in points) else None
+    return all((v - v0) * (a1 - a0) == (v1 - v0) * (a - a0) for a, v in points[2:])
 
 
 def check_gradings() -> list[CheckResult]:
@@ -197,7 +196,7 @@ def check_gradings() -> list[CheckResult]:
         collinear = True
         for i in levels:
             points = [(a, gradings[a].get(i, 0)) for a in a_values]
-            if _affine_through(points) is None:
+            if not _collinear(points):
                 collinear = False
                 out.append(_res("gradings", f"{tag} level {i} linear in a",
                                 False, points, "affine"))
@@ -232,16 +231,18 @@ def check_gradings() -> list[CheckResult]:
 # -- point counts -------------------------------------------------------------
 
 
-def _expected_quotient(rec: db.SeriesRecord, m: db.Member) -> ProductExpr:
-    order_g = db.group_order(m.ambient)
-    order_k = db.group_order(m.h) * pexpr(1, rec.rad(m.a))
-    return order_g / order_k
+@lru_cache(maxsize=None)
+def _order_form(spec: db.ReductiveSpec) -> PhiForm:
+    return db.group_order(spec).phi_form(0)   # a group order does not depend on a
 
 
-def _constant_ratio(expr: ProductExpr, a) -> Fraction | None:
-    """The value of expr at a when it is a nonzero constant, read off its
-    cyclotomic normal form; None otherwise."""
-    f = expr.phi_form(a)
+def _expected_quotient(rec: db.SeriesRecord, m: db.Member) -> PhiForm:
+    """|G(F_q)| / (|H(F_q)| q^rad(a)) at m.a, as a quotient of normal forms."""
+    return _order_form(m.ambient) / _order_form(m.h) / PhiForm(Fraction(1), rec.rad.t_power(m.a))
+
+
+def _constant_ratio(f: PhiForm) -> Fraction | None:
+    """The value of the form when it is a nonzero constant; None otherwise."""
     return f.constant if f.constant and not f.shift and not f.phis else None
 
 
@@ -257,8 +258,8 @@ def check_pointcounts(a_values: Sequence[int] = A_VALUES) -> list[CheckResult]:
             deg = z.degree_in_q(a)
             out.append(_res("pointcounts", f"{tag} degree", deg == rec.dim(a),
                             deg, rec.dim(a)))
-            num, den = z.reduced(a)
-            poly = den == QLaurent.one() and num.is_q_polynomial()
+            form = z.phi_form(a)
+            poly = form.is_q_polynomial()
             if a == 1:
                 out.append(_rec("pointcounts", f"{tag} reduction",
                                 "polynomial in q" if poly else "fractional q-powers",
@@ -266,10 +267,10 @@ def check_pointcounts(a_values: Sequence[int] = A_VALUES) -> list[CheckResult]:
                                 "printed counts hold verbatim only for a >= 2"))
                 continue
             out.append(_res("pointcounts", f"{tag} polynomial", poly, poly, True))
-            ratio = _constant_ratio(z / _expected_quotient(rec, m), a)
+            ratio = _constant_ratio(form / _expected_quotient(rec, m))
             if rec.row == "e6":
                 # the explicit counts: integral values, quotient exactly 1
-                vals = [num.eval_at(q) for q in (2, 3, 5)] if poly else []
+                vals = [form.value_at(q) for q in (2, 3, 5)] if poly else []
                 ok = poly and all(v.denominator == 1 and v > 0 for v in vals)
                 out.append(_res("pointcounts", f"{tag} integral at q=2,3,5", ok,
                                 [str(v) for v in vals], "positive integers"))
@@ -294,33 +295,38 @@ def _char_expr(rec: db.SeriesRecord, formula: db.CharacterFormula,
     return formula.expr(rsys.algebra(db.EXCEPTIONAL_AMBIENTS[a]).num_positive_roots)
 
 
+def _char_form(rec: db.SeriesRecord, formula: db.CharacterFormula, a: int) -> PhiForm:
+    """The normal form of ``_char_expr`` at a: the body's times q^(N - shift(a))."""
+    n = rsys.algebra(db.EXCEPTIONAL_AMBIENTS[a]).num_positive_roots
+    return formula.body.phi_form(a) * PhiForm(Fraction(1), 4 * n - formula.shift.t_power(a))
+
+
 def check_characters(a_values: Sequence[int] = A_VALUES) -> list[CheckResult]:
     out: list[CheckResult] = []
     for rec in db.all_series():
         if not rec.characters:
             continue
-        summed: dict[int, list[QLaurent]] = {}
+        summed: dict[int, list[PhiForm]] = {}
         for formula in rec.characters:
             for a in formula.a_values:
                 if a not in a_values:
                     continue
                 tag = f"{rec.row}:{rec.label} [{formula.name}] a={a}"
-                expr = _char_expr(rec, formula, a)
-                num, den = expr.reduced(a)
-                poly = den == QLaurent.one() and num.is_q_polynomial()
+                form = _char_form(rec, formula, a)
+                poly = form.is_q_polynomial()
                 out.append(_res("characters", f"{tag} polynomial", poly, poly, True))
                 if not poly:
                     continue
                 if formula.doubled_at == a:
                     # each half is one of two equal contributions; the actual
                     # degree is their sum, checked once below
-                    summed.setdefault(a, []).append(num)
+                    summed.setdefault(a, []).append(form)
                     continue
-                out.extend(_degree_value_checks(tag, rec, a, num))
+                out.extend(_degree_value_checks(tag, rec, a, (form,)))
         for a, halves in summed.items():
-            total = halves[0] + halves[-1]   # single formula stands for both
             tag = f"{rec.row}:{rec.label} [pair sum] a={a}"
-            out.extend(_degree_value_checks(tag, rec, a, total))
+            # a single formula stands for both halves
+            out.extend(_degree_value_checks(tag, rec, a, (halves[0], halves[-1])))
         if rec.row == "f4" and 1 in a_values:
             out.extend(_a1_character_records(rec))
         out.extend(_named_degree_checks(rec, a_values))
@@ -331,10 +337,11 @@ def check_characters(a_values: Sequence[int] = A_VALUES) -> list[CheckResult]:
 
 
 def _degree_value_checks(tag: str, rec: db.SeriesRecord, a: int,
-                         num: QLaurent) -> list[CheckResult]:
+                         forms: Sequence[PhiForm]) -> list[CheckResult]:
+    """Checks on the degree that is the sum of the forms, a polynomial in q."""
     out = []
     order = {q: _order_int(rec.member(a).ambient, q) for q in (2, 3, 5)}
-    vals = {q: num.eval_at(q) for q in (2, 3, 5)}
+    vals = {q: sum(f.value_at(q) for f in forms) for q in (2, 3, 5)}
     ok_int = all(v.denominator == 1 and v > 0 for v in vals.values())
     out.append(_res("characters", f"{tag} integral at q=2,3,5", ok_int,
                     {q: str(v) for q, v in vals.items()}, "positive integers"))
@@ -350,8 +357,7 @@ def _a1_character_records(rec: db.SeriesRecord) -> list[CheckResult]:
             continue
         tag = f"f4:{rec.label} [{formula.name}] a=1"
         try:
-            num, den = _char_expr(rec, formula, 1).reduced(1)
-            poly = den == QLaurent.one() and num.is_q_polynomial()
+            poly = _char_form(rec, formula, 1).is_q_polynomial()
             out.append(_rec("characters", tag,
                             "polynomial in q" if poly else "fractional q-powers",
                             "not asserted at a=1",
@@ -368,19 +374,19 @@ def _named_degree_checks(rec: db.SeriesRecord, a_values) -> list[CheckResult]:
         if nd.a not in a_values:
             continue
         formula = next(f for f in rec.characters if f.name == nd.variant)
-        expr = _char_expr(rec, formula, nd.a)
-        num = expr.reduce_to_polynomial(nd.a)
+        form = _char_form(rec, formula, nd.a)
         if formula.doubled_at == nd.a:
-            num = num * 2
+            form = form * PhiForm(Fraction(2))
         tag = f"{rec.row}:{rec.label} {nd.label} a={nd.a}"
-        dim = num.content * sum(num.c)
+        dim = form.value_at(1)
         out.append(_res("characters", f"{tag} dimension", dim == nd.weyl_dim,
                         dim, nd.weyl_dim, "value of the degree at q=1"))
-        low = num.low_degree_in_q()
+        low = form.low_degree_in_q()
         out.append(_rec("characters", f"{tag} valuation",
                         f"lowest power {low}", f"printed index {nd.b_index}",
                         "equal exactly when the character is special"))
         if nd.display is not None:
+            num = form.polynomial()
             disp = nd.display.reduce_to_polynomial(0)
             out.append(_res("characters", f"{tag} explicit degree",
                             num == disp, str(num)[:60] + "...",
@@ -416,8 +422,7 @@ def _pair_equality_checks(rec: db.SeriesRecord, a_values) -> list[CheckResult]:
     # coincidence to the first member, not to a literal a=1 evaluation
     try:
         # normal forms are equal exactly when the rational functions are
-        equal = (_char_expr(rec, first, 1).phi_form(1) ==
-                 _char_expr(rec, second, 1).phi_form(1))
+        equal = _char_form(rec, first, 1) == _char_form(rec, second, 1)
         out.append(_rec("characters", f"e6:{rec.label} pair comparison at a=1",
                         "equal" if equal else "not equal",
                         "recorded only",
@@ -433,9 +438,7 @@ def _epsilon_pair_record() -> list[CheckResult]:
     plus = next(f for f in rec.characters if f.name == "eps=+1")
     minus = next(f for f in rec.characters if f.name == "eps=-1")
     base = next(f for f in rec.characters if f.name == "principal")
-    p1 = _char_expr(rec, plus, 8).reduce_to_polynomial(8)
-    p2 = _char_expr(rec, minus, 8).reduce_to_polynomial(8)
-    b = _char_expr(rec, base, 8).reduce_to_polynomial(8)
+    p1, p2, b = (_char_form(rec, f, 8).polynomial() for f in (plus, minus, base))
     num, den = reduce_pair(p1 + p2, b)
     return [_rec("characters", "f4:gQ^2 eps pair sum vs base degree",
                  f"({num})/({den})", "rational, not polynomial",
@@ -517,21 +520,20 @@ def _extension_checks() -> list[CheckResult]:
     for fam, p in cases:
         dims = pt.extend_by_zeros_dims(p, fam, ts)
         points = list(zip(ts, dims))
-        line = _affine_through(points)
+        linear = _collinear(points)
         tag = f"extend {fam.tag} {p}"
-        out.append(_res("universal", f"{tag} linear in t", line is not None,
-                        dims, "affine"))
-        if line is None:
+        out.append(_res("universal", f"{tag} linear in t", linear, dims, "affine"))
+        if not linear:
             continue
+        slope = Fraction(dims[1] - dims[0], ts[1] - ts[0])
         printed = pt.printed_extension_slope(p, fam)
         if fam.kind == "sl":
-            out.append(_res("universal", f"{tag} printed slope", line.c1 == printed,
-                            line.c1, printed))
+            out.append(_res("universal", f"{tag} printed slope", slope == printed,
+                            slope, printed))
         else:
-            status = line.c1 == printed
             out.append(_rec("universal", f"{tag} printed slope",
-                            f"oracle slope {line.c1}", f"printed {printed}",
-                            "matches" if status else
+                            f"oracle slope {slope}", f"printed {printed}",
+                            "matches" if slope == printed else
                             "printed three-quarter term does not reproduce the oracle"))
     return out
 
@@ -568,7 +570,7 @@ def _magic_square_checks() -> list[CheckResult]:
                 mism.append((n, p.parts))
             # row restriction is affine in a for fixed b
             for b in (1, 2, 4):
-                if _affine_through([(a, want[a, b]) for a in (1, 2, 4)]) is None:
+                if not _collinear([(a, want[a, b]) for a in (1, 2, 4)]):
                     bad.append((n, p.parts, b))
     out.append(_res("universal", f"magic square bilinear formula (n<={MAGIC_MAX_N})",
                     not failures, f"{total} cases checked",

@@ -2,14 +2,19 @@
 route (expand, then gcd and exact division) and against sympy's polynomial
 gcd over the integers, on every (expression, a) the registry yields."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitseries import seriesdb as db
-from orbitseries.exactpoly import (Cyclo, QLaurent, ZeroExponentError,
+from orbitseries import verify
+from orbitseries.exactpoly import (Cyclo, FractionalPowerError, PhiForm, ProductExpr,
+                                   QLaurent, ZeroExponentError, _binomial_exponents,
                                    _phi_product, _t_power, pexpr, reduce_pair)
-from orbitseries.verify import (_char_expr, _constant_ratio, _expected_quotient,
+from orbitseries.verify import (_char_expr, _char_form, _constant_ratio, _expected_quotient,
                                 _order_int)
 
 
@@ -229,9 +234,15 @@ def test_group_order_of_a_list_built_spec():
 
 
 def test_constant_ratio_equals_the_reduced_pair():
-    quotients = [(rec.point_count / _expected_quotient(rec, m), m.a)
-                 for rec in db.series_by_row("f4") + db.series_by_row("e6")
-                 for m in rec.members if m.a != 1]
+    members = [(rec, m) for rec in db.series_by_row("f4") + db.series_by_row("e6")
+               for m in rec.members if m.a != 1]
+    quotients = []
+    for rec, m in members:
+        expected = db.group_order(m.ambient) / (db.group_order(m.h) * pexpr(1, rec.rad(m.a)))
+        expr = rec.point_count / expected
+        # the verifier divides normal forms; here the product expressions
+        assert rec.point_count.phi_form(m.a) / _expected_quotient(rec, m) == expr.phi_form(m.a)
+        quotients.append((expr, m.a))
     assert len(quotients) == 60
     # and a zero, two constants, and values with a power of q or not constant
     others = [(pexpr(0, 1), 2), (pexpr(3, 1), 2), (pexpr(1, 0, num=[2]), 2),
@@ -242,4 +253,142 @@ def test_constant_ratio_equals_the_reduced_pair():
     for expr, a in quotients + others:
         num, den = expr.reduced(a)
         constant = den == QLaurent.one() and list(num.coeffs) == [0]
-        assert _constant_ratio(expr, a) == (num.coeffs[0] if constant else None)
+        assert _constant_ratio(expr.phi_form(a)) == (num.coeffs[0] if constant else None)
+
+
+# -- the normal-form readings against the multiplied-out pair -----------------
+
+
+def _checked_forms():
+    """Every form whose readings the point-count, character and named-degree
+    checks take, built as the verifier builds it."""
+    forms = []
+    for rec in db.series_by_row("f4") + db.series_by_row("e6"):
+        for m in rec.members:
+            z = rec.point_count.phi_form(m.a)
+            forms.append(z)
+            if m.a != 1:
+                forms.append(z / _expected_quotient(rec, m))
+    for rec in db.all_series():
+        for formula in rec.characters:
+            for a in formula.a_values + ((1,) if rec.row == "f4" else ()):
+                try:
+                    forms.append(_char_form(rec, formula, a))
+                except ZeroExponentError:
+                    assert a == 1
+        for nd in rec.named_degrees:
+            formula = next(f for f in rec.characters if f.name == nd.variant)
+            form = _char_form(rec, formula, nd.a)
+            forms.append(form * PhiForm(Fraction(2)) if formula.doubled_at == nd.a else form)
+    return forms
+
+
+def test_char_form_is_the_normal_form_of_the_character_expression():
+    cases = 0
+    for rec in db.all_series():
+        for formula in rec.characters:
+            for a in formula.a_values + (1,):
+                try:
+                    want = _char_expr(rec, formula, a).phi_form(a)
+                except ZeroExponentError as err:
+                    with pytest.raises(ZeroExponentError) as got:
+                        _char_form(rec, formula, a)
+                    assert str(got.value) == str(err)
+                    continue
+                assert _char_form(rec, formula, a) == want, (rec.label, formula.name, a)
+                cases += 1
+    assert cases > 100
+
+
+def _assert_readings_equal_the_pair(form):
+    num, den = form.pair()
+    assert form.is_q_polynomial() == (den == QLaurent.one() and num.is_q_polynomial()), form
+    for q in (2, 3, 5):
+        try:
+            want = num.eval_at(q) / den.eval_at(q)
+        except FractionalPowerError:
+            with pytest.raises(FractionalPowerError):
+                form.value_at(q)
+            continue
+        got = form.value_at(q)
+        assert got == want and type(got) is Fraction, (form, q)
+    at_one = den.content * sum(den.c)
+    if at_one:
+        assert form.value_at(1) == num.content * sum(num.c) / at_one, form
+    else:
+        with pytest.raises(ZeroDivisionError):
+            form.value_at(1)
+    if form.constant:
+        assert form.low_degree_in_q() == Fraction(num.t_low_degree(), 4), form
+
+
+def test_readings_of_every_checked_form_equal_the_multiplied_out_pair():
+    forms = _checked_forms()
+    assert len(forms) > 250
+    # both answers of the polynomial test occur, and forms off the q-lattice
+    assert {f.is_q_polynomial() for f in forms} == {True, False}
+    assert any(n % 4 for f in forms for n, _ in _binomial_exponents(f.phis))
+    for form in forms:
+        _assert_readings_equal_the_pair(form)
+
+
+_FORMS = st.builds(
+    lambda constant, shift, mults: PhiForm(constant, shift, tuple(sorted(mults.items())))
+    if constant else PhiForm(constant),
+    st.fractions(-20, 20, max_denominator=12),
+    st.integers(-13, 13),    # t-powers on and off the q-lattice
+    st.dictionaries(st.integers(1, 40), st.integers(-3, 3).filter(bool), max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FORMS)
+def test_readings_of_random_forms_equal_the_multiplied_out_pair(form):
+    _assert_readings_equal_the_pair(form)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_FORMS, _FORMS)
+def test_products_and_quotients_of_forms(f, g):
+    product = f * g
+    assert product == g * f
+    for q in (1, 2, 3):
+        try:
+            want = f.value_at(q) * g.value_at(q)
+        except (ZeroDivisionError, FractionalPowerError):   # a pole at q = 1, or q^(1/4)
+            continue
+        assert product.value_at(q) == want, (f, g, q)
+    if g.constant:
+        assert (f / g) * g == f
+        assert f / g == f * (PhiForm(Fraction(1)) / g)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            f / g
+
+
+def test_a_quotient_by_an_int_constant_stays_exact():
+    got = PhiForm(Fraction(3), 4, ((1, 1),)) / PhiForm(2, 0, ((1, 1),))
+    assert got == PhiForm(Fraction(3, 2), 4) and type(got.constant) is Fraction
+
+
+def test_a_full_verify_multiplies_out_only_the_printed_polynomials(monkeypatch):
+    calls = Counter()
+
+    def counted(name, method):
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+        return wrapper
+
+    for cls, name in ((PhiForm, "pair"), (ProductExpr, "reduced"), (QLaurent, "eval_at")):
+        monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
+    for cache in (_phi_product, _binomial_exponents, verify._order_form, verify._order_int):
+        cache.cache_clear()
+    report = verify.run_all()
+    assert report.counts == {verify.PASS: 937, verify.FAIL: 0, verify.RECORDED: 95}
+    # every other reading comes off the normal form; a polynomial is multiplied
+    # out only where a check prints it: the 5 named degrees with a printed
+    # explicit degree, each with its display (10), the e6 pair equalities (4
+    # pairs of two formulas and one single formula, whose second route is the
+    # division route: 9), and the three degrees of the eps record (3)
+    assert calls == {"pair": 22}
+

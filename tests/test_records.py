@@ -140,6 +140,16 @@ def test_constructor_errors(build, error, message):
     assert type(got.value) is error and str(got.value) == message
 
 
+@pytest.mark.parametrize("name, plain", [
+    ("so08", "so8"), ("e08", "e8"), ("sl02", "sl2"), ("spin07", "spin7"), ("g02", "g2"),
+    ("sp006", "sp6")])
+def test_an_algebra_rank_with_a_leading_zero_is_refused(name, plain):
+    with pytest.raises(UnsupportedRankError) as got:
+        algebra(name)
+    assert str(got.value) == f"unknown algebra {name!r}"
+    assert isinstance(algebra(plain), AlgebraType)
+
+
 def test_a_linexp_entry_is_an_exponent_not_a_pair():
     # a LinExp is a tuple; pexpr must not read it as (exponent, multiplicity)
     expr = pexpr(1, 0, num=[LinExp(1, 1)])

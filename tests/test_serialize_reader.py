@@ -59,3 +59,14 @@ def test_a_stabilizer_with_a_count_or_torus_rank_of_zero_is_refused(spec):
     d["h"] = spec
     with pytest.raises(ValueError, match="cannot parse factor"):
         serialize.member_from_json(d)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("01sl2", "cannot parse factor '01sl2'"), ("T01", "cannot parse factor 'T01'"),
+    ("sl02", "unknown algebra 'sl02'"), ("e08", "unknown algebra 'e08'")])
+def test_a_stabilizer_with_a_leading_zero_is_refused(spec, message):
+    d = _member_json("f4", "g", 1)
+    d["h"] = spec
+    with pytest.raises(ValueError) as got:
+        serialize.member_from_json(d)
+    assert str(got.value) == message

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from orbitseries import serialize
 from orbitseries.exactpoly import Cyclo, LinExp, ProductExpr, QLaurent, QPhi, pexpr
 from orbitseries.partitions import Family, Partition, PartitionPair, orbit_dim_classical
-from orbitseries.rootsystems import series_weight_to_diagram
+from orbitseries.rootsystems import UnsupportedRankError, series_weight_to_diagram
 from orbitseries.seriesdb import (MASTER_POINTCOUNT, CharacterFormula, L,
                                   NamedDegree, UnknownSeriesError, _series,
                                   all_series, group_order, hasse_edges, lookup,
@@ -44,6 +44,27 @@ class TestReductiveSpecs:
     def test_a_count_or_torus_rank_of_zero_is_refused(self, text):
         with pytest.raises(ValueError, match="cannot parse factor"):
             reductive(text)
+
+    @pytest.mark.parametrize("text", ["01sl2", "T01", "00T3", "sl2+T02", "010sl2"])
+    def test_a_count_or_torus_rank_with_a_leading_zero_is_refused(self, text):
+        with pytest.raises(ValueError, match="cannot parse factor"):
+            reductive(text)
+
+    @pytest.mark.parametrize("text, name", [
+        ("sl02", "sl02"), ("e08", "e08"), ("2so08", "so08"), ("co07", "so07"),
+        ("gl04", "sl04"), ("g2+sp06", "sp06")])
+    def test_a_rank_with_a_leading_zero_is_refused(self, text, name):
+        with pytest.raises(UnsupportedRankError) as got:
+            reductive(text)
+        assert str(got.value) == f"unknown algebra {name!r}"
+
+    def test_every_registry_name_still_parses(self):
+        specs = {spec for rec in all_series() for m in rec.members for spec in (m.ambient, m.h)}
+        assert len(specs) > 30
+        for spec in specs:
+            assert reductive(spec.name) == spec and str(spec) == spec.name
+        for text in ("10sl2", "T10", "sl10", "so10+T10"):
+            assert reductive(text).name == text
 
     def test_group_orders(self):
         sp6 = group_order(reductive("sp6"))
