@@ -12,8 +12,9 @@ __version__ = "0.1.0"
 _HOME = {
     # the record types that partitions and rootsystems import back
     "_records": ("AlgebraType", "Family", "Partition", "PartitionPair", "algebra"),
-    "exactpoly": ("Cyclo", "LinExp", "NotDivisibleError", "ProductExpr", "QLaurent",
-                  "QPhi", "ZeroExponentError", "exact_div", "reduce_pair"),
+    # the expression model that exactpoly imports back
+    "_expr": ("Cyclo", "LinExp", "ProductExpr", "QPhi", "ZeroExponentError"),
+    "exactpoly": ("NotDivisibleError", "QLaurent", "exact_div", "reduce_pair"),
     "partitions": ("centralizer_oracle", "magic_dim_formula", "orbit_dim_classical",
                    "propagate"),
     "rootsystems": ("RootSystem", "WeightedDiagram", "build_root_system", "grading_dims",

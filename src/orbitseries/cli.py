@@ -9,11 +9,11 @@ import sys
 from fractions import Fraction
 
 from . import seriesdb as db
-from .exactpoly import QLaurent
 
 # rootsystems, verify, serialize, json, csv and io are imported by the
-# commands that use them: a one-shot lookup should not pay for compiling the
-# root systems or the verifier.
+# commands that use them, and exactpoly by the expression methods that
+# compute: a one-shot lookup should not pay for compiling the root systems,
+# the Laurent arithmetic or the verifier.
 
 USAGE_ERROR = 2
 
@@ -92,7 +92,7 @@ def cmd_points(args) -> int:
         text = _decimal(value.numerator)
         print(text if value.denominator == 1 else f"{text}/{_decimal(value.denominator)}")
         return 0
-    if den == QLaurent.one():
+    if den == 1:
         print(num)
     else:
         print(f"({num}) / ({den})")

@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from ._records import AlgebraType, Family, Partition, PartitionPair, algebra, pair_to_partition
-from .exactpoly import L, LinExp, ProductExpr, pexpr
+from ._expr import L, LinExp, ProductExpr, pexpr
 
 __all__ = [
     "ReductiveSpec", "Member", "CharacterFormula", "NamedDegree", "SeriesRecord",

@@ -21,8 +21,7 @@ from typing import NamedTuple, Sequence
 from . import partitions as pt
 from . import rootsystems as rsys
 from . import seriesdb as db
-from .exactpoly import (LinExp, PhiForm, ProductExpr, ZeroExponentError, exact_div,
-                        reduce_pair)
+from ._expr import LinExp, ProductExpr, ZeroExponentError, arithmetic
 
 PASS = "pass"
 FAIL = "fail"
@@ -238,7 +237,8 @@ def _order_form(spec: db.ReductiveSpec) -> PhiForm:
 
 def _expected_quotient(rec: db.SeriesRecord, m: db.Member) -> PhiForm:
     """|G(F_q)| / (|H(F_q)| q^rad(a)) at m.a, as a quotient of normal forms."""
-    return _order_form(m.ambient) / _order_form(m.h) / PhiForm(Fraction(1), rec.rad.t_power(m.a))
+    radical = arithmetic().PhiForm(Fraction(1), rec.rad.t_power(m.a))
+    return _order_form(m.ambient) / _order_form(m.h) / radical
 
 
 def _constant_ratio(f: PhiForm) -> Fraction | None:
@@ -298,7 +298,8 @@ def _char_expr(rec: db.SeriesRecord, formula: db.CharacterFormula,
 def _char_form(rec: db.SeriesRecord, formula: db.CharacterFormula, a: int) -> PhiForm:
     """The normal form of ``_char_expr`` at a: the body's times q^(N - shift(a))."""
     n = rsys.algebra(db.EXCEPTIONAL_AMBIENTS[a]).num_positive_roots
-    return formula.body.phi_form(a) * PhiForm(Fraction(1), 4 * n - formula.shift.t_power(a))
+    power = arithmetic().PhiForm(Fraction(1), 4 * n - formula.shift.t_power(a))
+    return formula.body.phi_form(a) * power
 
 
 def check_characters(a_values: Sequence[int] = A_VALUES) -> list[CheckResult]:
@@ -376,7 +377,7 @@ def _named_degree_checks(rec: db.SeriesRecord, a_values) -> list[CheckResult]:
         formula = next(f for f in rec.characters if f.name == nd.variant)
         form = _char_form(rec, formula, nd.a)
         if formula.doubled_at == nd.a:
-            form = form * PhiForm(Fraction(2))
+            form = form * arithmetic().PhiForm(Fraction(2))
         tag = f"{rec.row}:{rec.label} {nd.label} a={nd.a}"
         dim = form.value_at(1)
         out.append(_res("characters", f"{tag} dimension", dim == nd.weyl_dim,
@@ -409,7 +410,7 @@ def _pair_equality_checks(rec: db.SeriesRecord, a_values) -> list[CheckResult]:
         if len(pairs) == 1:
             # a single formula covers both characters of the pair: check its
             # cyclotomic reduction against the division route
-            e2 = exact_div(*_char_expr(rec, second, a0).expand(a0))
+            e2 = arithmetic().exact_div(*_char_expr(rec, second, a0).expand(a0))
         else:
             e2 = _char_expr(rec, second, a0).reduce_to_polynomial(a0)
         out.append(_res("characters",
@@ -439,7 +440,7 @@ def _epsilon_pair_record() -> list[CheckResult]:
     minus = next(f for f in rec.characters if f.name == "eps=-1")
     base = next(f for f in rec.characters if f.name == "principal")
     p1, p2, b = (_char_form(rec, f, 8).polynomial() for f in (plus, minus, base))
-    num, den = reduce_pair(p1 + p2, b)
+    num, den = arithmetic().reduce_pair(p1 + p2, b)
     return [_rec("characters", "f4:gQ^2 eps pair sum vs base degree",
                  f"({num})/({den})", "rational, not polynomial",
                  "sum of the two split degrees over the unsplit expression")]

@@ -22,3 +22,20 @@ def test_every_traced_layer_resolves():
         if not callable(vars(owner).get(attr) if owner is not None else None):
             unresolved.append(layer)
     assert unresolved == []
+
+
+def test_a_traced_verify_counts_every_arithmetic_call():
+    # a name bound before install() would escape its wrapper and count 0
+    tracing = runpy.run_path(str(TRACING))
+    verify = importlib.import_module("orbitseries.verify")
+    tracer = tracing["Tracer"]()
+    replaced = tracing["install"](tracer)
+    try:
+        verify.run_all()
+    finally:
+        tracing["uninstall"](replaced)
+    calls = {name: layer["calls"] for name, layer in tracing["summarize"](tracer.spans).items()
+             if name.startswith("exactpoly.")}
+    assert calls == {"exactpoly.expand": 1, "exactpoly.reduce_pair": 1,
+                     "exactpoly.poly_gcd": 1, "exactpoly.exact_div": 3,
+                     "exactpoly.degree_in_q": 75}

@@ -165,8 +165,15 @@ class TestIntegerLinExp:
         assert (e._n0, e._n1, e._d) == (want._n0, want._n1, want._d)
 
     def test_parse_refusals(self):
+        # a text is read completely or refused: no empty sum, dangling or
+        # doubled sign, second divisor, exponent notation or non-ASCII digit
         for text, error in [("3a/0", ZeroDivisionError), ("2ab", ValueError),
-                            ("a/", ValueError), ("x", ValueError)]:
+                            ("a/", ValueError), ("x", ValueError), ("", ValueError),
+                            (" ", ValueError), ("+", ValueError), ("a+", ValueError),
+                            ("--a", ValueError), ("a/2/2", ValueError),
+                            ("3/2/2", ValueError), ("3/2a/4", ValueError),
+                            ("1e3", ValueError), ("\u0663", ValueError),
+                            ("1 2", ValueError), ("3/0", ZeroDivisionError)]:
             with pytest.raises(error):
                 L(text)
 

@@ -1,7 +1,8 @@
 """The package loads lazily: `import orbitseries.cli` pulls in neither the
 verifier nor the export code nor the dataclass machinery, a registry command
-loads `partitions` and `rootsystems` only when it uses them, and the names the
-package has always offered resolve to the objects of their modules."""
+loads `partitions` and `rootsystems` only when it uses them and `exactpoly`
+only when it computes with an expression, and the names the package has
+always offered resolve to the objects of their modules."""
 
 import importlib
 import json
@@ -16,6 +17,7 @@ import orbitseries
 
 # the names the package re-exports from each module
 PUBLIC = {
+    "_expr": ("Cyclo", "LinExp", "ProductExpr", "QPhi", "ZeroExponentError"),
     "exactpoly": ("Cyclo", "LinExp", "NotDivisibleError", "ProductExpr", "QLaurent",
                   "QPhi", "ZeroExponentError", "exact_div", "reduce_pair"),
     "partitions": ("Family", "Partition", "PartitionPair", "centralizer_oracle",
@@ -78,25 +80,28 @@ print(json.dumps({"code": code, "loaded": sorted(m for m in sys.modules
 NEITHER, ROOTS, BOTH = (), ("rootsystems",), ("partitions", "rootsystems")
 
 
-@pytest.mark.parametrize("argv, code, combinatorics", [
-    ((), None, NEITHER),
-    (("list",), 0, NEITHER),
-    (("show", "f4", "g^2"), 0, NEITHER),
-    (("points", "f4", "g2", "--a", "2"), 0, NEITHER),
-    (("export", "--format", "json"), 0, NEITHER),
-    (("show", "f4", "no-such-label"), 2, NEITHER),
-    (("diagram", "f4", "g.g3.gQ^2", "--algebra", "e8"), 0, ROOTS),
-    (("grading", "f4", "gQ", "--algebra", "e7"), 0, ROOTS),
-    (("verify", "--suite", "dims"), 0, BOTH),
+# the last column: whether the call loads exactpoly, the Laurent arithmetic
+@pytest.mark.parametrize("argv, code, combinatorics, arithmetic", [
+    ((), None, NEITHER, False),
+    (("list",), 0, NEITHER, False),
+    (("show", "f4", "g^2"), 0, NEITHER, False),
+    (("points", "f4", "g2", "--a", "2"), 0, NEITHER, True),
+    (("export", "--format", "json"), 0, NEITHER, True),
+    (("show", "f4", "no-such-label"), 2, NEITHER, False),
+    (("diagram", "f4", "g.g3.gQ^2", "--algebra", "e8"), 0, ROOTS, False),
+    (("grading", "f4", "gQ", "--algebra", "e7"), 0, ROOTS, False),
+    (("verify", "--suite", "dims"), 0, BOTH, False),
+    (("verify", "--suite", "gradings"), 0, BOTH, False),
 ], ids=["all_series", "list", "show", "points", "export", "unknown-label", "diagram",
-        "grading", "verify-dims"])
+        "grading", "verify-dims", "verify-gradings"])
 def test_registry_commands_load_the_combinatorics_only_when_they_use_it(
-        argv, code, combinatorics):
+        argv, code, combinatorics, arithmetic):
     got = _fresh_process(BOUNDARY, *argv)
     assert got["code"] == code
     assert "orbitseries.seriesdb" in got["loaded"]
     for module in ("partitions", "rootsystems"):
         assert (f"orbitseries.{module}" in got["loaded"]) == (module in combinatorics)
+    assert ("orbitseries.exactpoly" in got["loaded"]) == arithmetic
 
 
 @pytest.mark.parametrize("module", sorted(PUBLIC))
@@ -105,6 +110,18 @@ def test_public_names_are_the_module_objects(module):
     for name in PUBLIC[module]:
         assert getattr(orbitseries, name) is getattr(mod, name)
     assert getattr(orbitseries, module) is mod
+
+
+@pytest.mark.parametrize("module, names", [
+    ("exactpoly", ("Cyclo", "FractionalPowerError", "L", "LinExp", "ProductExpr", "QPhi",
+                   "ZeroExponentError", "pexpr")),
+    ("seriesdb", ("L", "LinExp", "ProductExpr", "pexpr")),
+])
+def test_the_expression_model_is_imported_not_copied(module, names):
+    # exactpoly and seriesdb bind the model's own objects, as before the move
+    mod, model = (importlib.import_module(f"orbitseries.{m}") for m in (module, "_expr"))
+    for name in names:
+        assert getattr(mod, name) is getattr(model, name)
 
 
 def test_star_import_binds_the_public_names():

@@ -129,11 +129,16 @@ def test_repr_is_the_dataclass_text():
     (lambda: LinExp(0.5), TypeError, "exact arithmetic takes an int or a Fraction, not float"),
     (lambda: ProductExpr(0.5), TypeError,
      "exact arithmetic takes an int or a Fraction, not float"),
+    (lambda: ProductExpr(1, 3), TypeError, "a prefactor exponent is a LinExp, not int"),
+    (lambda: ProductExpr(1, "3a"), TypeError, "a prefactor exponent is a LinExp, not str"),
+    (lambda: ProductExpr(1, None), TypeError,
+     "a prefactor exponent is a LinExp, not NoneType"),
 ], ids=["partition-zero", "partition-str", "family-kind", "family-sp", "family-float",
         "family-negative", "family-str", "algebra-E5",
         "algebra-empty", "algebra-two-letters", "algebra-e9",
         "diagram-count", "diagram-negative", "pair-beta", "product-mult",
-        "linexp-float", "product-float"])
+        "linexp-float", "product-float", "prefactor-int", "prefactor-str",
+        "prefactor-none"])
 def test_constructor_errors(build, error, message):
     with pytest.raises(error) as got:
         build()
