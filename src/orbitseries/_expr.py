@@ -161,22 +161,17 @@ class Cyclo(NamedTuple):
     exponent: LinExp
     sign: int = 1
 
-    def exponent_at(self, a: Rat) -> Fraction:
-        """The exponent e at a; raises when the factor is q^0 - 1 = 0."""
-        e = self.exponent(a)
-        if self.sign == 1 and e == 0:
-            raise self._vanishes(a)
-        return e
-
     def _vanishes(self, a: Rat) -> ZeroExponentError:
         return ZeroExponentError(f"factor q^({self.exponent}) - 1 vanishes at a={a}")
 
     def value_at(self, a: Rat) -> QLaurent:
-        return arithmetic().cyclo_factor(self.exponent_at(a), self.sign)
-
-    def phi_form(self, a: Rat) -> PhiForm:
-        """The factor alone, by the rule in ``ProductExpr.phi_form``."""
-        return ProductExpr(factors=((self, 1),)).phi_form(a)
+        """q^e - sign at a; raises when that is q^0 - 1 = 0."""
+        if self.sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
+        e = self.exponent(a)
+        if self.sign == 1 and e == 0:
+            raise self._vanishes(a)
+        return arithmetic().QLaurent.q_power(e) - self.sign
 
     def __str__(self) -> str:
         op = "-" if self.sign == 1 else "+"
@@ -309,10 +304,6 @@ class ProductExpr(Record):
         ``reduce_pair(*self.expand(a))``, the division route."""
         return self.phi_form(a).pair()
 
-    def reduce_to_polynomial(self, a: Rat) -> QLaurent:
-        """The single reduced value, ``PhiForm.polynomial`` of the normal form."""
-        return self.phi_form(a).polynomial()
-
     def degree_in_q(self, a: Rat) -> Fraction:
         """Exact q-degree of the reduced value at parameter a, summed as
         t-powers: deg(q^e -+ 1) is e when e > 0, else 0 (the Laurent factor
@@ -328,36 +319,6 @@ class ProductExpr(Record):
             if big_e > 0:
                 total += big_e * mult
         return Fraction(total, 4)
-
-    def eval_at(self, a: Rat, q: Rat) -> Fraction:
-        """Exact value at a positive rational q, factor by factor, unexpanded.
-
-        A factor with a fractional power of q needs q to be a rational fourth
-        power, even where such powers would cancel in the expanded product.
-        """
-        q = _frac(q)
-        if q <= 0:
-            raise ValueError("evaluation point must be positive")
-
-        def power(e: Fraction) -> Fraction:
-            if e.denominator == 1:
-                return q ** int(e)
-            return arithmetic().QLaurent.q_power(e).eval_at(q)   # the fourth-root rule
-
-        num = self.constant * power(self.prefactor_exponent(a))
-        den = Fraction(1)
-        for factor, mult in self.factors:
-            if isinstance(factor, Cyclo):
-                v = power(factor.exponent_at(a)) - factor.sign
-            else:
-                v = factor.value.eval_at(q)
-            if mult > 0:
-                num *= v ** mult
-            else:
-                den *= v ** -mult
-        if den == 0:
-            raise ZeroDivisionError(f"denominator vanishes at q={q}")
-        return num / den
 
     def __str__(self) -> str:
         parts = []

@@ -270,9 +270,11 @@ class AlgebraType(Record):
     __slots__ = _fields = ("family", "rank")
 
     def __init__(self, family: str, rank: int):
-        fam, n = family, rank
-        if fam not in ("A", "B", "C", "D", "E", "F", "G"):
-            raise UnsupportedRankError(f"unknown family {fam!r}")
+        if family not in ("A", "B", "C", "D", "E", "F", "G"):
+            raise UnsupportedRankError(f"unknown family {family!r}")
+        if not hasattr(type(rank), "__index__"):
+            raise UnsupportedRankError(f"a rank is an integer, not {rank!r}")
+        fam, n = family, operator.index(rank)
         if fam == "E" and n not in _E_RANKS:
             raise UnsupportedRankError(f"E{n} does not exist")
         if fam in _EXCEPTIONAL_RANKS and n != _EXCEPTIONAL_RANKS[fam]:
@@ -282,7 +284,7 @@ class AlgebraType(Record):
         if fam == "B" and n < 2 or fam == "C" and n < 2 or fam == "D" and n < 3:
             raise UnsupportedRankError(f"{fam}{n} is not treated as a distinct type")
         object.__setattr__(self, "family", family)
-        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "rank", n)
 
     @property
     def name(self) -> str:

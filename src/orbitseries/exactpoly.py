@@ -29,7 +29,7 @@ then divides by each one with E_n < 0 in n strided prefix sums.
 each factor (``_mul``).  The division route (``ProductExpr.expand``,
 ``poly_gcd``, ``exact_div``, ``reduce_pair``) stays as the independent oracle
 the tests compare against, and reduces sums, which have no such form;
-``reduce_to_polynomial`` never takes it.
+``PhiForm.polynomial`` never takes it.
 """
 
 from __future__ import annotations
@@ -285,13 +285,6 @@ def _mul(*polys: Sequence[int]) -> tuple[int, ...]:
                     acc[i] += v * u
         out = acc
     return tuple(out)
-
-
-def cyclo_factor(e: Rat, sign: int = 1) -> QLaurent:
-    """The factor q^e - 1 (sign +1) or q^e + 1 (sign -1)."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return QLaurent.q_power(e) - (1 if sign == 1 else -1)
 
 
 # -- exact division and gcd --------------------------------------------------

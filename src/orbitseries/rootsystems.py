@@ -173,6 +173,11 @@ class WeightedDiagram(Record):
 
     def __init__(self, algebra: AlgebraType, labels: tuple[int, ...]):
         labels = tuple(labels)
+        if any(type(x) is not int for x in labels):
+            try:
+                labels = tuple(map(operator.index, labels))
+            except TypeError:
+                raise ValueError("labels must be integers") from None
         if len(labels) != algebra.rank:
             raise ValueError("one label per simple root required")
         if any(x < 0 for x in labels):

@@ -94,13 +94,22 @@ def product_to_json(e: ProductExpr) -> dict:
                         for f, m in e.factors]}
 
 
+def _integer(v, what: str) -> int:
+    """A factor's sign or multiplicity: a JSON integer, so not true or 1.0."""
+    if type(v) is not int:
+        raise ValueError(f"factor {what} {v!r} is not an integer")
+    return v
+
+
 def product_from_json(d) -> ProductExpr:
     factors = []
     for f in d["factors"]:
+        mult = _integer(f["mult"], "multiplicity")
         if f["kind"] == "cyclo":
-            factors.append((Cyclo(_LINEXP.decode(f["exponent"]), f["sign"]), f["mult"]))
+            sign = _integer(f["sign"], "sign")
+            factors.append((Cyclo(_LINEXP.decode(f["exponent"]), sign), mult))
         elif f["kind"] == "literal":
-            factors.append((qphi_from_json(f["value"]), f["mult"]))
+            factors.append((qphi_from_json(f["value"]), mult))
         else:
             raise ValueError(f"unknown factor kind {f['kind']!r}")
     return ProductExpr(_FRAC.decode(d["constant"]), _LINEXP.decode(d["prefactor"]),

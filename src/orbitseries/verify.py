@@ -57,14 +57,6 @@ def _rec(suite, subject, lhs, rhs, note="") -> CheckResult:
     return CheckResult(suite, subject, RECORDED, str(lhs), str(rhs), note)
 
 
-@lru_cache(maxsize=None)
-def _order_int(spec: db.ReductiveSpec, q: int) -> int:
-    val = db.group_order(spec).eval_at(0, q)
-    if val.denominator != 1:
-        raise ArithmeticError(f"|{spec}(F_{q})| = {val} is not an integer")
-    return int(val)
-
-
 def _diagram_for(rec: db.SeriesRecord, a: int) -> rsys.WeightedDiagram:
     return rec.diagram(db.EXCEPTIONAL_AMBIENTS[a])
 
@@ -235,6 +227,14 @@ def _order_form(spec: db.ReductiveSpec) -> PhiForm:
     return db.group_order(spec).phi_form(0)   # a group order does not depend on a
 
 
+@lru_cache(maxsize=None)
+def _order_int(spec: db.ReductiveSpec, q: int) -> int:
+    val = _order_form(spec).value_at(q)
+    if val.denominator != 1:
+        raise ArithmeticError(f"|{spec}(F_{q})| = {val} is not an integer")
+    return int(val)
+
+
 def _expected_quotient(rec: db.SeriesRecord, m: db.Member) -> PhiForm:
     """|G(F_q)| / (|H(F_q)| q^rad(a)) at m.a, as a quotient of normal forms."""
     radical = arithmetic().PhiForm(Fraction(1), rec.rad.t_power(m.a))
@@ -388,7 +388,7 @@ def _named_degree_checks(rec: db.SeriesRecord, a_values) -> list[CheckResult]:
                         "equal exactly when the character is special"))
         if nd.display is not None:
             num = form.polynomial()
-            disp = nd.display.reduce_to_polynomial(0)
+            disp = nd.display.phi_form(0).polynomial()
             out.append(_res("characters", f"{tag} explicit degree",
                             num == disp, str(num)[:60] + "...",
                             str(disp)[:60] + "...",
@@ -406,13 +406,13 @@ def _pair_equality_checks(rec: db.SeriesRecord, a_values) -> list[CheckResult]:
     first, second = pairs[0], pairs[-1]
     a0 = pairs[0].doubled_at
     if a0 in a_values:
-        e1 = _char_expr(rec, first, a0).reduce_to_polynomial(a0)
+        e1 = _char_form(rec, first, a0).polynomial()
         if len(pairs) == 1:
             # a single formula covers both characters of the pair: check its
             # cyclotomic reduction against the division route
             e2 = arithmetic().exact_div(*_char_expr(rec, second, a0).expand(a0))
         else:
-            e2 = _char_expr(rec, second, a0).reduce_to_polynomial(a0)
+            e2 = _char_form(rec, second, a0).polynomial()
         out.append(_res("characters",
                         f"e6:{rec.label} pair equality at first member (a={a0})",
                         e1 == e2, str(e1)[:50] + "...", str(e2)[:50] + "...",

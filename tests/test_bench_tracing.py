@@ -2,6 +2,7 @@
 `LAYERS`); a renamed function must fail here rather than in a traced run."""
 
 import importlib
+import pkgutil
 import runpy
 from pathlib import Path
 
@@ -39,3 +40,23 @@ def test_a_traced_verify_counts_every_arithmetic_call():
     assert calls == {"exactpoly.expand": 1, "exactpoly.reduce_pair": 1,
                      "exactpoly.poly_gcd": 1, "exactpoly.exact_div": 3,
                      "exactpoly.degree_in_q": 75}
+
+
+def test_no_module_outside_the_traced_ones_binds_a_layer_by_name():
+    # install() rebinds a wrapped function only in the package and in MODULES,
+    # so a module outside them that binds one by name would call the original
+    tracing = runpy.run_path(str(TRACING))
+    originals = []
+    for module, path in tracing["LAYERS"].values():
+        owner = importlib.import_module(f"orbitseries.{module}")
+        for part in path.split("."):
+            owner = getattr(owner, part)
+        originals.append(owner)
+    pkg = importlib.import_module("orbitseries")
+    others = [info.name for info in pkgutil.walk_packages(pkg.__path__, "orbitseries.")
+              if info.name.removeprefix("orbitseries.") not in tracing["MODULES"]]
+    assert {"orbitseries._expr", "orbitseries._records"} <= set(others)
+    bound = [(name, key) for name in others
+             for key, value in vars(importlib.import_module(name)).items()
+             if any(value is f for f in originals)]
+    assert bound == []

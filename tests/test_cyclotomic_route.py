@@ -183,12 +183,23 @@ def test_cyclotomic_route_equals_sympy_cancel():
 
 
 def test_eval_at_equals_division_route_values():
+    # every reducible case at the fourth powers 16 and 81, where the division
+    # route reads quarter powers of q, and at 2 and 3 where it has none
+    seen = Counter()
     for expr, a in _reducible(CASES):
         num, den = expr.expand(a)
-        if not (num.is_laurent_in_q() and den.is_laurent_in_q()):
+        form = expr.phi_form(a)
+        if not all(p.is_laurent_in_q() for p in form.pair()):
+            seen["fractional"] += 1
+            for q in (2, 3, 16, 81):
+                with pytest.raises(FractionalPowerError):
+                    form.value_at(q)
             continue
-        for q in (2, 3):
-            assert expr.eval_at(a, q) == num.eval_at(q) / den.eval_at(q), (str(expr), a, q)
+        whole = num.is_laurent_in_q() and den.is_laurent_in_q()
+        seen["whole" if whole else "cancelled"] += 1
+        for q in (16, 81) + ((2, 3) if whole else ()):
+            assert form.value_at(q) == num.eval_at(q) / den.eval_at(q), (str(expr), a, q)
+    assert seen == {"whole": 171, "cancelled": 14, "fractional": 43}
 
 
 # -- the cached leaves against their uncached forms ----------------------------
@@ -199,7 +210,7 @@ def test_cached_phi_forms_equal_uncached():
         for factor, _ in expr.factors:
             if isinstance(factor, Cyclo):
                 # each factor's normal form multiplies back out to q^e -+ 1
-                num, den = factor.phi_form(a).pair()
+                num, den = ProductExpr(factors=((factor, 1),)).phi_form(a).pair()
                 assert den == QLaurent.one() and num == factor.value_at(a)
         phis = expr.phi_form(a).phis
         for key in (tuple((d, m) for d, m in phis if m > 0),
@@ -211,7 +222,8 @@ def test_cached_group_orders_equal_uncached():
     specs = {m.ambient for rec in db.all_series() for m in rec.members}
     for spec in specs:
         for q in (2, 3, 5):
-            want = db.group_order(spec).eval_at(0, q)
+            num, den = db.group_order(spec).expand(0)   # the division route
+            want = num.eval_at(q) / den.eval_at(q)
             assert want.denominator == 1 and _order_int(spec, q) == want
 
 

@@ -12,9 +12,8 @@ from orbitseries import serialize
 from orbitseries.exactpoly import (Cyclo, FractionalPowerError, LinExp,
                                    NotDivisibleError, PhiForm, ProductExpr,
                                    QLaurent, QPhi, ZeroExponentError,
-                                   _mul, _phi_product, cyclo_factor,
-                                   cyclotomic, exact_div, L, pexpr, poly_gcd,
-                                   reduce_pair)
+                                   _mul, _phi_product, cyclotomic, exact_div, L,
+                                   pexpr, poly_gcd, reduce_pair)
 
 
 def qpoly(terms):
@@ -386,8 +385,10 @@ class TestProductExpr:
 
 class TestCyclo:
     def test_signs(self):
-        assert cyclo_factor(3, 1) == qpoly({3: 1, 0: -1})
-        assert cyclo_factor(3, -1) == qpoly({3: 1, 0: 1})
+        assert Cyclo(LinExp(3), 1).value_at(0) == qpoly({3: 1, 0: -1})
+        assert Cyclo(LinExp(3), -1).value_at(0) == qpoly({3: 1, 0: 1})
+        with pytest.raises(ValueError, match="sign must be"):
+            Cyclo(LinExp(3), 0).value_at(0)
 
     def test_cyclo_str(self):
         assert "+" in str(Cyclo(LinExp(3), -1))
@@ -422,16 +423,18 @@ class TestPhiForm:
             assert prod == t ** n - 1
 
     def test_factor_rules(self):
+        def alone(exponent, sign=1, a=0):
+            return ProductExpr(factors=((Cyclo(exponent, sign), 1),)).phi_form(a)
+
         # q - 1 = t^4 - 1 = Phi_1 Phi_2 Phi_4; q^(1/2) + 1 = t^2 + 1 = Phi_4
-        assert Cyclo(LinExp(1)).phi_form(0) == PhiForm(F(1), 0, ((1, 1), (2, 1), (4, 1)))
-        assert Cyclo(LinExp(F(1, 2)), -1).phi_form(0) == PhiForm(F(1), 0, ((4, 1),))
+        assert alone(LinExp(1)) == PhiForm(F(1), 0, ((1, 1), (2, 1), (4, 1)))
+        assert alone(LinExp(F(1, 2)), -1) == PhiForm(F(1), 0, ((4, 1),))
         # q^-1 - 1 = -t^-4 (t^4 - 1) and q^-1 + 1 = t^-4 (t^4 + 1)
-        assert Cyclo(LinExp(-1)).phi_form(0) == \
-            PhiForm(F(-1), -4, ((1, 1), (2, 1), (4, 1)))
-        assert Cyclo(LinExp(-1), -1).phi_form(0) == PhiForm(F(1), -4, ((8, 1),))
-        assert Cyclo(LinExp(-2, 1), -1).phi_form(2) == PhiForm(F(2))
+        assert alone(LinExp(-1)) == PhiForm(F(-1), -4, ((1, 1), (2, 1), (4, 1)))
+        assert alone(LinExp(-1), -1) == PhiForm(F(1), -4, ((8, 1),))
+        assert alone(LinExp(-2, 1), -1, 2) == PhiForm(F(2))
         with pytest.raises(ZeroExponentError, match=r"q\^\(a-2\) - 1 vanishes at a=2"):
-            Cyclo(LinExp(-2, 1)).phi_form(2)
+            alone(LinExp(-2, 1), 1, 2)
 
     def test_literal_q2_minus_q_plus_1_is_phi24(self):
         phi6 = QLaurent.from_q_terms({2: 1, 1: -1, 0: 1})
@@ -496,20 +499,18 @@ class TestPhiForm:
         got = e.reduced(0)
         assert got == want and str(got) == str(want)
         num, den = e.expand(0)
-        whole = all(x.denominator == 1 for x, _, _ in factors) and \
-            prefactor.denominator == 1
-        for q in (16, 3) if whole else (16,):
-            if den.eval_at(q) != 0:
-                assert e.eval_at(0, q) == num.eval_at(q) / den.eval_at(q)
+        if all(x.denominator == 1 for x, _, _ in factors) and prefactor.denominator == 1:
+            for q in (16, 3):
+                assert e.phi_form(0).value_at(q) == num.eval_at(q) / den.eval_at(q)
         if all(m > 0 for _, _, m in factors):
-            assert e.reduce_to_polynomial(0) == exact_div(num, den)
+            assert e.phi_form(0).polynomial() == exact_div(num, den)
 
     def test_reduce_to_polynomial_reports_remainder(self):
         e = pexpr(1, 0, num=[3], den=[2])
         with pytest.raises(NotDivisibleError) as err:
-            e.reduce_to_polynomial(0)
+            e.phi_form(0).polynomial()
         assert not err.value.remainder.is_zero()
-        assert pexpr(1, 0, num=[6], den=[2]).reduce_to_polynomial(0) == \
+        assert pexpr(1, 0, num=[6], den=[2]).phi_form(0).polynomial() == \
             qpoly({4: 1, 2: 1, 0: 1})
 
     def test_reduce_to_polynomial_never_expands(self, monkeypatch):
@@ -517,25 +518,13 @@ class TestPhiForm:
             raise AssertionError("the division route was called")
         monkeypatch.setattr(ProductExpr, "expand", expand)
         with pytest.raises(NotDivisibleError) as err:
-            pexpr(1, 0, num=[3], den=[2]).reduce_to_polynomial(0)
+            pexpr(1, 0, num=[3], den=[2]).phi_form(0).polynomial()
         # (q^3 - 1)/(q^2 - 1) = (q^2 + q + 1)/(q + 1), and q^2 + q + 1 = q(q + 1) + 1
         assert err.value.remainder == QLaurent.one()
 
-    def test_eval_at_wants_a_fourth_root_for_any_fractional_factor(self):
-        # (q^(1/2) - 1)(q^(1/2) + 1) = q - 1 expands onto whole powers, but
-        # evaluation works factor by factor, so q = 2 is refused
-        e = pexpr(1, 0, num=[F(1, 2)], num_plus=[F(1, 2)])
-        num, den = e.expand(0)
-        assert num.eval_at(2) == 1
-        with pytest.raises(FractionalPowerError):
-            e.eval_at(0, 2)
-        assert e.eval_at(0, 16) == 15
-
     def test_eval_at_vanishing_denominator(self):
         with pytest.raises(ZeroDivisionError):
-            pexpr(1, 0, den=[1]).eval_at(0, 1)
-        with pytest.raises(ValueError, match="positive"):
-            pexpr(1, 0, num=[1]).eval_at(0, 0)
+            pexpr(1, 0, den=[1]).phi_form(0).value_at(1)
 
 
 def schoolbook(*polys):
@@ -760,7 +749,7 @@ class TestIntegerForm:
         with pytest.raises(TypeError):
             pexpr(bad)
         with pytest.raises(TypeError):
-            pexpr(1, 0, num=[1]).eval_at(0, bad)
+            pexpr(1, 0, num=[1]).phi_form(0).value_at(bad)
 
     def test_float_exponents_are_refused(self):
         with pytest.raises(TypeError):

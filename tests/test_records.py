@@ -118,10 +118,19 @@ def test_repr_is_the_dataclass_text():
     (lambda: AlgebraType("", 3), UnsupportedRankError, "unknown family ''"),
     (lambda: AlgebraType("AB", 3), UnsupportedRankError, "unknown family 'AB'"),
     (lambda: algebra("e9"), UnsupportedRankError, "E9 does not exist"),
+    (lambda: AlgebraType("A", 2.0), UnsupportedRankError, "a rank is an integer, not 2.0"),
+    (lambda: AlgebraType("E", "8"), UnsupportedRankError, "a rank is an integer, not '8'"),
+    (lambda: AlgebraType("G", None), UnsupportedRankError, "a rank is an integer, not None"),
     (lambda: WeightedDiagram(AlgebraType("G", 2), (1,)), ValueError,
      "one label per simple root required"),
     (lambda: WeightedDiagram(AlgebraType("G", 2), (1, -1)), ValueError,
      "labels must be nonnegative"),
+    (lambda: WeightedDiagram(AlgebraType("G", 2), (1.5, 0)), ValueError,
+     "labels must be integers"),
+    (lambda: WeightedDiagram(AlgebraType("G", 2), (2.0, 0)), ValueError,
+     "labels must be integers"),
+    (lambda: WeightedDiagram(AlgebraType("G", 2), ("1", 0)), ValueError,
+     "labels must be integers"),
     (lambda: PartitionPair(Partition((1,)), Partition((2, 2))), ValueError,
      "beta must have distinct parts"),
     (lambda: ProductExpr(1, LinExp(0), ((Cyclo(LinExp(1)), 0),)), ValueError,
@@ -135,8 +144,9 @@ def test_repr_is_the_dataclass_text():
      "a prefactor exponent is a LinExp, not NoneType"),
 ], ids=["partition-zero", "partition-str", "family-kind", "family-sp", "family-float",
         "family-negative", "family-str", "algebra-E5",
-        "algebra-empty", "algebra-two-letters", "algebra-e9",
-        "diagram-count", "diagram-negative", "pair-beta", "product-mult",
+        "algebra-empty", "algebra-two-letters", "algebra-e9", "algebra-float-rank",
+        "algebra-str-rank", "algebra-none-rank", "diagram-count", "diagram-negative",
+        "diagram-fraction", "diagram-float", "diagram-str", "pair-beta", "product-mult",
         "linexp-float", "product-float", "prefactor-int", "prefactor-str",
         "prefactor-none"])
 def test_constructor_errors(build, error, message):
@@ -153,6 +163,13 @@ def test_an_algebra_rank_with_a_leading_zero_is_refused(name, plain):
         algebra(name)
     assert str(got.value) == f"unknown algebra {name!r}"
     assert isinstance(algebra(plain), AlgebraType)
+
+
+def test_a_rank_and_labels_are_stored_as_ints():
+    # a bool is an integer to operator.index, and is stored as the int it is
+    assert str(AlgebraType("A", True)) == "A1" and type(AlgebraType("A", True).rank) is int
+    wd = WeightedDiagram(AlgebraType("G", 2), (True, False))
+    assert wd.labels == (1, 0) and all(type(x) is int for x in wd.labels)
 
 
 def test_a_linexp_entry_is_an_exponent_not_a_pair():

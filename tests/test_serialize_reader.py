@@ -5,6 +5,7 @@ import json
 import pytest
 
 from orbitseries import serialize
+from orbitseries.exactpoly import pexpr
 from orbitseries.seriesdb import lookup
 
 
@@ -51,6 +52,22 @@ def test_a_multiplicity_below_one_or_not_an_integer_is_refused(key, mult):
     with pytest.raises(ValueError, match="is not a positive integer"):
         serialize.character_from_json(d)
 
+
+def _product_json() -> dict:
+    # one cyclo and one literal factor
+    expr = pexpr(2, "a", num=[1], phi_den=[6])
+    return json.loads(json.dumps(serialize.product_to_json(expr)))
+
+
+@pytest.mark.parametrize("kind, key, what", [("cyclo", "mult", "multiplicity"),
+                                             ("cyclo", "sign", "sign"),
+                                             ("literal", "mult", "multiplicity")])
+@pytest.mark.parametrize("value", [True, False, 1.0, "1", None])
+def test_a_product_factor_sign_or_multiplicity_is_a_json_integer(kind, key, what, value):
+    d = _product_json()
+    next(f for f in d["factors"] if f["kind"] == kind)[key] = value
+    with pytest.raises(ValueError, match=f"factor {what} .* is not an integer"):
+        serialize.product_from_json(d)
 
 
 @pytest.mark.parametrize("spec", ["0sl2", "T0", "0T3"])

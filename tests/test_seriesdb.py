@@ -84,7 +84,7 @@ class TestReductiveSpecs:
     def test_gl_order_matches_general_linear_group(self):
         # |GL_n(q)| = q^(n(n-1)/2) prod_{i<=n} (q^i - 1)
         gl3 = group_order(reductive("gl3"))
-        val = gl3.eval_at(0, 2)
+        val = gl3.phi_form(0).value_at(2)
         assert val == 2 ** 3 * (2 - 1) * (4 - 1) * (8 - 1)
 
 
@@ -118,7 +118,7 @@ def test_nilpotent_count_of_gl_n(n):
         centralizer = group_order(reductive("+".join(_gl(m) for m in mults)))
         orbit = gl_n / (centralizer * ProductExpr(F(1), LinExp(unipotent), ()))
         for q in values:
-            values[q] += orbit.eval_at(0, q)
+            values[q] += orbit.phi_form(0).value_at(q)
         num, den = orbit.reduced(0)
         assert den == QLaurent.one(), lam
         total = total + num

@@ -12,7 +12,7 @@ import pytest
 import orbitseries
 from orbitseries import seriesdb as db
 from orbitseries import verify
-from orbitseries.exactpoly import ProductExpr, pexpr
+from orbitseries.exactpoly import PhiForm, ProductExpr, pexpr
 from orbitseries.seriesdb import lookup
 from orbitseries.verify import (FAIL, PASS, RECORDED, CheckResult, VerificationReport,
                                 VerifyConfig, check_dims, check_gradings,
@@ -123,7 +123,8 @@ class TestReport:
 
     def test_order_int_refuses_a_fraction(self, monkeypatch):
         spec = next(m.ambient for rec in db.all_series() for m in rec.members)
-        monkeypatch.setattr(db, "group_order", lambda _: pexpr(Fraction(7, 2)))
+        # _order_form is cached per spec, so the form itself is replaced
+        monkeypatch.setattr(verify, "_order_form", lambda _: pexpr(Fraction(7, 2)).phi_form(0))
         with pytest.raises(ArithmeticError, match="= 7/2 is not an integer"):
             verify._order_int.__wrapped__(spec, 2)
 
@@ -174,8 +175,9 @@ class TestARange:
         assert all(s.startswith("f4:") and s.endswith("a=1 degree") for s in asserted)
 
 
-@pytest.mark.parametrize("route", ["expand", "reduce_to_polynomial"])
-def test_single_formula_pair_compares_two_routes(monkeypatch, route):
+@pytest.mark.parametrize("owner,route", [(ProductExpr, "expand"), (PhiForm, "polynomial")],
+                         ids=["expand", "polynomial"])
+def test_single_formula_pair_compares_two_routes(monkeypatch, owner, route):
     """e6:g.g3.gQ has one paired formula; its pair equality check compares the
     cyclotomic reduction with the division route, so corrupting either fails it."""
     rec = lookup("e6", "g.g3.gQ")
@@ -187,11 +189,11 @@ def test_single_formula_pair_compares_two_routes(monkeypatch, route):
         return res
 
     assert pair_equality().status == PASS
-    original = getattr(ProductExpr, route)
+    original = getattr(owner, route)
 
-    def corrupted(self, a):
-        value = original(self, a)
+    def corrupted(self, *a):
+        value = original(self, *a)
         return (value[0] * 2, value[1]) if route == "expand" else value * 2
 
-    monkeypatch.setattr(ProductExpr, route, corrupted)
+    monkeypatch.setattr(owner, route, corrupted)
     assert pair_equality().status == FAIL
