@@ -460,6 +460,8 @@ class PhiForm(NamedTuple):
         (q^(n/4) - 1)^(E_n), where every power of q must be integral.  At
         q = 1 it is 0 when Phi_1 divides the numerator and else the limit,
         constant * prod n^(E_n), fractional powers or not."""
+        if type(q) is not int:   # True and 1.0 would pass the q = 1 branch
+            raise TypeError(f"value_at takes an int q, not {type(q).__name__}")
         exps = _binomial_exponents(self.phis)
         if q == 1:   # each t^n - 1 is t - 1 times a sum of n powers of t
             factors = exps + ((0, sum(e for _, e in exps)),)

@@ -303,4 +303,7 @@ def series_weight_to_diagram(p: int, q: int, r: int, s: int,
     for weight, mult in (("g", p), ("g2", q), ("g3", r), ("gQ", s)):
         for node, k in table[weight].items():
             labels[node - 1] += mult * k
+    if max(labels) > 2:   # Dynkin-Kostant: a nilpotent's labels are 0, 1 or 2
+        raise ValueError(f"weight exponents {(p, q, r, s)} give the label "
+                         f"{max(labels)} in {alg.name}, and no nilpotent has one")
     return WeightedDiagram(alg, tuple(labels))

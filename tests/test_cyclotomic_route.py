@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitseries import _suites
 from orbitseries import seriesdb as db
 from orbitseries import verify
 from orbitseries.exactpoly import (Cyclo, FractionalPowerError, PhiForm, ProductExpr,
                                    QLaurent, ZeroExponentError, _binomial_exponents,
                                    _phi_product, _t_power, pexpr, reduce_pair)
-from orbitseries.verify import (_char_expr, _char_form, _constant_ratio, _expected_quotient,
-                                _order_int)
+from orbitseries._suites import (_char_expr, _char_form, _constant_ratio, _expected_quotient,
+                                 _order_int)
 
 
 def _registry_cases():
@@ -393,7 +394,7 @@ def test_a_full_verify_multiplies_out_only_the_printed_polynomials(monkeypatch):
 
     for cls, name in ((PhiForm, "pair"), (ProductExpr, "reduced"), (QLaurent, "eval_at")):
         monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
-    for cache in (_phi_product, _binomial_exponents, verify._order_form, verify._order_int):
+    for cache in (_phi_product, _binomial_exponents, _suites._order_form, _suites._order_int):
         cache.cache_clear()
     report = verify.run_all()
     assert report.counts == {verify.PASS: 937, verify.FAIL: 0, verify.RECORDED: 95}

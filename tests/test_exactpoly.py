@@ -751,6 +751,12 @@ class TestIntegerForm:
         with pytest.raises(TypeError):
             pexpr(1, 0, num=[1]).phi_form(0).value_at(bad)
 
+    @pytest.mark.parametrize("q", [1.0, True, 2.0])
+    def test_value_at_takes_only_an_int(self, q):
+        # 1.0 and True equal 1, where the value of q - 1 would read 0
+        with pytest.raises(TypeError, match="takes an int q, not (float|bool)"):
+            pexpr(1, 0, num=[1]).phi_form(0).value_at(q)
+
     def test_float_exponents_are_refused(self):
         with pytest.raises(TypeError):
             QLaurent({F(1, 2): 1})   # int() would truncate it to t^0

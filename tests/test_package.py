@@ -1,8 +1,9 @@
 """The package loads lazily: `import orbitseries.cli` pulls in neither the
 verifier nor the export code nor the dataclass machinery, a registry command
 loads `partitions` and `rootsystems` only when it uses them and `exactpoly`
-only when it computes with an expression, and the names the package has
-always offered resolve to the objects of their modules."""
+only when it computes with an expression, a partial verify loads only the
+suites it runs, and the names the package has always offered resolve to the
+objects of their modules."""
 
 import importlib
 import json
@@ -80,28 +81,31 @@ print(json.dumps({"code": code, "loaded": sorted(m for m in sys.modules
 NEITHER, ROOTS, BOTH = (), ("rootsystems",), ("partitions", "rootsystems")
 
 
-# the last column: whether the call loads exactpoly, the Laurent arithmetic
-@pytest.mark.parametrize("argv, code, combinatorics, arithmetic", [
-    ((), None, NEITHER, False),
-    (("list",), 0, NEITHER, False),
-    (("show", "f4", "g^2"), 0, NEITHER, False),
-    (("points", "f4", "g2", "--a", "2"), 0, NEITHER, True),
-    (("export", "--format", "json"), 0, NEITHER, True),
-    (("show", "f4", "no-such-label"), 2, NEITHER, False),
-    (("diagram", "f4", "g.g3.gQ^2", "--algebra", "e8"), 0, ROOTS, False),
-    (("grading", "f4", "gQ", "--algebra", "e7"), 0, ROOTS, False),
-    (("verify", "--suite", "dims"), 0, BOTH, False),
-    (("verify", "--suite", "gradings"), 0, BOTH, False),
+# the last columns: whether the call loads exactpoly, the Laurent arithmetic,
+# and _suites, the point-count, character and universal checks
+@pytest.mark.parametrize("argv, code, combinatorics, arithmetic, suites", [
+    ((), None, NEITHER, False, False),
+    (("list",), 0, NEITHER, False, False),
+    (("show", "f4", "g^2"), 0, NEITHER, False, False),
+    (("points", "f4", "g2", "--a", "2"), 0, NEITHER, True, False),
+    (("export", "--format", "json"), 0, NEITHER, True, False),
+    (("show", "f4", "no-such-label"), 2, NEITHER, False, False),
+    (("diagram", "f4", "g.g3.gQ^2", "--algebra", "e8"), 0, ROOTS, False, False),
+    (("grading", "f4", "gQ", "--algebra", "e7"), 0, ROOTS, False, False),
+    (("verify", "--suite", "dims"), 0, BOTH, False, False),
+    (("verify", "--suite", "gradings"), 0, ROOTS, False, False),
+    (("verify",), 0, BOTH, True, True),
 ], ids=["all_series", "list", "show", "points", "export", "unknown-label", "diagram",
-        "grading", "verify-dims", "verify-gradings"])
+        "grading", "verify-dims", "verify-gradings", "verify"])
 def test_registry_commands_load_the_combinatorics_only_when_they_use_it(
-        argv, code, combinatorics, arithmetic):
+        argv, code, combinatorics, arithmetic, suites):
     got = _fresh_process(BOUNDARY, *argv)
     assert got["code"] == code
     assert "orbitseries.seriesdb" in got["loaded"]
     for module in ("partitions", "rootsystems"):
         assert (f"orbitseries.{module}" in got["loaded"]) == (module in combinatorics)
     assert ("orbitseries.exactpoly" in got["loaded"]) == arithmetic
+    assert ("orbitseries._suites" in got["loaded"]) == suites
 
 
 @pytest.mark.parametrize("module", sorted(PUBLIC))

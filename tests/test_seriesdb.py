@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from orbitseries import serialize
 from orbitseries.exactpoly import Cyclo, LinExp, ProductExpr, QLaurent, QPhi, pexpr
 from orbitseries.partitions import Family, Partition, PartitionPair, orbit_dim_classical
-from orbitseries.rootsystems import UnsupportedRankError, series_weight_to_diagram
+from orbitseries.rootsystems import (UnsupportedRankError, WeightedDiagram, algebra,
+                                     series_weight_to_diagram)
 from orbitseries.seriesdb import (MASTER_POINTCOUNT, CharacterFormula, L,
                                   NamedDegree, UnknownSeriesError, _series,
                                   all_series, group_order, hasse_edges, lookup,
@@ -191,6 +192,19 @@ class TestRecordOwnsItsDerivedData:
                         rec.diagram(alg)
                 else:
                     assert rec.diagram(alg) == series_weight_to_diagram(*rec.exponents, alg)
+
+    @pytest.mark.parametrize("row, label", [
+        ("f4", "g^2.g2^2"), ("f4", "g2^2.gQ^2"), ("f4", "g^2.g2^2.gQ^2"),
+        ("f4", "g^2.g2^2.g3^2.gQ^2"), ("e6", "g^2.g3.gQ"), ("e6", "g^2.g3^2.gQ^2"),
+        ("e6", "g^2.gQ^2")])
+    def test_exponents_that_give_a_label_3_are_refused(self, row, label):
+        # the largest exponent raised by 1 turns a label 2 into a 3, which no
+        # nilpotent diagram has (Dynkin-Kostant); a WeightedDiagram still takes it
+        exps = list(lookup(row, label).exponents)
+        exps[exps.index(max(exps))] += 1
+        with pytest.raises(ValueError, match="the label 3 in F4"):
+            series_weight_to_diagram(*exps, "f4")
+        assert WeightedDiagram(algebra("f4"), tuple(exps)).labels == tuple(exps)
 
     def test_member_datum_matches_its_family(self):
         for rec in all_series():

@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import orbitseries
+from orbitseries import _suites
+from orbitseries import rootsystems as rsys
 from orbitseries import seriesdb as db
 from orbitseries import verify
 from orbitseries.exactpoly import PhiForm, ProductExpr, pexpr
@@ -32,6 +34,17 @@ class TestSuites:
     def test_dims_clean(self):
         results = check_dims()
         assert results and not _failures(results)
+
+    def test_g2_distinguished_diagram_has_dim_g0_equal_to_dim_g2(self, monkeypatch):
+        # the folding checks read G2's orbit dimensions off a list of diagrams;
+        # the one of dimension 10 is the distinguished G2(a1), which is even
+        # with dim g0 = dim g2
+        seen, dim = [], rsys.orbit_dim_from_diagram
+        monkeypatch.setattr(rsys, "orbit_dim_from_diagram", lambda wd: seen.append(wd) or dim(wd))
+        assert verify._g2_orbit_dims() == {0, 6, 8, 10, 12}
+        [wd] = [wd for wd in seen if dim(wd) == 10]
+        levels = rsys.grading_dims(wd)
+        assert levels[0] == levels[2] == 4, wd.labels
 
     def test_gradings_clean(self):
         results = check_gradings()
@@ -124,9 +137,9 @@ class TestReport:
     def test_order_int_refuses_a_fraction(self, monkeypatch):
         spec = next(m.ambient for rec in db.all_series() for m in rec.members)
         # _order_form is cached per spec, so the form itself is replaced
-        monkeypatch.setattr(verify, "_order_form", lambda _: pexpr(Fraction(7, 2)).phi_form(0))
+        monkeypatch.setattr(_suites, "_order_form", lambda _: pexpr(Fraction(7, 2)).phi_form(0))
         with pytest.raises(ArithmeticError, match="= 7/2 is not an integer"):
-            verify._order_int.__wrapped__(spec, 2)
+            _suites._order_int.__wrapped__(spec, 2)
 
     def test_determinism(self):
         cfg = VerifyConfig(suites=("dims", "gradings"))
@@ -184,7 +197,7 @@ def test_single_formula_pair_compares_two_routes(monkeypatch, owner, route):
     assert [f.name for f in rec.characters if f.doubled_at is not None] == ["pair"]
 
     def pair_equality():
-        [res] = [r for r in verify._pair_equality_checks(rec, (2,))
+        [res] = [r for r in _suites._pair_equality_checks(rec, (2,))
                  if "pair equality" in r.subject]
         return res
 
