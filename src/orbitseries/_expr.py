@@ -12,9 +12,12 @@ import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Union
 
 from ._records import Record
+
+if TYPE_CHECKING:   # annotations only; exactpoly is imported on first use
+    from .exactpoly import PhiForm, QLaurent
 
 
 @lru_cache(maxsize=None)
@@ -164,15 +167,6 @@ class Cyclo(NamedTuple):
     def _vanishes(self, a: Rat) -> ZeroExponentError:
         return ZeroExponentError(f"factor q^({self.exponent}) - 1 vanishes at a={a}")
 
-    def value_at(self, a: Rat) -> QLaurent:
-        """q^e - sign at a; raises when that is q^0 - 1 = 0."""
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        e = self.exponent(a)
-        if self.sign == 1 and e == 0:
-            raise self._vanishes(a)
-        return arithmetic().QLaurent.q_power(e) - self.sign
-
     def __str__(self) -> str:
         op = "-" if self.sign == 1 else "+"
         return f"(q^({self.exponent}){op}1)"
@@ -188,9 +182,6 @@ class QPhi(NamedTuple):
         """Phi_d(q), that is Phi_d(t) spread to the t-powers 4i."""
         ep = arithmetic()
         return ep.QLaurent({4 * i: v for i, v in enumerate(ep.cyclotomic(self.d))})
-
-    def value_at(self, a: Rat) -> QLaurent:
-        return self.value
 
     def __str__(self) -> str:
         return f"({self.value})"
@@ -249,7 +240,8 @@ class ProductExpr(Record):
         """Multiply out at parameter a into an exact (numerator, denominator) pair.
 
         The constant and the q-prefactor are folded into the numerator (the
-        prefactor into the denominator when its exponent is negative).
+        prefactor into the denominator when its exponent is negative); a
+        factor is q^e - sign, refused when that is q^0 - 1 = 0, or Phi_d(q).
         """
         QLaurent = arithmetic().QLaurent
         num = QLaurent.constant(self.constant)
@@ -260,7 +252,13 @@ class ProductExpr(Record):
         else:
             den = den * QLaurent.q_power(-e)
         for factor, mult in self.factors:
-            base = factor.value_at(a)
+            if isinstance(factor, Cyclo):
+                e = factor.exponent(a)
+                if factor.sign == 1 and e == 0:
+                    raise factor._vanishes(a)
+                base = QLaurent.q_power(e) - factor.sign
+            else:
+                base = factor.value
             if mult > 0:
                 num = num * base ** mult
             else:
@@ -305,20 +303,9 @@ class ProductExpr(Record):
         return self.phi_form(a).pair()
 
     def degree_in_q(self, a: Rat) -> Fraction:
-        """Exact q-degree of the reduced value at parameter a, summed as
-        t-powers: deg(q^e -+ 1) is e when e > 0, else 0 (the Laurent factor
-        bottoms out), and Phi_d(q) has its own degree."""
-        total = self.prefactor_exponent.t_power(a)
-        for factor, mult in self.factors:
-            if not isinstance(factor, Cyclo):
-                total += factor.value.t_degree() * mult
-                continue
-            big_e = factor.exponent.t_power(a)
-            if big_e == 0 and factor.sign == 1:
-                raise factor._vanishes(a)
-            if big_e > 0:
-                total += big_e * mult
-        return Fraction(total, 4)
+        """Exact q-degree of the reduced value at parameter a, read off the
+        cyclotomic normal form."""
+        return self.phi_form(a).degree_in_q()
 
     def __str__(self) -> str:
         parts = []

@@ -5,7 +5,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import partitions as pt
 from . import rootsystems as rsys
@@ -13,9 +13,8 @@ from . import seriesdb as db
 from ._expr import LinExp, ProductExpr, ZeroExponentError, arithmetic
 from .verify import A_VALUES, CheckResult, _collinear, _rec, _res
 
-# Constant point-count ratios compatible with the component groups that occur.
-ALLOWED_RATIOS = {Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3),
-                  Fraction(1, 3), Fraction(6), Fraction(1, 6)}
+if TYPE_CHECKING:   # annotations only; arithmetic() imports exactpoly
+    from .exactpoly import PhiForm
 
 # Sweep bounds of the magic-square checks: orthogonal partitions up to so_10,
 # and the (3,1,...,1) closed form up to so_12.
@@ -53,16 +52,15 @@ def _constant_ratio(f: PhiForm) -> Fraction | None:
 def check_pointcounts(a_values: Sequence[int] = A_VALUES) -> list[CheckResult]:
     out: list[CheckResult] = []
     for rec in db.series_by_row("f4") + db.series_by_row("e6"):
-        z = rec.point_count
         for m in rec.members:
             a = m.a
             if a not in a_values:
                 continue
             tag = f"{rec.row}:{rec.label} a={a}"
-            deg = z.degree_in_q(a)
+            form = rec.point_count.phi_form(a)
+            deg = form.degree_in_q()
             out.append(_res("pointcounts", f"{tag} degree", deg == rec.dim(a),
                             deg, rec.dim(a)))
-            form = z.phi_form(a)
             poly = form.is_q_polynomial()
             if a == 1:
                 out.append(_rec("pointcounts", f"{tag} reduction",
@@ -71,35 +69,31 @@ def check_pointcounts(a_values: Sequence[int] = A_VALUES) -> list[CheckResult]:
                                 "printed counts hold verbatim only for a >= 2"))
                 continue
             out.append(_res("pointcounts", f"{tag} polynomial", poly, poly, True))
-            ratio = _constant_ratio(form / _expected_quotient(rec, m))
             if rec.row == "e6":
-                # the explicit counts: integral values, quotient exactly 1
+                # the explicit counts: integral values
                 vals = [form.value_at(q) for q in (2, 3, 5)] if poly else []
                 ok = poly and all(v.denominator == 1 and v > 0 for v in vals)
                 out.append(_res("pointcounts", f"{tag} integral at q=2,3,5", ok,
                                 [str(v) for v in vals], "positive integers"))
-                out.append(_res("pointcounts", f"{tag} group-order quotient",
-                                ratio == 1, f"ratio {ratio}", "1"))
-                continue
-            trivial = rec.fundamental_group == "trivial"
-            out.append(_res("pointcounts", f"{tag} group-order quotient",
-                            ratio == 1 if trivial else ratio in ALLOWED_RATIOS,
-                            f"ratio {ratio}", "1" if trivial else "allowed constant",
-                            f"fundamental group {rec.fundamental_group}"))
+            ratio = _constant_ratio(form / _expected_quotient(rec, m))
+            out.append(_res("pointcounts", f"{tag} group-order quotient", ratio == 1,
+                            f"ratio {ratio}", "1",
+                            f"fundamental group {rec.fundamental_group}"
+                            if rec.row == "f4" else ""))
     return out
 
 
 # -- characters ---------------------------------------------------------------
 
 
-def _char_expr(rec: db.SeriesRecord, formula: db.CharacterFormula,
-               a: int) -> ProductExpr:
+def _char_expr(formula: db.CharacterFormula, a: int) -> ProductExpr:
     # characters live only in the f4 and e6 rows, whose ambient at a is the
     # exceptional one; a = 1 is evaluated formally against the folded algebra
-    return formula.expr(rsys.algebra(db.EXCEPTIONAL_AMBIENTS[a]).num_positive_roots)
+    n = rsys.algebra(db.EXCEPTIONAL_AMBIENTS[a]).num_positive_roots
+    return ProductExpr(1, LinExp(n) - formula.shift) * formula.body
 
 
-def _char_form(rec: db.SeriesRecord, formula: db.CharacterFormula, a: int) -> PhiForm:
+def _char_form(formula: db.CharacterFormula, a: int) -> PhiForm:
     """The normal form of ``_char_expr`` at a: the body's times q^(N - shift(a))."""
     n = rsys.algebra(db.EXCEPTIONAL_AMBIENTS[a]).num_positive_roots
     power = arithmetic().PhiForm(Fraction(1), 4 * n - formula.shift.t_power(a))
@@ -117,7 +111,7 @@ def check_characters(a_values: Sequence[int] = A_VALUES) -> list[CheckResult]:
                 if a not in a_values:
                     continue
                 tag = f"{rec.row}:{rec.label} [{formula.name}] a={a}"
-                form = _char_form(rec, formula, a)
+                form = _char_form(formula, a)
                 poly = form.is_q_polynomial()
                 out.append(_res("characters", f"{tag} polynomial", poly, poly, True))
                 if not poly:
@@ -162,7 +156,7 @@ def _a1_character_records(rec: db.SeriesRecord) -> list[CheckResult]:
             continue
         tag = f"f4:{rec.label} [{formula.name}] a=1"
         try:
-            poly = _char_form(rec, formula, 1).is_q_polynomial()
+            poly = _char_form(formula, 1).is_q_polynomial()
             out.append(_rec("characters", tag,
                             "polynomial in q" if poly else "fractional q-powers",
                             "not asserted at a=1",
@@ -179,7 +173,7 @@ def _named_degree_checks(rec: db.SeriesRecord, a_values) -> list[CheckResult]:
         if nd.a not in a_values:
             continue
         formula = next(f for f in rec.characters if f.name == nd.variant)
-        form = _char_form(rec, formula, nd.a)
+        form = _char_form(formula, nd.a)
         if formula.doubled_at == nd.a:
             form = form * arithmetic().PhiForm(Fraction(2))
         tag = f"{rec.row}:{rec.label} {nd.label} a={nd.a}"
@@ -210,13 +204,13 @@ def _pair_equality_checks(rec: db.SeriesRecord, a_values) -> list[CheckResult]:
     first, second = pairs[0], pairs[-1]
     a0 = pairs[0].doubled_at
     if a0 in a_values:
-        e1 = _char_form(rec, first, a0).polynomial()
+        e1 = _char_form(first, a0).polynomial()
         if len(pairs) == 1:
             # a single formula covers both characters of the pair: check its
             # cyclotomic reduction against the division route
-            e2 = arithmetic().exact_div(*_char_expr(rec, second, a0).expand(a0))
+            e2 = arithmetic().exact_div(*_char_expr(second, a0).expand(a0))
         else:
-            e2 = _char_form(rec, second, a0).polynomial()
+            e2 = _char_form(second, a0).polynomial()
         out.append(_res("characters",
                         f"e6:{rec.label} pair equality at first member (a={a0})",
                         e1 == e2, str(e1)[:50] + "...", str(e2)[:50] + "...",
@@ -227,7 +221,7 @@ def _pair_equality_checks(rec: db.SeriesRecord, a_values) -> list[CheckResult]:
     # coincidence to the first member, not to a literal a=1 evaluation
     try:
         # normal forms are equal exactly when the rational functions are
-        equal = _char_form(rec, first, 1) == _char_form(rec, second, 1)
+        equal = _char_form(first, 1) == _char_form(second, 1)
         out.append(_rec("characters", f"e6:{rec.label} pair comparison at a=1",
                         "equal" if equal else "not equal",
                         "recorded only",
@@ -243,7 +237,7 @@ def _epsilon_pair_record() -> list[CheckResult]:
     plus = next(f for f in rec.characters if f.name == "eps=+1")
     minus = next(f for f in rec.characters if f.name == "eps=-1")
     base = next(f for f in rec.characters if f.name == "principal")
-    p1, p2, b = (_char_form(rec, f, 8).polynomial() for f in (plus, minus, base))
+    p1, p2, b = (_char_form(f, 8).polynomial() for f in (plus, minus, base))
     num, den = arithmetic().reduce_pair(p1 + p2, b)
     return [_rec("characters", "f4:gQ^2 eps pair sum vs base degree",
                  f"({num})/({den})", "rational, not polynomial",

@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from fractions import Fraction
 
 from . import seriesdb as db
 
@@ -85,10 +84,9 @@ def _decimal(n: int) -> str:
 
 
 def cmd_points(args) -> int:
-    num, den = db.lookup(args.row, args.label).point_count.reduced(Fraction(args.a))
+    num, den = db.lookup(args.row, args.label).point_count.reduced(args.a)
     if args.q is not None:
-        q = Fraction(args.q)
-        value = num.eval_at(q) / den.eval_at(q)
+        value = num.eval_at(args.q) / den.eval_at(args.q)
         text = _decimal(value.numerator)
         print(text if value.denominator == 1 else f"{text}/{_decimal(value.denominator)}")
         return 0
@@ -200,10 +198,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_points)
 
     p = sub.add_parser("verify", allow_abbrev=False, help="run the verification suites")
+    # verify.SUITES, written out so that parsing does not import verify
     p.add_argument("--suite", action="append",
                    choices=("dims", "gradings", "pointcounts", "characters",
-                            "universal", "errata"))
-    p.add_argument("--a", action="append", type=int, choices=db.EXCEPTIONAL_AMBIENTS)
+                            "universal", "errata"),
+                   help="run only this suite (repeatable); the default runs all")
+    p.add_argument("--a", action="append", type=int, choices=db.EXCEPTIONAL_AMBIENTS,
+                   help="restrict the point-count and character suites to the members "
+                        "at this a (repeatable); the other suites ignore it")
     p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=cmd_verify)
 

@@ -19,11 +19,11 @@ Lie Type* (1985), section 13.9, and of CHEVIE's ``CycPol``
 (Geck-Hiss-Luebeck-Malle-Pfeiffer 1996).  Cancelling common factors is then
 subtraction of the multiplicities m_d.  By Moebius inversion prod Phi_d^(m_d)
 = prod (t^n - 1)^(E_n) with E_n = sum over n | d of mu(d/n) m_d, which is
-unique, so whether a form is a polynomial in q, its values and its lowest
-power are read off the E_n (``PhiForm``), and a reduced result is multiplied
-out only when asked, over the integers and without a general multiplication:
-``_phi_product`` shifts and subtracts once per factor t^n - 1 with E_n > 0,
-then divides by each one with E_n < 0 in n strided prefix sums.
+unique, so whether a form is a polynomial in q, its values, its degree and
+its lowest power are read off the E_n (``PhiForm``), and a reduced result is
+multiplied out only when asked, over the integers and without a general
+multiplication: ``_phi_product`` shifts and subtracts once per factor t^n - 1
+with E_n > 0, then divides by each one with E_n < 0 in n strided prefix sums.
 ``cyclotomic(d)`` is the same kernel at a single Phi_d.  General products
 (``QLaurent.__mul__``) are schoolbook products over the nonzero entries of
 each factor (``_mul``).  The division route (``ProductExpr.expand``,
@@ -472,6 +472,13 @@ class PhiForm(NamedTuple):
         num, den = self.constant.as_integer_ratio()
         return Fraction(num * math.prod(v ** e for v, e in factors if e > 0),
                         den * math.prod(v ** -e for v, e in factors if e < 0))
+
+    def degree_in_q(self) -> Fraction:
+        """The degree in q of the numerator less that of the denominator, as
+        each t^n - 1 has degree n in t; the zero form has none."""
+        if not self.constant:
+            raise ValueError("degree of the zero form")
+        return Fraction(self.shift + sum(n * e for n, e in _binomial_exponents(self.phis)), 4)
 
     def low_degree_in_q(self) -> Fraction:
         """The lowest power of q in the numerator: each Phi_d has constant term +-1."""

@@ -21,10 +21,13 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from ._records import AlgebraType, Family, Partition, PartitionPair, algebra, pair_to_partition
 from ._expr import L, LinExp, ProductExpr, pexpr
+
+if TYPE_CHECKING:   # annotations only; a diagram imports the root systems
+    from . import rootsystems
 
 __all__ = [
     "ReductiveSpec", "Member", "CharacterFormula", "NamedDegree", "SeriesRecord",
@@ -153,9 +156,6 @@ class CharacterFormula(NamedTuple):
     body: ProductExpr
     a_values: tuple[int, ...] = (2, 4, 8)
     doubled_at: int | None = None   # member whose unique character is the pair sum
-
-    def expr(self, n_positive_roots: int) -> ProductExpr:
-        return ProductExpr(1, LinExp(n_positive_roots) - self.shift) * self.body
 
 
 class NamedDegree(NamedTuple):

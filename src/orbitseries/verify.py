@@ -26,6 +26,9 @@ RECORDED = "discrepancy-recorded"
 # The series parameter values; a = 1 entries are recorded, never asserted.
 A_VALUES = tuple(db.EXCEPTIONAL_AMBIENTS)
 
+# The suites in the order run_all runs them.
+SUITES = ("dims", "gradings", "pointcounts", "characters", "universal", "errata")
+
 
 class CheckResult(NamedTuple):
     suite: str
@@ -224,8 +227,7 @@ def check_errata() -> list[CheckResult]:
 
 
 class VerifyConfig(NamedTuple):
-    suites: tuple[str, ...] = ("dims", "gradings", "pointcounts", "characters",
-                               "universal", "errata")
+    suites: tuple[str, ...] = SUITES
     a_values: tuple[int, ...] = A_VALUES
 
 
@@ -286,17 +288,18 @@ def check_universal() -> list[CheckResult]:
 
 
 def run_all(config: VerifyConfig = VerifyConfig()) -> VerificationReport:
-    results: list[CheckResult] = []
-    if "dims" in config.suites:
-        results.extend(check_dims())
-    if "gradings" in config.suites:
-        results.extend(check_gradings())
-    if "pointcounts" in config.suites:
-        results.extend(check_pointcounts(config.a_values))
-    if "characters" in config.suites:
-        results.extend(check_characters(config.a_values))
-    if "universal" in config.suites:
-        results.extend(check_universal())
-    if "errata" in config.suites:
-        results.extend(check_errata())
-    return VerificationReport(tuple(results))
+    """The configured suites' results, in the order of SUITES.  A suite or an a
+    that would select nothing is refused, a bare string of suites included."""
+    for kind, chosen, known in (("suite", config.suites, SUITES),
+                                ("a", config.a_values, A_VALUES)):
+        unknown = [x for x in chosen if x not in known]
+        if unknown:
+            raise ValueError(f"unknown {kind} {', '.join(map(repr, unknown))}, "
+                             f"not one of {', '.join(map(repr, known))}")
+    # looked up per call, where bench/tracing.py may have wrapped them
+    checks = {"dims": check_dims, "gradings": check_gradings,
+              "pointcounts": lambda: check_pointcounts(config.a_values),
+              "characters": lambda: check_characters(config.a_values),
+              "universal": check_universal, "errata": check_errata}
+    return VerificationReport(tuple(r for suite in SUITES if suite in config.suites
+                                    for r in checks[suite]()))

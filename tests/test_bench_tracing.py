@@ -38,8 +38,7 @@ def test_a_traced_verify_counts_every_arithmetic_call():
     calls = {name: layer["calls"] for name, layer in tracing["summarize"](tracer.spans).items()
              if name.startswith("exactpoly.")}
     assert calls == {"exactpoly.expand": 1, "exactpoly.reduce_pair": 1,
-                     "exactpoly.poly_gcd": 1, "exactpoly.exact_div": 3,
-                     "exactpoly.degree_in_q": 75}
+                     "exactpoly.poly_gcd": 1, "exactpoly.exact_div": 3}
 
 
 def test_no_module_outside_the_traced_ones_binds_a_layer_by_name():

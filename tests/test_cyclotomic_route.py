@@ -28,7 +28,7 @@ def _registry_cases():
     for rec in db.all_series():
         for formula in rec.characters:
             # a = 1 is kept here and skipped below where it degenerates
-            cases += [(_char_expr(rec, formula, a), a) for a in formula.a_values + (1,)]
+            cases += [(_char_expr(formula, a), a) for a in formula.a_values + (1,)]
         cases += [(nd.display, 0) for nd in rec.named_degrees if nd.display is not None]
         for m in rec.members:
             cases += [(db.group_order(m.ambient), 0), (db.group_order(m.h), 0)]
@@ -211,8 +211,8 @@ def test_cached_phi_forms_equal_uncached():
         for factor, _ in expr.factors:
             if isinstance(factor, Cyclo):
                 # each factor's normal form multiplies back out to q^e -+ 1
-                num, den = ProductExpr(factors=((factor, 1),)).phi_form(a).pair()
-                assert den == QLaurent.one() and num == factor.value_at(a)
+                alone = ProductExpr(factors=((factor, 1),))
+                assert alone.phi_form(a).pair() == alone.expand(a)
         phis = expr.phi_form(a).phis
         for key in (tuple((d, m) for d, m in phis if m > 0),
                     tuple((d, -m) for d, m in phis if m < 0)):
@@ -286,12 +286,12 @@ def _checked_forms():
         for formula in rec.characters:
             for a in formula.a_values + ((1,) if rec.row == "f4" else ()):
                 try:
-                    forms.append(_char_form(rec, formula, a))
+                    forms.append(_char_form(formula, a))
                 except ZeroExponentError:
                     assert a == 1
         for nd in rec.named_degrees:
             formula = next(f for f in rec.characters if f.name == nd.variant)
-            form = _char_form(rec, formula, nd.a)
+            form = _char_form(formula, nd.a)
             forms.append(form * PhiForm(Fraction(2)) if formula.doubled_at == nd.a else form)
     return forms
 
@@ -302,13 +302,13 @@ def test_char_form_is_the_normal_form_of_the_character_expression():
         for formula in rec.characters:
             for a in formula.a_values + (1,):
                 try:
-                    want = _char_expr(rec, formula, a).phi_form(a)
+                    want = _char_expr(formula, a).phi_form(a)
                 except ZeroExponentError as err:
                     with pytest.raises(ZeroExponentError) as got:
-                        _char_form(rec, formula, a)
+                        _char_form(formula, a)
                     assert str(got.value) == str(err)
                     continue
-                assert _char_form(rec, formula, a) == want, (rec.label, formula.name, a)
+                assert _char_form(formula, a) == want, (rec.label, formula.name, a)
                 cases += 1
     assert cases > 100
 
@@ -333,6 +333,11 @@ def _assert_readings_equal_the_pair(form):
             form.value_at(1)
     if form.constant:
         assert form.low_degree_in_q() == Fraction(num.t_low_degree(), 4), form
+        got = form.degree_in_q()
+        assert got == num.degree_in_q() - den.degree_in_q() and type(got) is Fraction, form
+    else:
+        with pytest.raises(ValueError, match="degree of the zero form"):
+            form.degree_in_q()
 
 
 def test_readings_of_every_checked_form_equal_the_multiplied_out_pair():

@@ -385,10 +385,12 @@ class TestProductExpr:
 
 class TestCyclo:
     def test_signs(self):
-        assert Cyclo(LinExp(3), 1).value_at(0) == qpoly({3: 1, 0: -1})
-        assert Cyclo(LinExp(3), -1).value_at(0) == qpoly({3: 1, 0: 1})
-        with pytest.raises(ValueError, match="sign must be"):
-            Cyclo(LinExp(3), 0).value_at(0)
+        def alone(sign):
+            return ProductExpr(factors=((Cyclo(LinExp(3), sign), 1),))
+        assert alone(1).expand(0) == (qpoly({3: 1, 0: -1}), QLaurent.one())
+        assert alone(-1).expand(0) == (qpoly({3: 1, 0: 1}), QLaurent.one())
+        with pytest.raises(ValueError, match=r"a Cyclo sign is \+1 or -1"):
+            alone(0)
 
     def test_cyclo_str(self):
         assert "+" in str(Cyclo(LinExp(3), -1))

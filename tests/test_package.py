@@ -2,9 +2,11 @@
 verifier nor the export code nor the dataclass machinery, a registry command
 loads `partitions` and `rootsystems` only when it uses them and `exactpoly`
 only when it computes with an expression, a partial verify loads only the
-suites it runs, and the names the package has always offered resolve to the
-objects of their modules."""
+suites it runs, the names the package has always offered resolve to the
+objects of their modules, and every annotation names what its module binds."""
 
+import ast
+import builtins
 import importlib
 import json
 import os
@@ -142,3 +144,53 @@ def test_unknown_name_raises_attribute_error():
         orbitseries.no_such_name
     assert not hasattr(orbitseries, "dataclass")
     assert orbitseries.__version__ == "0.1.0"
+
+
+def _module_bindings(tree: ast.Module) -> set[str]:
+    """The names a module binds at its top level, in ``if`` (so under
+    ``TYPE_CHECKING``) and ``try`` blocks included: imports, defs, classes
+    and assignment targets."""
+    names: set[str] = set()
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.If, ast.Try)):
+            todo += node.body + node.orelse + getattr(node, "finalbody", [])
+            todo += [s for h in getattr(node, "handlers", []) for s in h.body]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def _annotation_names(annotation: ast.expr):
+    """The root names an annotation reads, through string annotations too."""
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from _annotation_names(ast.parse(node.value, mode="eval").body)
+
+
+def test_every_annotation_names_what_its_module_binds():
+    # under `from __future__ import annotations` an unbound name fails only
+    # when something evaluates the annotation, so this check reads the source
+    unbound = []
+    for path in sorted(Path(orbitseries.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        known = _module_bindings(tree) | set(dir(builtins))
+        for node in ast.walk(tree):
+            annotations = []
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                annotations = [a.annotation for a in args.posonlyargs + args.args +
+                               args.kwonlyargs + [args.vararg, args.kwarg] if a] + [node.returns]
+            elif isinstance(node, ast.AnnAssign):
+                annotations = [node.annotation]
+            unbound += [(path.name, node.lineno, name) for ann in annotations if ann
+                        for name in _annotation_names(ann) if name not in known]
+    assert unbound == []

@@ -23,7 +23,7 @@ from orbitseries.verify import (FAIL, PASS, RECORDED, CheckResult, VerificationR
 
 
 # the output contract: the full report is byte-identical across changes
-REPORT_SHA256 = "9cc217dadf041c4a24f9b08e2f45a998777adafe7984385eff8ed28791a3aa1c"
+REPORT_SHA256 = "70f3965573b5db5c3229049809324790e0653d992744072109def05e964a1abc"
 
 
 def _failures(results):
@@ -150,6 +150,29 @@ class TestReport:
     def test_subset_config(self):
         report = run_all(VerifyConfig(suites=("dims",)))
         assert {r.suite for r in report.results} == {"dims"}
+
+    @pytest.mark.parametrize("suite", verify.SUITES)
+    def test_each_suite_alone_gives_a_nonempty_report(self, suite):
+        report = run_all(VerifyConfig((suite,)))
+        assert report.results and {r.suite for r in report.results} == {suite}
+
+    @pytest.mark.parametrize("config, named", [
+        (VerifyConfig(("dim",)), "unknown suite 'dim'"),
+        (VerifyConfig(("dims", "Dims")), "unknown suite 'Dims'"),
+        (VerifyConfig("dims"), "unknown suite 'd', 'i', 'm', 's'"),
+        (VerifyConfig(a_values=(3,)), "unknown a 3"),
+        (VerifyConfig(a_values=(2, 0, 16)), "unknown a 0, 16"),
+    ], ids=["misspelt", "one-of-two", "bare-string", "a", "two-a"])
+    def test_what_selects_nothing_is_refused(self, config, named):
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}, not one of"):
+            run_all(config)
+
+    def test_cli_choices_are_the_suites_and_a_values(self):
+        from orbitseries import cli
+        [commands] = [a for a in cli.build_parser()._actions if a.dest == "command"]
+        choices = {a.dest: a.choices for a in commands.choices["verify"]._actions}
+        assert tuple(choices["suite"]) == verify.SUITES == VerifyConfig().suites
+        assert tuple(choices["a"]) == verify.A_VALUES == VerifyConfig().a_values
 
     def test_text_rendering(self):
         report = run_all(VerifyConfig(suites=("errata",)))
